@@ -68,6 +68,9 @@ fi
 if want test; then
     echo "==> stage test: cargo test"
     cargo test --offline --workspace -q
+    # The benchmark package has its own workspace; its cross-process
+    # determinism test guards corpus generation and ingest.
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 fi
 
 if want smoke; then
@@ -129,7 +132,8 @@ if want bench; then
     ./target/release/learn_bench --routers 2000 --out "$WORK/BENCH_learn.json"
     FAIL=0
     # check_bench FILE KEY: compare the fresh run in $WORK against the
-    # committed baseline of the same name; a drop beyond TOL% fails.
+    # committed baseline of the same name; a drop beyond TOL% fails. The
+    # baselines are only read: fresh records stay in $WORK.
     check_bench() {
         fresh=$(json_num "$WORK/$1" "$2")
         [ -n "$fresh" ] || {
@@ -140,7 +144,7 @@ if want bench; then
         base=""
         [ -f "$1" ] && base=$(json_num "$1" "$2")
         if [ -z "$base" ]; then
-            printf '    %-18s %-16s baseline -            fresh %-12s (no baseline; installing)\n' \
+            printf '    %-18s %-16s baseline -            fresh %-12s (no baseline)\n' \
                 "$1" "$2" "$fresh"
             return 0
         fi
@@ -160,8 +164,6 @@ if want bench; then
         echo "bench regression gate failed (tolerance ${TOL}%, override with CI_BENCH_TOL)"
         exit 1
     }
-    mv "$WORK/BENCH_serve.json" BENCH_serve.json
-    mv "$WORK/BENCH_learn.json" BENCH_learn.json
 fi
 
 if want chaos; then
@@ -171,7 +173,7 @@ if want chaos; then
     [ -f BENCH_serve.json ] && BASELINE="--baseline BENCH_serve.json"
     # shellcheck disable=SC2086 # $BASELINE is two words or empty
     ./target/release/serve_chaos --routers 1500 --seed 7 \
-        --secs "$SECS" $BASELINE --out BENCH_chaos.json
+        --secs "$SECS" $BASELINE --out "$WORK/BENCH_chaos.json"
 fi
 
 echo "CI OK ($STAGES)"

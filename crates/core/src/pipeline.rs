@@ -6,7 +6,7 @@ use crate::eval::{eval_nc, eval_regex, EvalResult, Metrics, Outcome};
 use crate::evalctx::EvalContext;
 use crate::learned::{learn_hints, LearnPolicy, LearnedHints};
 use crate::rank::{classify_nc, select_nc, NcClass};
-use crate::train::{build_training_sets, SuffixSet};
+use crate::train::{build_training_sets_stripped, SuffixSet};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
@@ -172,39 +172,27 @@ impl<'a> Hoiho<'a> {
     /// Run all five stages over a corpus.
     pub fn learn_corpus(&self, corpus: &Corpus) -> LearnReport {
         let _learn_span = hoiho_obs::span("learn");
-        // Measurement hygiene first: drop VPs whose RTTs are physically
+        // Measurement hygiene first: find VPs whose RTTs are physically
         // implausible across the whole campaign (spoofing middleboxes).
-        let mut spoofed_vps = Vec::new();
-        let sanitized: Option<Corpus> = if self.opts.filter_spoofed_vps {
+        let spoofed_vps = if self.opts.filter_spoofed_vps {
             let _span = hoiho_obs::span("learn.filter_vps");
             let refs: Vec<&hoiho_rtt::RouterRtts> =
                 corpus.routers.iter().map(|r| &r.rtts).collect();
-            spoofed_vps =
-                hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20);
-            if spoofed_vps.is_empty() {
-                None
-            } else {
-                let mut clean = corpus.clone();
-                for r in &mut clean.routers {
-                    r.rtts = hoiho_rtt::fault::strip_vps(&r.rtts, &spoofed_vps);
-                    r.traceroute_rtts =
-                        hoiho_rtt::fault::strip_vps(&r.traceroute_rtts, &spoofed_vps);
-                }
-                Some(clean)
-            }
+            hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20)
         } else {
-            None
+            Vec::new()
         };
-        let corpus = sanitized.as_ref().unwrap_or(corpus);
         if hoiho_obs::enabled() && !spoofed_vps.is_empty() {
             hoiho_obs::progress(format!(
                 "discarded {} spoofing vantage point(s)",
                 spoofed_vps.len()
             ));
         }
+        // Stage 2 strips the spoofed samples as it copies each training
+        // router's RTTs; nothing later reads the corpus's own RTTs.
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            build_training_sets(self.db, self.psl, corpus, &self.opts.policy)
+            build_training_sets_stripped(self.db, self.psl, corpus, &self.opts.policy, &spoofed_vps)
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();

@@ -5,7 +5,8 @@ use crate::evalctx::FeasibilityCache;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::fault::strip_vps;
+use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -55,6 +56,20 @@ pub fn build_training_sets(
     corpus: &Corpus,
     policy: &ConsistencyPolicy,
 ) -> Vec<SuffixSet> {
+    build_training_sets_stripped(db, psl, corpus, policy, &[])
+}
+
+/// [`build_training_sets`] with the samples of the `spoofed` VPs removed
+/// from every training router's ping RTTs (§5.1.4). Only routers that
+/// contribute a hostname get an RTT copy, and stripping happens at that
+/// copy, so the corpus itself is never cloned.
+pub(crate) fn build_training_sets_stripped(
+    db: &GeoDb,
+    psl: &PublicSuffixList,
+    corpus: &Corpus,
+    policy: &ConsistencyPolicy,
+    spoofed: &[VpId],
+) -> Vec<SuffixSet> {
     let vps: &VpSet = &corpus.vps;
     // One corpus-wide feasibility cache, keyed by router id: every
     // hostname of a router probes the same candidate locations against
@@ -62,7 +77,7 @@ pub fn build_training_sets(
     let feas = FeasibilityCache::new();
     let mut by_suffix: HashMap<String, Vec<TrainHost>> = HashMap::new();
     for (id, r) in corpus.iter() {
-        let rtts = Arc::new(r.rtts.clone());
+        let mut rtts: Option<Arc<RouterRtts>> = None;
         for h in r.hostnames() {
             let Some(suffix) = psl.registerable_suffix(h) else {
                 continue;
@@ -70,13 +85,20 @@ pub fn build_training_sets(
             let Some(prefix) = psl.prefix_of(h) else {
                 continue;
             };
+            let rtts = rtts.get_or_insert_with(|| {
+                Arc::new(if spoofed.is_empty() {
+                    r.rtts.clone()
+                } else {
+                    strip_vps(&r.rtts, spoofed)
+                })
+            });
             let prefix = prefix.to_ascii_lowercase();
-            let tags = tag_prefix_cached(db, vps, &rtts, &prefix, policy, &feas, id.0 as u64);
+            let tags = tag_prefix_cached(db, vps, rtts, &prefix, policy, &feas, id.0 as u64);
             by_suffix.entry(suffix).or_default().push(TrainHost {
                 hostname: h.to_ascii_lowercase(),
                 prefix,
                 router: id.0,
-                rtts: Arc::clone(&rtts),
+                rtts: Arc::clone(rtts),
                 tags,
             });
         }

@@ -90,8 +90,8 @@ impl Counter {
 /// implicit overflow bucket catches everything above the last bound.
 /// Recording is lock-free (one atomic add per sample); quantile readout
 /// walks the bucket array and returns the upper bound of the bucket in
-/// which the requested rank falls, i.e. a conservative (never
-/// under-reported) estimate.
+/// which the requested rank falls, clamped to the largest sample: a
+/// conservative (never under-reported) estimate that never exceeds max.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,
@@ -165,8 +165,8 @@ impl Histogram {
     }
 
     /// The quantile `q` in `[0, 1]`: the upper bound of the bucket
-    /// containing the rank-`ceil(q*count)` sample, or [`Histogram::max`]
-    /// when the rank lands in the overflow bucket. Returns 0 when empty.
+    /// containing the rank-`ceil(q*count)` sample, clamped to
+    /// [`Histogram::max`] (no sample exceeds it). Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -177,11 +177,8 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                return if i < self.bounds.len() {
-                    self.bounds[i]
-                } else {
-                    self.max()
-                };
+                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
+                return bound.min(self.max());
             }
         }
         self.max()
@@ -854,8 +851,17 @@ mod tests {
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.quantile(0.5), 10); // 3rd of 5 samples ≤ 10
-        assert_eq!(h.quantile(0.9), 1000); // 5th sample is 200 → bucket ≤1000
+        assert_eq!(h.quantile(0.9), 200); // 5th sample is in bucket ≤1000, max 200
         assert_eq!(h.max(), 200);
+    }
+
+    #[test]
+    fn one_sample_quantiles_are_the_sample() {
+        let h = Histogram::exponential();
+        h.record(990_420);
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 990_420, "q={q}");
+        }
     }
 
     #[test]

@@ -128,12 +128,12 @@ pub fn detect_spoofing_vps_blind(
 /// Remove every sample taken by the given VPs from a measurement —
 /// what the paper did manually for its seven spoofing VPs.
 pub fn strip_vps(samples: &RouterRtts, bad: &[VpId]) -> RouterRtts {
-    let mut out = RouterRtts::new();
-    for (vp, rtt) in samples.samples() {
-        if !bad.contains(vp) {
-            out.record(*vp, *rtt);
-        }
-    }
+    // Filtering keeps the input's VP order, so the result stays sorted.
+    let mut out = RouterRtts {
+        samples: Vec::with_capacity(samples.len()),
+    };
+    out.samples
+        .extend(samples.samples.iter().filter(|(vp, _)| !bad.contains(vp)));
     if hoiho_obs::enabled() {
         hoiho_obs::counter!("rtt.spoof.samples_stripped").add((samples.len() - out.len()) as u64);
     }

@@ -109,8 +109,15 @@ impl RouterRtts {
         RouterRtts::default()
     }
 
-    /// Record a sample, keeping the minimum per VP.
+    /// Record a sample, keeping the minimum per VP. Samples arriving in
+    /// ascending VP order (as the corpus writer emits them) append;
+    /// repeated or out-of-order VPs fall back to a sorted insert.
+    #[inline]
     pub fn record(&mut self, vp: VpId, rtt: Rtt) {
+        if self.samples.last().is_none_or(|&(last, _)| last < vp) {
+            self.samples.push((vp, rtt));
+            return;
+        }
         match self.samples.binary_search_by_key(&vp, |(v, _)| *v) {
             Ok(i) => {
                 if rtt < self.samples[i].1 {
@@ -119,6 +126,11 @@ impl RouterRtts {
             }
             Err(i) => self.samples.insert(i, (vp, rtt)),
         }
+    }
+
+    /// Reserve room for `additional` more samples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.samples.reserve(additional);
     }
 
     /// All `(vp, min RTT)` samples.
