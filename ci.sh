@@ -90,7 +90,11 @@ if want smoke; then
         post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
     fi
     ./target/release/hoiho generate --routers 1500 --seed 11 --out "$WORK/corpus.txt"
-    ./target/release/hoiho learn --corpus "$WORK/corpus.txt" --out "$WORK/artifacts.txt"
+    ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" --out "$WORK/artifacts.txt"
+    # Learning is deterministic across thread counts: a two-thread learn
+    # must write the same artifact byte for byte.
+    ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" --out "$WORK/artifacts2.txt"
+    cmp "$WORK/artifacts.txt" "$WORK/artifacts2.txt"
     ./target/release/hoiho serve --artifacts "$WORK/artifacts.txt" \
         --addr 127.0.0.1:0 --threads 2 --port-file "$WORK/port" &
     SERVE_PID=$!

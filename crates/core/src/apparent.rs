@@ -47,19 +47,18 @@ pub fn tag_prefix(
 ) -> Vec<Tag> {
     // Transient cache: single-prefix callers (tests, ad-hoc tagging)
     // still dedup repeated interpretations within one prefix.
-    let feas = FeasibilityCache::new();
-    tag_prefix_cached(db, vps, rtts, prefix, policy, &feas, 0)
+    let feas = FeasibilityCache::standalone(db, vps, policy);
+    tag_prefix_cached(db, rtts, prefix, &feas, 0)
 }
 
-/// [`tag_prefix`] with a caller-owned [`FeasibilityCache`]. Corpus-wide
-/// callers (`build_training_sets`, `detect_stale`) pass one cache keyed
-/// by router id so every prefix of a router shares feasibility answers.
+/// [`tag_prefix`] with a caller-owned [`FeasibilityCache`], which fixes
+/// the vantage points and policy. Corpus-wide callers
+/// (`build_training_sets`) pass one cache keyed by router id so every
+/// prefix of a router shares feasibility answers.
 pub fn tag_prefix_cached(
     db: &GeoDb,
-    vps: &VpSet,
     rtts: &RouterRtts,
     prefix: &str,
-    policy: &ConsistencyPolicy,
     feas: &FeasibilityCache,
     key: u64,
 ) -> Vec<Tag> {
@@ -76,7 +75,7 @@ pub fn tag_prefix_cached(
         }
         let mut cands = db.lookup(t.text);
         cands.extend(db.lookup_clli_head(t.text));
-        push_consistent(db, vps, rtts, policy, feas, key, &mut tags, t, None, cands);
+        push_consistent(db, rtts, feas, key, &mut tags, t, None, cands);
 
         // Split CLLI: a 4-letter token whose next alphabetic neighbour
         // (across digits/punctuation, within the same label) is a
@@ -85,18 +84,7 @@ pub fn tag_prefix_cached(
             if let Some(two) = next_alpha_in_label(&tokens, i) {
                 if two.text.len() == 2 {
                     let cands = db.lookup_clli_split(t.text, two.text);
-                    push_consistent(
-                        db,
-                        vps,
-                        rtts,
-                        policy,
-                        feas,
-                        key,
-                        &mut tags,
-                        t,
-                        Some(two),
-                        cands,
-                    );
+                    push_consistent(db, rtts, feas, key, &mut tags, t, Some(two), cands);
                 }
             }
         }
@@ -113,7 +101,7 @@ pub fn tag_prefix_cached(
             let locs = db.lookup_typed(label, GeohintType::Facility);
             let consistent: Vec<LocationId> = locs
                 .into_iter()
-                .filter(|id| feas.feasible(db, vps, policy, key, rtts, *id))
+                .filter(|id| feas.feasible(db, key, rtts, *id))
                 .collect();
             if !consistent.is_empty() {
                 tags.push(Tag {
@@ -164,9 +152,7 @@ pub fn tag_prefix_cached(
 #[allow(clippy::too_many_arguments)]
 fn push_consistent(
     db: &GeoDb,
-    vps: &VpSet,
     rtts: &RouterRtts,
-    policy: &ConsistencyPolicy,
     feas: &FeasibilityCache,
     key: u64,
     tags: &mut Vec<Tag>,
@@ -177,7 +163,7 @@ fn push_consistent(
     use std::collections::HashMap;
     let mut by_type: HashMap<GeohintType, Vec<LocationId>> = HashMap::new();
     for c in cands {
-        if feas.feasible(db, vps, policy, key, rtts, c.location) {
+        if feas.feasible(db, key, rtts, c.location) {
             by_type.entry(c.hint_type).or_default().push(c.location);
         }
     }

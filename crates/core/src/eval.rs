@@ -123,22 +123,36 @@ pub fn classify_host(
     extraction: Option<&Extraction>,
     learned: Option<&LearnedHints>,
 ) -> Outcome {
+    classify(ctx, host, extraction, learned).0
+}
+
+/// [`classify_host`] plus, for a TP, the canonical id of its hint — the
+/// id [`Metrics::unique_hints`] stores. The hint is interned once.
+fn classify(
+    ctx: &EvalContext<'_>,
+    host: &TrainHost,
+    extraction: Option<&Extraction>,
+    learned: Option<&LearnedHints>,
+) -> (Outcome, Option<HintId>) {
     let Some(e) = extraction else {
-        return if host.is_tagged() {
+        let outcome = if host.is_tagged() {
             Outcome::Fn
         } else {
             Outcome::Ignore
         };
+        return (outcome, None);
     };
     // Learned hints are a delta over the base decode: a hit bypasses
     // the memo (one location), a miss falls through to it — so stage 4
     // never invalidates anything.
     if let Some(loc) = learned.and_then(|l| l.get(&e.hint, e.ty)) {
-        return classify_decoded(ctx, host, e, std::slice::from_ref(&loc));
+        let outcome = classify_decoded(ctx, host, e, std::slice::from_ref(&loc));
+        let hint = (outcome == Outcome::Tp).then(|| ctx.canonical(ctx.intern(&e.hint, e.ty)));
+        return (outcome, hint);
     }
     let id = ctx.intern(&e.hint, e.ty);
-    let locs = ctx.base_decode(id);
-    classify_decoded(ctx, host, e, &locs)
+    let outcome = classify_decoded(ctx, host, e, &ctx.base_decode(id));
+    (outcome, (outcome == Outcome::Tp).then(|| ctx.canonical(id)))
 }
 
 /// The classification rules, given the decoded locations of the
@@ -207,29 +221,65 @@ fn eval_regexes(
                 break;
             }
         }
-        let outcome = classify_host(ctx, host, ext.as_ref(), learned);
-        let hint = if outcome == Outcome::Tp {
-            ext.as_ref()
-                .map(|e| ctx.canonical(ctx.intern(&e.hint, e.ty)))
-        } else {
-            None
-        };
+        let (outcome, hint) = classify(ctx, host, ext.as_ref(), learned);
         metrics.add(outcome, hint);
         per_host.push((ext, outcome, which));
     }
-    // One batch of counter updates per evaluation, not per host: this
-    // runs once per candidate regex, so per-host counting would dominate.
+    let result = EvalResult { metrics, per_host };
+    count_evaluation(ctx, &result);
+    result
+}
+
+/// The evaluation [`eval_nc`] returns for an NC, with no learned hints,
+/// composed from its members' single-regex evaluations: `singles[i]`
+/// must be [`eval_regex`]`(ctx, regex i, None)`. A host's extraction
+/// under the NC is the first member's that is `Some`, and with no
+/// learned hints its outcome is the one that member's evaluation already
+/// found, so only hosts no member matched are classified here. The
+/// result and the `eval.*` counters equal [`eval_nc`]'s.
+pub(crate) fn compose_nc(ctx: &EvalContext<'_>, singles: &[&EvalResult]) -> EvalResult {
+    let mut metrics = Metrics::default();
+    let mut per_host = Vec::with_capacity(ctx.hosts.len());
+    for (i, host) in ctx.hosts.iter().enumerate() {
+        let first = singles.iter().enumerate().find_map(|(which, single)| {
+            let (ext, outcome, _) = &single.per_host[i];
+            ext.as_ref().map(|e| (e, *outcome, which))
+        });
+        let entry = match first {
+            Some((e, outcome, which)) => (Some(e.clone()), outcome, Some(which)),
+            None => (None, classify_host(ctx, host, None, None), None),
+        };
+        let hint = match &entry {
+            (Some(e), Outcome::Tp, _) => Some(ctx.canonical(ctx.intern(&e.hint, e.ty))),
+            _ => None,
+        };
+        metrics.add(entry.1, hint);
+        per_host.push(entry);
+    }
+    let result = EvalResult { metrics, per_host };
+    count_evaluation(ctx, &result);
+    result
+}
+
+/// One batch of `eval.*` counter updates per evaluation, not per host:
+/// this runs once per candidate regex, so per-host counting would
+/// dominate.
+fn count_evaluation(ctx: &EvalContext<'_>, result: &EvalResult) {
     if hoiho_obs::enabled() {
+        let metrics = &result.metrics;
+        let matches = result
+            .per_host
+            .iter()
+            .filter(|(e, _, _)| e.is_some())
+            .count();
         hoiho_obs::counter!("eval.evaluations").inc();
         hoiho_obs::counter!("eval.hosts").add(ctx.hosts.len() as u64);
-        hoiho_obs::counter!("eval.matches")
-            .add(per_host.iter().filter(|(e, _, _)| e.is_some()).count() as u64);
+        hoiho_obs::counter!("eval.matches").add(matches as u64);
         hoiho_obs::counter!("eval.tp").add(metrics.tp as u64);
         hoiho_obs::counter!("eval.fp").add(metrics.fp as u64);
         hoiho_obs::counter!("eval.fn").add(metrics.fn_ as u64);
         hoiho_obs::counter!("eval.unk").add(metrics.unk as u64);
     }
-    EvalResult { metrics, per_host }
 }
 
 /// Evaluate a full NC against the context's hosts.

@@ -31,7 +31,7 @@
 use crate::train::TrainHost;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{consistency::feasibility, ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpSet};
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -68,10 +68,14 @@ struct Interner {
 /// corpus-wide caches (`build_training_sets`, `detect_stale`), or the
 /// address of the shared `Arc<RouterRtts>` inside an [`EvalContext`]
 /// (robust even when hand-built hosts reuse a router id with different
-/// samples). Feasibility is a pure function of the samples, so cached
-/// answers are exactly what [`feasibility`] would return.
-#[derive(Debug, Default)]
+/// samples). A miss is answered by the cache's [`BestCaseTable`], which
+/// fixes the vantage points and policy and may be shared by many caches
+/// (every stage-2 and stage-3 cache of one learn shares one). Feasibility
+/// is a pure function of the samples, so cached answers are exactly what
+/// [`feasibility`](hoiho_rtt::consistency::feasibility) would return.
+#[derive(Debug)]
 pub struct FeasibilityCache {
+    table: Arc<BestCaseTable>,
     map: RefCell<HashMap<(u64, LocationId), bool>>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -80,22 +84,27 @@ pub struct FeasibilityCache {
 }
 
 impl FeasibilityCache {
-    /// An empty cache.
-    pub fn new() -> FeasibilityCache {
-        FeasibilityCache::default()
+    /// An empty cache answering its misses from `table`.
+    pub fn new(table: Arc<BestCaseTable>) -> FeasibilityCache {
+        FeasibilityCache {
+            table,
+            map: RefCell::default(),
+            hits: Cell::default(),
+            misses: Cell::default(),
+            accepts: Cell::default(),
+            rejects: Cell::default(),
+        }
+    }
+
+    /// A cache with its own table for `vps` under `policy`, sized for
+    /// `db`'s locations.
+    pub fn standalone(db: &GeoDb, vps: &VpSet, policy: &ConsistencyPolicy) -> FeasibilityCache {
+        FeasibilityCache::new(Arc::new(BestCaseTable::new(vps, policy, db.len())))
     }
 
     /// Whether `loc` is feasible for the router whose samples are
     /// `rtts`, identified by `key`. Computes and memoizes on first use.
-    pub fn feasible(
-        &self,
-        db: &GeoDb,
-        vps: &VpSet,
-        policy: &ConsistencyPolicy,
-        key: u64,
-        rtts: &RouterRtts,
-        loc: LocationId,
-    ) -> bool {
+    pub fn feasible(&self, db: &GeoDb, key: u64, rtts: &RouterRtts, loc: LocationId) -> bool {
         let cached = self.map.borrow().get(&(key, loc)).copied();
         let v = match cached {
             Some(v) => {
@@ -104,7 +113,7 @@ impl FeasibilityCache {
             }
             None => {
                 self.misses.set(self.misses.get() + 1);
-                let v = feasibility(vps, rtts, &db.location(loc).coords, policy);
+                let v = self.table.feasibility(rtts, loc, &db.location(loc).coords);
                 self.map.borrow_mut().insert((key, loc), v);
                 v
             }
@@ -141,16 +150,12 @@ impl FeasibilityCache {
     }
 }
 
-/// Shared evaluation state for one suffix: the dictionary, the vantage
-/// points, the policy, the training hosts, plus the decode and
-/// feasibility memos every candidate evaluation draws from.
+/// Shared evaluation state for one suffix: the dictionary, the training
+/// hosts, plus the decode and feasibility memos every candidate
+/// evaluation draws from.
 pub struct EvalContext<'a> {
     /// The reference dictionary.
     pub db: &'a GeoDb,
-    /// Vantage points of the corpus.
-    pub vps: &'a VpSet,
-    /// RTT feasibility policy.
-    pub policy: &'a ConsistencyPolicy,
     /// The registerable suffix under evaluation.
     pub suffix: &'a str,
     /// The suffix's training hosts (borrowed — candidates no longer
@@ -163,7 +168,8 @@ pub struct EvalContext<'a> {
 }
 
 impl<'a> EvalContext<'a> {
-    /// A fresh context over one suffix's hosts.
+    /// A fresh context over one suffix's hosts, with its own best-case
+    /// table.
     pub fn new(
         db: &'a GeoDb,
         vps: &'a VpSet,
@@ -171,14 +177,24 @@ impl<'a> EvalContext<'a> {
         suffix: &'a str,
         hosts: &'a [TrainHost],
     ) -> EvalContext<'a> {
+        let table = Arc::new(BestCaseTable::new(vps, policy, db.len()));
+        EvalContext::with_table(db, suffix, hosts, table)
+    }
+
+    /// A fresh context whose feasibility misses are answered from a
+    /// shared `table`, which fixes the vantage points and policy.
+    pub fn with_table(
+        db: &'a GeoDb,
+        suffix: &'a str,
+        hosts: &'a [TrainHost],
+        table: Arc<BestCaseTable>,
+    ) -> EvalContext<'a> {
         EvalContext {
             db,
-            vps,
-            policy,
             suffix,
             hosts,
             interner: RefCell::new(Interner::default()),
-            feas: FeasibilityCache::new(),
+            feas: FeasibilityCache::new(table),
             decode_hits: Cell::new(0),
             decode_misses: Cell::new(0),
         }
@@ -232,8 +248,7 @@ impl<'a> EvalContext<'a> {
     /// router id with different samples stay distinct.
     pub fn feasible(&self, host: &TrainHost, loc: LocationId) -> bool {
         let key = Arc::as_ptr(&host.rtts) as u64;
-        self.feas
-            .feasible(self.db, self.vps, self.policy, key, &host.rtts, loc)
+        self.feas.feasible(self.db, key, &host.rtts, loc)
     }
 
     /// Resolve interned ids back to sorted hint texts — the report
@@ -267,7 +282,7 @@ impl Drop for EvalContext<'_> {
 mod tests {
     use super::*;
     use hoiho_geotypes::{Coordinates, Rtt};
-    use hoiho_rtt::VpId;
+    use hoiho_rtt::{consistency::feasibility, VpId};
 
     fn world() -> (GeoDb, VpSet) {
         let db = GeoDb::builtin();
@@ -302,7 +317,7 @@ mod tests {
         let policy = ConsistencyPolicy::STRICT;
         let mut rtts = RouterRtts::new();
         rtts.record(VpId(0), Rtt::from_ms(3.0));
-        let cache = FeasibilityCache::new();
+        let cache = FeasibilityCache::standalone(&db, &vps, &policy);
         for &(hint, ty) in &[
             ("lhr", GeohintType::Iata),
             ("iad", GeohintType::Iata),
@@ -312,8 +327,8 @@ mod tests {
                 let pure = feasibility(&vps, &rtts, &db.location(loc).coords, &policy);
                 // First call computes, second must hit the memo; both
                 // agree with the pure predicate.
-                assert_eq!(cache.feasible(&db, &vps, &policy, 7, &rtts, loc), pure);
-                assert_eq!(cache.feasible(&db, &vps, &policy, 7, &rtts, loc), pure);
+                assert_eq!(cache.feasible(&db, 7, &rtts, loc), pure);
+                assert_eq!(cache.feasible(&db, 7, &rtts, loc), pure);
             }
         }
         assert!(cache.hits.get() >= cache.misses.get());

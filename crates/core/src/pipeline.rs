@@ -10,8 +10,10 @@ use crate::train::{build_training_sets_stripped, SuffixSet};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, VpSet};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Tunables of the learner.
 #[derive(Debug, Clone)]
@@ -188,11 +190,18 @@ impl<'a> Hoiho<'a> {
                 spoofed_vps.len()
             ));
         }
+        // One best-case RTT table for the whole learn: stage 2 and every
+        // suffix's evaluation context answer feasibility misses from it.
+        let table = Arc::new(BestCaseTable::new(
+            &corpus.vps,
+            &self.opts.policy,
+            self.db.len(),
+        ));
         // Stage 2 strips the spoofed samples as it copies each training
         // router's RTTs; nothing later reads the corpus's own RTTs.
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            build_training_sets_stripped(self.db, self.psl, corpus, &self.opts.policy, &spoofed_vps)
+            build_training_sets_stripped(self.db, self.psl, corpus, &table, &spoofed_vps)
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();
@@ -204,7 +213,7 @@ impl<'a> Hoiho<'a> {
             }
         }
 
-        let results = self.learn_all(&corpus.vps, &sets);
+        let results = self.learn_all(&sets, &table);
         let mut geolocated: HashSet<u32> = HashSet::new();
         let mut extrapolated: HashSet<u32> = HashSet::new();
         for r in &results {
@@ -229,7 +238,7 @@ impl<'a> Hoiho<'a> {
     /// Learn every suffix, fanning work across worker threads: suffixes
     /// are independent, so results are identical to the sequential
     /// order-preserving loop.
-    fn learn_all(&self, vps: &VpSet, sets: &[SuffixSet]) -> Vec<SuffixResult> {
+    fn learn_all(&self, sets: &[SuffixSet], table: &Arc<BestCaseTable>) -> Vec<SuffixResult> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let threads = self.opts.resolved_threads().min(sets.len().max(1));
         let done = AtomicUsize::new(0);
@@ -251,7 +260,7 @@ impl<'a> Hoiho<'a> {
             return sets
                 .iter()
                 .map(|s| {
-                    let r = self.learn_suffix(vps, s);
+                    let r = self.learn_suffix_with(s, table);
                     report(&r, &done);
                     r
                 })
@@ -271,7 +280,7 @@ impl<'a> Hoiho<'a> {
                             if i >= sets.len() {
                                 break;
                             }
-                            let r = self.learn_suffix(vps, &sets[i]);
+                            let r = self.learn_suffix_with(&sets[i], table);
                             report(&r, done);
                             local.push((i, r));
                         }
@@ -291,6 +300,13 @@ impl<'a> Hoiho<'a> {
     /// Run stages 3–5 for one suffix (stage 2 tags are already on the
     /// training set).
     pub fn learn_suffix(&self, vps: &VpSet, set: &SuffixSet) -> SuffixResult {
+        let table = Arc::new(BestCaseTable::new(vps, &self.opts.policy, self.db.len()));
+        self.learn_suffix_with(set, &table)
+    }
+
+    /// [`Hoiho::learn_suffix`] answering feasibility misses from a
+    /// best-case table shared across suffixes.
+    fn learn_suffix_with(&self, set: &SuffixSet, table: &Arc<BestCaseTable>) -> SuffixResult {
         let hosts = &set.hosts;
         let tagged = set.tagged();
         let empty = |class| SuffixResult {
@@ -311,94 +327,16 @@ impl<'a> Hoiho<'a> {
         let _suffix_span = hoiho_obs::span_detail("learn.suffix", set.suffix.clone());
         // One evaluation context for the whole suffix: every candidate
         // below shares its decode and feasibility memos.
-        let ctx = EvalContext::new(self.db, vps, &self.opts.policy, &set.suffix, hosts);
+        let ctx = EvalContext::with_table(self.db, &set.suffix, hosts, Arc::clone(table));
 
-        // Phase 1: base regexes, deduplicated, most-generated first.
-        let phase1 = hoiho_obs::span("learn.suffix.phase1");
-        let mut counts: HashMap<String, (GeoRegex, usize)> = HashMap::new();
-        for h in hosts {
-            if !h.is_tagged() {
-                continue;
-            }
-            for r in base_regexes_for_host(&h.prefix, &h.tags, &set.suffix) {
-                counts.entry(r.regex.as_pattern()).or_insert((r, 0)).1 += 1;
-            }
-        }
-        let mut cands: Vec<(GeoRegex, usize)> = counts.into_values().collect();
-        if hoiho_obs::enabled() {
-            hoiho_obs::counter!("learn.candidates_generated")
-                .add(cands.iter().map(|(_, c)| *c as u64).sum());
-            hoiho_obs::counter!("learn.candidates_deduped").add(cands.len() as u64);
-        }
-        // Tie-break by pattern text so results do not depend on hash
-        // iteration order.
-        cands.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
-        cands.truncate(self.opts.max_candidates);
-
-        // Evaluate singles.
-        let mut evals: Vec<(GeoRegex, EvalResult)> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for (r, _) in &cands {
-            let e = eval_regex(&ctx, r, None);
-            if e.metrics.tp > 0 {
-                seen.insert(r.regex.as_pattern());
-                evals.push((r.clone(), e));
-            }
-        }
-        drop(phase1);
-        if evals.is_empty() {
+        let ranked = self.rank_candidates(&ctx);
+        if ranked.is_empty() {
             return empty(NcClass::Poor);
         }
 
-        // Phase 2: digit-optional merges.
-        let phase2 = hoiho_obs::span("learn.suffix.phase2");
-        let singles: Vec<GeoRegex> = evals.iter().map(|(r, _)| r.clone()).collect();
-        for m in merge_digit_optional(&singles) {
-            if seen.insert(m.regex.as_pattern()) {
-                let e = eval_regex(&ctx, &m, None);
-                if e.metrics.tp > 0 {
-                    evals.push((m, e));
-                }
-            }
-        }
-        drop(phase2);
-
-        evals.sort_by(|a, b| {
-            b.1.metrics
-                .atp()
-                .cmp(&a.1.metrics.atp())
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
-
-        // Phase 3: refine the leaders.
-        let phase3 = hoiho_obs::span("learn.suffix.phase3");
-        let mut refined = Vec::new();
-        for (r, _) in evals.iter().take(self.opts.refine_top) {
-            if let Some(n) = embed_character_classes(hosts, r) {
-                if seen.insert(n.regex.as_pattern()) {
-                    let e = eval_regex(&ctx, &n, None);
-                    if e.metrics.tp > 0 {
-                        refined.push((n, e));
-                    }
-                }
-            }
-        }
-        hoiho_obs::add("learn.candidates_refined", refined.len() as u64);
-        evals.extend(refined);
-        drop(phase3);
-        evals.sort_by(|a, b| {
-            b.1.metrics
-                .atp()
-                .cmp(&a.1.metrics.atp())
-                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
-        });
-
         // Phase 4 + stage 5.
         let phase4 = hoiho_obs::span("learn.suffix.phase4");
-        let ncs = crate::sets::build_sets(&ctx, &evals);
+        let ncs = crate::sets::build_sets(&ctx, &ranked);
         let selected = select_nc(ncs);
         drop(phase4);
         let Some((nc, mut eval)) = selected else {
@@ -445,6 +383,99 @@ impl<'a> Hoiho<'a> {
             geolocated_routers,
             extrapolated_routers,
         }
+    }
+
+    /// Stage 3, phases 1–3, for the context's suffix: generate base
+    /// regexes from the tagged hostnames (phase 1), add digit-optional
+    /// merges (phase 2) and character-class refinements of the leaders
+    /// (phase 3). Returns every candidate with a TP, each with its
+    /// single-regex evaluation (no learned hints), sorted by descending
+    /// ATP then pattern — the input phase 4 builds sets from.
+    pub fn rank_candidates(&self, ctx: &EvalContext<'_>) -> Vec<(GeoRegex, EvalResult)> {
+        let hosts = ctx.hosts;
+        // Phase 1: base regexes, deduplicated, most-generated first.
+        let phase1 = hoiho_obs::span("learn.suffix.phase1");
+        let mut counts: HashMap<String, (GeoRegex, usize)> = HashMap::new();
+        for h in hosts {
+            if !h.is_tagged() {
+                continue;
+            }
+            for r in base_regexes_for_host(&h.prefix, &h.tags, ctx.suffix) {
+                counts.entry(r.regex.as_pattern()).or_insert((r, 0)).1 += 1;
+            }
+        }
+        let mut cands: Vec<(GeoRegex, usize)> = counts.into_values().collect();
+        if hoiho_obs::enabled() {
+            hoiho_obs::counter!("learn.candidates_generated")
+                .add(cands.iter().map(|(_, c)| *c as u64).sum());
+            hoiho_obs::counter!("learn.candidates_deduped").add(cands.len() as u64);
+        }
+        // Tie-break by pattern text so results do not depend on hash
+        // iteration order.
+        cands.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
+        });
+        cands.truncate(self.opts.max_candidates);
+
+        // Evaluate singles.
+        let mut evals: Vec<(GeoRegex, EvalResult)> = Vec::new();
+        let mut seen: HashSet<String> = HashSet::new();
+        for (r, _) in &cands {
+            let e = eval_regex(ctx, r, None);
+            if e.metrics.tp > 0 {
+                seen.insert(r.regex.as_pattern());
+                evals.push((r.clone(), e));
+            }
+        }
+        drop(phase1);
+        if evals.is_empty() {
+            return evals;
+        }
+
+        // Phase 2: digit-optional merges.
+        let phase2 = hoiho_obs::span("learn.suffix.phase2");
+        let singles: Vec<GeoRegex> = evals.iter().map(|(r, _)| r.clone()).collect();
+        for m in merge_digit_optional(&singles) {
+            if seen.insert(m.regex.as_pattern()) {
+                let e = eval_regex(ctx, &m, None);
+                if e.metrics.tp > 0 {
+                    evals.push((m, e));
+                }
+            }
+        }
+        drop(phase2);
+
+        evals.sort_by(|a, b| {
+            b.1.metrics
+                .atp()
+                .cmp(&a.1.metrics.atp())
+                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
+        });
+
+        // Phase 3: refine the leaders.
+        let phase3 = hoiho_obs::span("learn.suffix.phase3");
+        let mut refined = Vec::new();
+        for (r, _) in evals.iter().take(self.opts.refine_top) {
+            if let Some(n) = embed_character_classes(hosts, r) {
+                if seen.insert(n.regex.as_pattern()) {
+                    let e = eval_regex(ctx, &n, None);
+                    if e.metrics.tp > 0 {
+                        refined.push((n, e));
+                    }
+                }
+            }
+        }
+        hoiho_obs::add("learn.candidates_refined", refined.len() as u64);
+        evals.extend(refined);
+        drop(phase3);
+        evals.sort_by(|a, b| {
+            b.1.metrics
+                .atp()
+                .cmp(&a.1.metrics.atp())
+                .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
+        });
+        evals
     }
 }
 

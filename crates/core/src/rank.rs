@@ -60,14 +60,12 @@ pub fn select_nc(
             .then_with(|| a.0.regexes.len().cmp(&b.0.regexes.len()))
     });
     let best_tp = candidates[0].1.metrics.tp;
-    let best_len = candidates[0].0.regexes.len();
     let mut pick = 0usize;
     for (i, (nc, eval)) in candidates.iter().enumerate().skip(1) {
         if nc.regexes.len() < candidates[pick].0.regexes.len() && eval.metrics.tp + 3 >= best_tp {
             pick = i;
         }
     }
-    let _ = best_len;
     Some(candidates.swap_remove(pick))
 }
 

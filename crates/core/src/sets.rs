@@ -4,9 +4,13 @@
 //! into multi-regex naming conventions when the combination raises ATP,
 //! every member regex keeps at least three unique geohints, and PPV does
 //! not drop more than 10 points below the starting regex's.
+//!
+//! A grown set is never re-matched: its evaluation is composed from the
+//! members' single-regex evaluations ([`compose_nc`]), which equals
+//! evaluating the set afresh.
 
 use crate::convention::{GeoRegex, NamingConvention};
-use crate::eval::{eval_nc, EvalResult, Outcome};
+use crate::eval::{compose_nc, EvalResult, Outcome};
 use crate::evalctx::EvalContext;
 use std::collections::HashSet;
 
@@ -18,8 +22,10 @@ pub const MAX_COMBINE: usize = 24;
 pub const MIN_UNIQUE_PER_REGEX: usize = 3;
 
 /// Build candidate NCs from ranked single regexes. `ranked` must be
-/// sorted by descending ATP. Returns all singles plus improved
-/// combinations, each with its evaluation.
+/// sorted by descending ATP, and each evaluation must be its regex's
+/// [`eval_regex`](crate::eval::eval_regex) over `ctx` with no learned
+/// hints. Returns all singles plus improved combinations, each with its
+/// evaluation.
 pub fn build_sets(
     ctx: &EvalContext<'_>,
     ranked: &[(GeoRegex, EvalResult)],
@@ -44,10 +50,12 @@ pub fn build_sets(
     // Greedy expansion from the top-ranked regex.
     let start_ppv = out[0].1.metrics.ppv();
     let mut current = out[0].clone();
+    // Indices into `ranked` of the current set's regexes, in set order.
+    let mut members = vec![0];
     let mut grew = true;
     while grew {
         grew = false;
-        for (cand, _) in ranked.iter().take(MAX_COMBINE) {
+        for (i, (cand, _)) in ranked.iter().enumerate().take(MAX_COMBINE) {
             if current
                 .0
                 .regexes
@@ -56,18 +64,21 @@ pub fn build_sets(
             {
                 continue;
             }
-            let mut nc = current.0.clone();
-            nc.regexes.push(cand.clone());
-            let eval = eval_nc(ctx, &nc, None);
+            let singles: Vec<&EvalResult> =
+                members.iter().chain([&i]).map(|&m| &ranked[m].1).collect();
+            let eval = compose_nc(ctx, &singles);
             if eval.metrics.atp() <= current.1.metrics.atp() {
                 continue;
             }
             if eval.metrics.ppv() + 1e-9 < start_ppv - 0.10 {
                 continue;
             }
-            if !members_have_unique_hints(&nc, &eval) {
+            if !members_have_unique_hints(singles.len(), &eval) {
                 continue;
             }
+            let mut nc = current.0.clone();
+            nc.regexes.push(cand.clone());
+            members.push(i);
             current = (nc, eval);
             out.push(current.clone());
             grew = true;
@@ -77,9 +88,10 @@ pub fn build_sets(
     out
 }
 
-/// Each regex of the NC must extract ≥3 unique geohints among its TPs.
-fn members_have_unique_hints(nc: &NamingConvention, eval: &EvalResult) -> bool {
-    let mut uniq: Vec<HashSet<&str>> = vec![HashSet::new(); nc.regexes.len()];
+/// Each of the NC's `members` regexes must extract ≥3 unique geohints
+/// among its TPs.
+fn members_have_unique_hints(members: usize, eval: &EvalResult) -> bool {
+    let mut uniq: Vec<HashSet<&str>> = vec![HashSet::new(); members];
     for (ext, outcome, which) in &eval.per_host {
         if let (Some(e), Outcome::Tp, Some(w)) = (ext, outcome, which) {
             uniq[*w].insert(e.hint.as_str());
@@ -171,6 +183,50 @@ mod tests {
         assert_eq!(best.0.regexes.len(), 2, "both forms combined");
         assert_eq!(best.1.metrics.tp, 8);
         assert_eq!(best.1.metrics.fn_, 0);
+    }
+
+    /// Composition must equal a fresh evaluation for every set phase 4
+    /// can try, not only the ones it keeps: all ordered pairs and
+    /// triples of each suffix's leading candidates on a seeded corpus.
+    #[test]
+    fn composition_equals_fresh_evaluation_for_tried_sets() {
+        use crate::eval::{compose_nc, eval_nc};
+        use crate::pipeline::Hoiho;
+        use hoiho_itdk::spec::CorpusSpec;
+        let db = GeoDb::builtin();
+        let psl = hoiho_psl::PublicSuffixList::builtin();
+        let g = hoiho_itdk::generate(&db, &CorpusSpec::ipv4_aug2020(3000));
+        let hoiho = Hoiho::new(&db, &psl);
+        let policy = hoiho.options().policy;
+        let sets = crate::train::build_training_sets(&db, &psl, &g.corpus, &policy);
+        let mut tried = 0;
+        for set in sets.iter().filter(|s| s.tagged() >= 3).take(12) {
+            let ctx = EvalContext::new(&db, &g.corpus.vps, &policy, &set.suffix, &set.hosts);
+            let ranked = hoiho.rank_candidates(&ctx);
+            let top = ranked.len().min(5);
+            let mut combos: Vec<Vec<usize>> = Vec::new();
+            for a in 0..top {
+                for b in (0..top).filter(|&b| b != a) {
+                    combos.push(vec![a, b]);
+                    for c in (0..top).filter(|&c| c != a && c != b) {
+                        combos.push(vec![a, b, c]);
+                    }
+                }
+            }
+            for members in combos {
+                let singles: Vec<&EvalResult> = members.iter().map(|&m| &ranked[m].1).collect();
+                let nc = NamingConvention {
+                    suffix: set.suffix.clone(),
+                    regexes: members.iter().map(|&m| ranked[m].0.clone()).collect(),
+                };
+                let composed = compose_nc(&ctx, &singles);
+                let fresh = eval_nc(&ctx, &nc, None);
+                assert_eq!(composed.metrics, fresh.metrics, "{nc}");
+                assert_eq!(composed.per_host, fresh.per_host, "{nc}");
+                tried += 1;
+            }
+        }
+        assert!(tried > 100, "only {tried} sets tried");
     }
 
     /// A junk regex whose TPs span fewer than three unique hints must

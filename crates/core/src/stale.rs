@@ -50,7 +50,7 @@ pub fn detect_stale(
     let mut out = Vec::new();
     // Corpus-wide feasibility cache: sibling hostnames on one router
     // frequently resolve to the same handful of locations.
-    let feas = FeasibilityCache::new();
+    let feas = FeasibilityCache::standalone(db, &corpus.vps, policy);
     for (id, router) in corpus.iter() {
         if router.rtts.is_empty() {
             continue;
@@ -59,14 +59,7 @@ pub fn detect_stale(
         let mut located: Vec<(String, hoiho_geotypes::LocationId, bool)> = Vec::new();
         for h in router.hostnames() {
             if let Some(inf) = geo.geolocate(db, psl, h) {
-                let ok = feas.feasible(
-                    db,
-                    &corpus.vps,
-                    policy,
-                    id.0 as u64,
-                    &router.rtts,
-                    inf.location,
-                );
+                let ok = feas.feasible(db, id.0 as u64, &router.rtts, inf.location);
                 located.push((h.to_string(), inf.location, ok));
             }
         }

@@ -5,8 +5,9 @@ use crate::evalctx::FeasibilityCache;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::fault::strip_vps;
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
+use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,25 +57,26 @@ pub fn build_training_sets(
     corpus: &Corpus,
     policy: &ConsistencyPolicy,
 ) -> Vec<SuffixSet> {
-    build_training_sets_stripped(db, psl, corpus, policy, &[])
+    let table = Arc::new(BestCaseTable::new(&corpus.vps, policy, db.len()));
+    build_training_sets_stripped(db, psl, corpus, &table, &[])
 }
 
 /// [`build_training_sets`] with the samples of the `spoofed` VPs removed
-/// from every training router's ping RTTs (§5.1.4). Only routers that
-/// contribute a hostname get an RTT copy, and stripping happens at that
-/// copy, so the corpus itself is never cloned.
+/// from every training router's ping RTTs (§5.1.4), testing feasibility
+/// through `table` (built for the corpus's VPs and the learn's policy).
+/// Only routers that contribute a hostname get an RTT copy, and
+/// stripping happens at that copy, so the corpus itself is never cloned.
 pub(crate) fn build_training_sets_stripped(
     db: &GeoDb,
     psl: &PublicSuffixList,
     corpus: &Corpus,
-    policy: &ConsistencyPolicy,
+    table: &Arc<BestCaseTable>,
     spoofed: &[VpId],
 ) -> Vec<SuffixSet> {
-    let vps: &VpSet = &corpus.vps;
     // One corpus-wide feasibility cache, keyed by router id: every
     // hostname of a router probes the same candidate locations against
     // the same RTT samples.
-    let feas = FeasibilityCache::new();
+    let feas = FeasibilityCache::new(Arc::clone(table));
     let mut by_suffix: HashMap<String, Vec<TrainHost>> = HashMap::new();
     for (id, r) in corpus.iter() {
         let mut rtts: Option<Arc<RouterRtts>> = None;
@@ -93,7 +95,7 @@ pub(crate) fn build_training_sets_stripped(
                 })
             });
             let prefix = prefix.to_ascii_lowercase();
-            let tags = tag_prefix_cached(db, vps, rtts, &prefix, policy, &feas, id.0 as u64);
+            let tags = tag_prefix_cached(db, rtts, &prefix, &feas, id.0 as u64);
             by_suffix.entry(suffix).or_default().push(TrainHost {
                 hostname: h.to_ascii_lowercase(),
                 prefix,

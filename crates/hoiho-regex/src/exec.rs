@@ -1,9 +1,12 @@
 //! Backtracking matcher with capture extraction and a step budget.
 //!
-//! The AST is first flattened into a linear program of [`Op`]s; matching is
-//! a depth-first search over that program. Possessive quantifiers are
-//! honoured: once a `++`-quantified class consumes characters, the matcher
-//! never re-enters it to give characters back.
+//! Matching walks the [`Ast`] in place: a depth-first search where each
+//! `Literal`, `Class` and capture boundary is one step, and what remains
+//! to match after a nested sequence or group is a continuation frame on
+//! the call stack (`Cont`). Nothing is compiled per call; the one
+//! allocation is the capture spans returned in [`Captures`]. Possessive
+//! quantifiers are honoured: once a `++`-quantified class consumes
+//! characters, the matcher never re-enters it to give characters back.
 
 use crate::ast::{Ast, Quant};
 use crate::class::CharClass;
@@ -33,12 +36,14 @@ impl fmt::Display for MatchError {
 
 impl std::error::Error for MatchError {}
 
+type Span = Option<(usize, usize)>;
+
 /// Capture spans for a successful match.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Captures<'t> {
     text: &'t str,
     /// `spans[0]` is the whole match; group *i* is `spans[i]`.
-    spans: Vec<Option<(usize, usize)>>,
+    spans: Vec<Span>,
 }
 
 impl<'t> Captures<'t> {
@@ -71,131 +76,147 @@ impl<'t> Captures<'t> {
     }
 }
 
-/// One instruction of the flattened program.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Match this literal byte string.
-    Lit(Vec<u8>),
-    /// Match `min..=max` repetitions of the class (greedy; possessive if
-    /// flagged).
-    Rep { class: CharClass, q: Quant },
-    /// Record the start of capture group `idx`.
-    Open(usize),
-    /// Record the end of capture group `idx`.
-    Close(usize),
+/// What remains to match once the nodes in hand are done: a linked list
+/// of frames, each living on the stack of the walk that pushed it.
+enum Cont<'c> {
+    /// The end of the pattern.
+    End,
+    /// Match these sibling nodes, then the rest.
+    Seq(&'c [Ast], &'c Cont<'c>),
+    /// Close capture group `group`, opened at byte `start`, then the rest.
+    Close {
+        group: usize,
+        start: usize,
+        next: &'c Cont<'c>,
+    },
 }
 
-fn flatten(ast: &Ast, out: &mut Vec<Op>, next_group: &mut usize) {
-    match ast {
-        Ast::Seq(items) => {
-            for it in items {
-                flatten(it, out, next_group);
-            }
-        }
-        Ast::Literal(s) => out.push(Op::Lit(s.as_bytes().to_vec())),
-        Ast::Class(c, q) => out.push(Op::Rep {
-            class: c.clone(),
-            q: *q,
-        }),
-        Ast::Capture(inner) => {
-            *next_group += 1;
-            let idx = *next_group;
-            out.push(Op::Open(idx));
-            flatten(inner, out, next_group);
-            out.push(Op::Close(idx));
-        }
-    }
-}
-
-struct Machine<'p, 't> {
-    prog: &'p [Op],
+struct Walker<'t, 's> {
     text: &'t [u8],
     anchored_end: bool,
     budget: u64,
-    caps: Vec<Option<(usize, usize)>>,
-    /// Scratch open positions per group.
-    open_at: Vec<usize>,
+    spans: &'s mut [Span],
 }
 
-impl<'p, 't> Machine<'p, 't> {
-    /// Try to match `prog[pc..]` starting at `pos`; returns end position of
-    /// the whole match on success.
-    fn run(&mut self, pc: usize, pos: usize) -> Result<Option<usize>, MatchError> {
+impl Walker<'_, '_> {
+    /// One matcher step: every literal, class, group boundary and the
+    /// final end-of-pattern check costs one.
+    fn step(&mut self) -> Result<(), MatchError> {
         if self.budget == 0 {
             return Err(MatchError::BudgetExhausted);
         }
         self.budget -= 1;
+        Ok(())
+    }
 
-        let Some(op) = self.prog.get(pc) else {
-            // End of program: succeed if we don't require end anchoring or
-            // we've consumed everything.
-            return Ok(if !self.anchored_end || pos == self.text.len() {
-                Some(pos)
-            } else {
-                None
-            });
+    /// Match `nodes` from `pos`, then the continuation `k`; returns the
+    /// end position of the whole match on success. `opened` counts the
+    /// capture groups opened before `nodes[0]`: the pattern has no
+    /// alternation and no quantified groups, so every path meets the
+    /// groups in the same (pre)order and the count is the group number.
+    fn walk(
+        &mut self,
+        nodes: &[Ast],
+        pos: usize,
+        opened: usize,
+        k: &Cont<'_>,
+    ) -> Result<Option<usize>, MatchError> {
+        let Some((node, rest)) = nodes.split_first() else {
+            return self.resume(pos, opened, k);
         };
-
-        match op {
-            Op::Lit(bytes) => {
-                if self.text.len() - pos >= bytes.len()
-                    && &self.text[pos..pos + bytes.len()] == bytes.as_slice()
-                {
-                    self.run(pc + 1, pos + bytes.len())
+        match node {
+            Ast::Seq(items) => {
+                let after = Cont::Seq(rest, k);
+                let k = if rest.is_empty() { k } else { &after };
+                self.walk(items, pos, opened, k)
+            }
+            Ast::Literal(lit) => {
+                self.step()?;
+                if self.text[pos..].starts_with(lit.as_bytes()) {
+                    self.walk(rest, pos + lit.len(), opened, k)
                 } else {
                     Ok(None)
                 }
             }
-            Op::Open(idx) => {
-                let prev = self.open_at[*idx];
-                self.open_at[*idx] = pos;
-                let r = self.run(pc + 1, pos)?;
+            Ast::Class(class, q) => {
+                self.step()?;
+                self.repeat(class, q, rest, pos, opened, k)
+            }
+            Ast::Capture(inner) => {
+                self.step()?;
+                let after = Cont::Seq(rest, k);
+                let close = Cont::Close {
+                    group: opened + 1,
+                    start: pos,
+                    next: if rest.is_empty() { k } else { &after },
+                };
+                self.walk(std::slice::from_ref(&**inner), pos, opened + 1, &close)
+            }
+        }
+    }
+
+    /// Match `min..=max` repetitions of `class` (greedy, longest first,
+    /// or committed to the longest when possessive), then `rest`.
+    fn repeat(
+        &mut self,
+        class: &CharClass,
+        q: &Quant,
+        rest: &[Ast],
+        pos: usize,
+        opened: usize,
+        k: &Cont<'_>,
+    ) -> Result<Option<usize>, MatchError> {
+        let limit = q.max.map_or(usize::MAX, |m| m as usize);
+        let n = self.text[pos..]
+            .iter()
+            .take(limit)
+            .take_while(|&&b| class.matches(b))
+            .count();
+        let min = q.min as usize;
+        if n < min {
+            return Ok(None);
+        }
+        if q.possessive {
+            return self.walk(rest, pos + n, opened, k);
+        }
+        for take in (min..=n).rev() {
+            if let Some(end) = self.walk(rest, pos + take, opened, k)? {
+                return Ok(Some(end));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Continue with the frame `k` at `pos`.
+    fn resume(
+        &mut self,
+        pos: usize,
+        opened: usize,
+        k: &Cont<'_>,
+    ) -> Result<Option<usize>, MatchError> {
+        match k {
+            Cont::End => {
+                self.step()?;
+                Ok((!self.anchored_end || pos == self.text.len()).then_some(pos))
+            }
+            Cont::Seq(nodes, next) => self.walk(nodes, pos, opened, next),
+            Cont::Close { group, start, next } => {
+                self.step()?;
+                let prev = self.spans[*group];
+                self.spans[*group] = Some((*start, pos));
+                let r = self.resume(pos, opened, next)?;
                 if r.is_none() {
-                    self.open_at[*idx] = prev;
+                    self.spans[*group] = prev;
                 }
                 Ok(r)
-            }
-            Op::Close(idx) => {
-                let prev = self.caps[*idx];
-                self.caps[*idx] = Some((self.open_at[*idx], pos));
-                let r = self.run(pc + 1, pos)?;
-                if r.is_none() {
-                    self.caps[*idx] = prev;
-                }
-                Ok(r)
-            }
-            Op::Rep { class, q } => {
-                // Count the maximum greedy extent.
-                let mut n = 0usize;
-                let limit = q.max.map(|m| m as usize).unwrap_or(usize::MAX);
-                while n < limit && pos + n < self.text.len() && class.matches(self.text[pos + n]) {
-                    n += 1;
-                }
-                if n < q.min as usize {
-                    return Ok(None);
-                }
-                if q.possessive {
-                    // Possessive: commit to the greedy extent.
-                    return self.run(pc + 1, pos + n);
-                }
-                // Greedy with backtracking: longest first.
-                let mut take = n;
-                loop {
-                    if let Some(end) = self.run(pc + 1, pos + take)? {
-                        return Ok(Some(end));
-                    }
-                    if take == q.min as usize {
-                        return Ok(None);
-                    }
-                    take -= 1;
-                }
             }
         }
     }
 }
 
 /// Match `ast` against `text`, honouring the anchor flags, and return the
-/// captures of the leftmost match.
+/// captures of the leftmost match. `budget` bounds the steps of each
+/// start position's attempt.
 pub fn find<'t>(
     ast: &Ast,
     text: &'t str,
@@ -203,28 +224,16 @@ pub fn find<'t>(
     anchored_end: bool,
     budget: u64,
 ) -> Result<Option<Captures<'t>>, MatchError> {
-    let mut prog = Vec::new();
-    let mut groups = 0usize;
-    flatten(ast, &mut prog, &mut groups);
-
-    let bytes = text.as_bytes();
-    let starts: Box<dyn Iterator<Item = usize>> = if anchored_start {
-        Box::new(std::iter::once(0))
-    } else {
-        Box::new(0..=bytes.len())
-    };
-
-    for start in starts {
-        let mut m = Machine {
-            prog: &prog,
-            text: bytes,
+    let mut spans = vec![None; ast.capture_count() + 1];
+    let last_start = if anchored_start { 0 } else { text.len() };
+    for start in 0..=last_start {
+        let mut w = Walker {
+            text: text.as_bytes(),
             anchored_end,
             budget,
-            caps: vec![None; groups + 1],
-            open_at: vec![0; groups + 1],
+            spans: &mut spans,
         };
-        if let Some(end) = m.run(0, start)? {
-            let mut spans = m.caps;
+        if let Some(end) = w.walk(std::slice::from_ref(ast), start, 0, &Cont::End)? {
             spans[0] = Some((start, end));
             return Ok(Some(Captures { text, spans }));
         }

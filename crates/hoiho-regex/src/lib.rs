@@ -21,7 +21,8 @@
 //! A differential test suite (in the crate's `tests/`) checks agreement with
 //! the `regex` crate on the emitted dialect.
 //!
-//! Matching is backtracking with a step budget: hostnames are short
+//! Matching walks the AST in place, with no compiled program, by
+//! backtracking with a step budget: hostnames are short
 //! (≤ 253 bytes), so the budget is never hit by learned patterns, but it
 //! turns pathological inputs into a clean [`MatchError::BudgetExhausted`]
 //! instead of runaway CPU.

@@ -351,7 +351,7 @@ impl Sink for JsonlSink {
 }
 
 /// Escape a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -757,8 +757,13 @@ impl Registry {
     }
 
     /// Reset counters, histograms, and recorded spans (sinks stay).
+    /// Counters are zeroed in place rather than dropped: [`counter!`]
+    /// call sites hold on to their counter, and must keep counting into
+    /// the one snapshots read.
     pub fn reset(&self) {
-        self.counters.lock().expect("counters poisoned").clear();
+        for c in self.counters.lock().expect("counters poisoned").values() {
+            c.reset();
+        }
         self.histograms.lock().expect("histograms poisoned").clear();
         self.spans.lock().expect("spans poisoned").clear();
     }
@@ -841,6 +846,22 @@ mod tests {
         assert_eq!(c.get(), u64::MAX, "must saturate, not wrap");
         c.add(10);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    /// A `counter!` call site keeps its counter across a reset, so the
+    /// reset must zero that counter rather than orphan it.
+    #[test]
+    fn reset_keeps_call_site_counters_registered() {
+        fn bump() {
+            crate::counter!("test.reset.site").inc();
+        }
+        bump();
+        global().reset();
+        bump();
+        assert_eq!(
+            global().snapshot().counters.get("test.reset.site"),
+            Some(&1)
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! all VPs, then the measured RTT is RTT-consistent."*
 
 use crate::{RouterRtts, VpSet};
-use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates};
+use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates, LocationId};
+use std::sync::OnceLock;
 
 /// Tunables for the feasibility test.
 #[derive(Debug, Clone, Copy)]
@@ -54,9 +55,9 @@ impl ConsistencyPolicy {
 ///
 /// This is a pure function of `(samples, candidate, policy)` — no
 /// observability side effects — which is what makes it safe to memoize:
-/// `hoiho`'s per-suffix `FeasibilityCache` stores one bit per
-/// `(router, location)` pair and every cache layer answers exactly what
-/// this function would.
+/// `hoiho`'s `FeasibilityCache` stores one bit per `(router, location)`
+/// pair, answers its misses from a [`BestCaseTable`], and every layer
+/// answers exactly what this function would.
 pub fn feasibility(
     vps: &VpSet,
     samples: &RouterRtts,
@@ -67,6 +68,60 @@ pub fn feasibility(
         let best = best_case_rtt_ms(&vps.get(*vp).coords, candidate) * policy.bestcase_factor;
         best <= measured.as_ms() + policy.slack_ms
     })
+}
+
+/// The left-hand side of [`feasibility`]'s comparison, precomputed:
+/// one row per candidate location holding
+/// `best_case_rtt_ms(vp, location) * bestcase_factor` for every VP of
+/// one [`VpSet`], under one policy.
+///
+/// Rows are filled on first use and never change, so one table can be
+/// shared by every thread of a learn. A feasibility test is then one
+/// compare per sample instead of one great-circle distance per sample,
+/// and because the row holds exactly the expression [`feasibility`]
+/// computes, the answers are bit-identical.
+#[derive(Debug)]
+pub struct BestCaseTable {
+    vps: Vec<Coordinates>,
+    policy: ConsistencyPolicy,
+    rows: Vec<OnceLock<Box<[f64]>>>,
+}
+
+impl BestCaseTable {
+    /// An empty table for `vps` under `policy`, with room for location
+    /// ids `0..locations`.
+    pub fn new(vps: &VpSet, policy: &ConsistencyPolicy, locations: usize) -> BestCaseTable {
+        BestCaseTable {
+            vps: vps.iter().map(|(_, vp)| vp.coords).collect(),
+            policy: *policy,
+            rows: (0..locations).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// [`feasibility`] of location `loc`, whose coordinates are
+    /// `candidate`, for a router's samples. The coordinates are read only
+    /// when `loc`'s row is first filled.
+    ///
+    /// # Panics
+    /// Panics when `loc` is outside the table or a sample names a VP
+    /// outside the table's set.
+    pub fn feasibility(
+        &self,
+        samples: &RouterRtts,
+        loc: LocationId,
+        candidate: &Coordinates,
+    ) -> bool {
+        let row = self.rows[loc.0 as usize].get_or_init(|| {
+            self.vps
+                .iter()
+                .map(|vp| best_case_rtt_ms(vp, candidate) * self.policy.bestcase_factor)
+                .collect()
+        });
+        samples
+            .samples()
+            .iter()
+            .all(|(vp, measured)| row[vp.0 as usize] <= measured.as_ms() + self.policy.slack_ms)
+    }
 }
 
 /// [`feasibility`] plus accept/reject observability counters — the
@@ -193,6 +248,51 @@ mod tests {
             &london,
             &ConsistencyPolicy::CONTINENT
         ));
+    }
+
+    /// The table answers exactly what the pure predicate answers, for
+    /// random samples and locations under both named policies and one
+    /// with a best-case factor, from cold and filled rows alike.
+    #[test]
+    fn best_case_table_matches_feasibility() {
+        use crate::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB357);
+        let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rng.random::<f64>();
+        let mut place = || Coordinates::new(uniform(-60.0, 70.0), uniform(-180.0, 180.0));
+        let mut vps = VpSet::new();
+        for i in 0..40 {
+            vps.add(format!("vp{i}"), place());
+        }
+        let locations: Vec<Coordinates> = (0..300).map(|_| place()).collect();
+        let scaled = ConsistencyPolicy {
+            slack_ms: 2.0,
+            bestcase_factor: 0.8,
+        };
+        for policy in [
+            ConsistencyPolicy::STRICT,
+            ConsistencyPolicy::CONTINENT,
+            scaled,
+        ] {
+            let table = BestCaseTable::new(&vps, &policy, locations.len());
+            let (mut yes, mut no) = (0, 0);
+            for _ in 0..3000 {
+                let mut s = RouterRtts::new();
+                for _ in 0..rng.random_range(0..6usize) {
+                    let vp = crate::VpId(rng.random_range(0..vps.len()) as u16);
+                    s.record(vp, Rtt::from_ms(300.0 * rng.random::<f64>()));
+                }
+                let i = rng.random_range(0..locations.len());
+                let want = feasibility(&vps, &s, &locations[i], &policy);
+                let got = table.feasibility(&s, LocationId(i as u32), &locations[i]);
+                assert_eq!(got, want, "location {i}, samples {:?}", s.samples());
+                if want {
+                    yes += 1;
+                } else {
+                    no += 1;
+                }
+            }
+            assert!(yes > 100 && no > 100, "both answers exercised: {yes}/{no}");
+        }
     }
 
     #[test]

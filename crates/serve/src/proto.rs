@@ -27,6 +27,8 @@
 
 use hoiho::apply::GeoInference;
 use hoiho_geodb::GeoDb;
+/// The workspace's one JSON string escaper.
+pub use hoiho_obs::json_escape;
 use std::fmt::Write as _;
 
 /// The static load-shedding payload, written by the accept thread when
@@ -212,25 +214,6 @@ impl<'a> Json<'a> {
             }
         }
     }
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Append one lookup result object (no trailing newline) to `out`.
