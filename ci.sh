@@ -43,7 +43,9 @@ want() {
 }
 
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+SERVE_PID=
+# A smoke check that fails while the server runs must not leave it behind.
+trap '[ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 # First "key":N match in a (flat) JSON benchmark record.
 json_num() {
@@ -114,9 +116,30 @@ if want smoke; then
     # The line-JSON protocol answers on the same port.
     ./target/release/serve_probe --addr "127.0.0.1:$PORT" --line '{"cmd":"ping"}' |
         grep -q '"epoch"'
+    # One lookup path: `hoiho apply` and one line-protocol batch must
+    # resolve the same number of the corpus's first 200 hostnames.
+    awk '$1 == "iface" && NF >= 3 { print $3; if (++n == 200) exit }' \
+        "$WORK/corpus.txt" >"$WORK/hosts.txt"
+    APPLY_HITS=$(./target/release/hoiho apply --artifacts "$WORK/artifacts.txt" \
+        <"$WORK/hosts.txt" | awk -F '\t' '$2 != "-"' | wc -l)
+    BATCH=$(awk 'BEGIN { printf "{\"batch\":[" }
+        NR > 1 { printf "," } { printf "\"%s\"", $0 } END { printf "]}" }' "$WORK/hosts.txt")
+    SERVE_HITS=$(./target/release/serve_probe --addr "127.0.0.1:$PORT" --line "$BATCH" |
+        grep -o '"ok":true' | wc -l)
+    [ "$APPLY_HITS" -gt 0 ] && [ "$APPLY_HITS" -eq "$SERVE_HITS" ] || {
+        echo "apply resolved $APPLY_HITS hostnames, serve $SERVE_HITS"
+        exit 1
+    }
+    echo "    apply and serve each resolved $APPLY_HITS of the first 200 hostnames"
     # The robustness counters must be exported (at zero) from boot, so
     # dashboards see the full family before anything misbehaves.
     METRICS=$(fetch "/metrics")
+    # No per-suffix series: /metrics cardinality does not grow with the
+    # artifact.
+    if printf '%s\n' "$METRICS" | grep -q 'hoiho_serve_shard_'; then
+        echo "per-suffix hoiho_serve_shard_ series in /metrics"
+        exit 1
+    fi
     for m in hoiho_serve_timeout_read hoiho_serve_timeout_write \
         hoiho_serve_shed_queue_full hoiho_serve_reject_oversize \
         hoiho_serve_conn_reaped; do
@@ -127,6 +150,7 @@ if want smoke; then
     done
     post "/shutdown" >/dev/null
     wait "$SERVE_PID"
+    SERVE_PID=
 fi
 
 if want bench; then

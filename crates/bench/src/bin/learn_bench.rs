@@ -14,9 +14,11 @@
 //!
 //! `--threads 1` (the default) times the single-threaded learn path —
 //! the number the EvalContext refactor is benchmarked on; `--repeat`
-//! reports the fastest of N runs to damp scheduler noise.
+//! reports the fastest of N runs to damp scheduler noise. Every repeat
+//! must write the same artifacts as the first; a mismatch exits 1.
 
-use hoiho::{Hoiho, HoihoOptions, LearnReport};
+use hoiho::artifact::write_artifacts;
+use hoiho::{Geolocator, Hoiho, HoihoOptions, LearnReport};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
@@ -88,7 +90,7 @@ fn main() {
     let hoiho = Hoiho::with_options(&db, &psl, opts);
 
     let mut best_s = f64::INFINITY;
-    let mut report: Option<LearnReport> = None;
+    let mut first: Option<(LearnReport, String)> = None;
     let (mut dh, mut dm, mut fh, mut fm) = (0, 0, 0, 0);
     for i in 0..args.repeat {
         let before = (
@@ -108,11 +110,16 @@ fn main() {
             fh = counter("evalctx.feas.hit") - before.2;
             fm = counter("evalctx.feas.miss") - before.3;
         }
-        // Every repeat must produce the same report (the learner is
-        // deterministic); keep the first for the summary fields.
-        report.get_or_insert(r);
+        // The learner is deterministic: every repeat must write the
+        // first one's artifacts. Keep the first for the summary fields.
+        let artifacts = write_artifacts(&Geolocator::from_report(&r), &db);
+        let (_, want) = first.get_or_insert_with(|| (r, artifacts.clone()));
+        if *want != artifacts {
+            eprintln!("run {}/{}: artifacts differ from run 1", i + 1, args.repeat);
+            std::process::exit(1);
+        }
     }
-    let report = report.expect("at least one run");
+    let (report, _) = first.expect("at least one run");
 
     let suffixes = report.results.len();
     let (good, promising, poor) = report.class_counts();

@@ -125,7 +125,7 @@ fn main() {
             std::fs::write(&path, &text).expect("write artifacts");
             let index = LookupIndex::from_artifacts(Arc::clone(&db), Arc::clone(&psl), &text)
                 .expect("fresh artifacts parse");
-            eprintln!("index: {} suffix shards", index.len());
+            eprintln!("index: {} suffixes", index.len());
             let cfg = ServeConfig {
                 addr: "127.0.0.1:0".to_string(),
                 threads: args.threads,

@@ -222,7 +222,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
             every: Duration::from_millis(reload_ms),
         }),
     };
-    let shards = index.len();
+    let suffixes = index.len();
     let server = Server::start(Arc::new(SharedIndex::new(index)), &cfg)
         .map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
     let addr = server.local_addr();
@@ -232,7 +232,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         write_file(port_file, &format!("{}\n", addr.port()))?;
     }
     eprintln!(
-        "serving {shards} suffix shards on {addr} ({} workers, queue {}, reload {})",
+        "serving {suffixes} suffixes on {addr} ({} workers, queue {}, reload {})",
         cfg.threads,
         cfg.queue_cap,
         if reload_ms > 0 {

@@ -190,7 +190,7 @@ USAGE:
               [--max-body-bytes N] [--reload-ms MS]
               [--port-file FILE] [--towns N] [--metrics FILE]
 
-Loads the artifact file into a suffix-sharded in-memory index and
+Loads the artifact file into an in-memory per-suffix index and
 answers lookups over two protocols on one port:
 
   line JSON:  {\"lookup\":\"HOST\"}   {\"batch\":[\"H1\",\"H2\"]}

@@ -4,6 +4,9 @@
 //! run (or loaded regexes) and geolocates arbitrary hostnames — the
 //! paper's headline use case: regexes are portable and work without
 //! access to measurement infrastructure.
+//!
+//! [`Geolocator::lookup`] is the one lookup path: `hoiho apply` and
+//! the `hoiho-serve` index both answer through it.
 
 use crate::convention::NamingConvention;
 use crate::eval::decode;
@@ -31,10 +34,9 @@ impl SuffixGeo {
     /// hostname that has already been routed to this suffix's artifacts.
     ///
     /// `hostname` must be lowercase (regexes are learned over lowercase
-    /// names) and should group under [`NamingConvention::suffix`] —
-    /// callers like the `hoiho-serve` shard index resolve the suffix
-    /// once with [`hoiho_psl::PublicSuffixList::registerable_suffix_of`]
-    /// and reuse a scratch buffer, so a non-matching query allocates
+    /// names) and should group under [`NamingConvention::suffix`]:
+    /// [`Geolocator::lookup`] trims, lowercases and routes it in a
+    /// reusable scratch buffer, so a non-matching query allocates
     /// nothing.
     pub fn geolocate(&self, db: &GeoDb, hostname: &str) -> Option<GeoInference> {
         let obs = hoiho_obs::enabled();
@@ -156,19 +158,38 @@ impl Geolocator {
 
     /// Geolocate a hostname: find its suffix's NC, extract, decode, and
     /// disambiguate (facility first, then population — the stage-4
-    /// ranking).
+    /// ranking). Allocates a fresh buffer for [`Geolocator::lookup`].
     pub fn geolocate(
         &self,
         db: &GeoDb,
         psl: &PublicSuffixList,
         hostname: &str,
     ) -> Option<GeoInference> {
+        self.lookup(db, psl, hostname, &mut String::new())
+    }
+
+    /// The one lookup path: trim `hostname` and lowercase it into
+    /// `scratch`, route it with the borrowing `registerable_suffix_of`
+    /// (falling back to the learner's key, `registerable_suffix`, only
+    /// where that gives up), and apply the owning [`SuffixGeo`].
+    pub fn lookup(
+        &self,
+        db: &GeoDb,
+        psl: &PublicSuffixList,
+        hostname: &str,
+        scratch: &mut String,
+    ) -> Option<GeoInference> {
         if hoiho_obs::enabled() {
             hoiho_obs::counter!("apply.lookups").inc();
         }
-        let hostname = hostname.to_ascii_lowercase();
-        let suffix = psl.registerable_suffix(&hostname)?;
-        self.map.get(&suffix)?.geolocate(db, &hostname)
+        scratch.clear();
+        scratch.push_str(hostname.trim());
+        scratch.make_ascii_lowercase();
+        let geo = match psl.registerable_suffix_of(scratch) {
+            Some(suffix) => self.map.get(suffix),
+            None => self.map.get(&psl.registerable_suffix(scratch)?),
+        }?;
+        geo.geolocate(db, scratch)
     }
 }
 

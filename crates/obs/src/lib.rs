@@ -184,6 +184,14 @@ impl Histogram {
         self.max()
     }
 
+    /// Forget every sample.
+    pub fn reset(&self) {
+        let totals = [&self.count, &self.sum, &self.max];
+        for c in self.buckets.iter().chain(totals) {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+
     /// Bucket `(upper_bound, count)` pairs; the final entry uses
     /// `u64::MAX` as its bound (overflow bucket).
     pub fn buckets(&self) -> Vec<(u64, u64)> {
@@ -757,14 +765,16 @@ impl Registry {
     }
 
     /// Reset counters, histograms, and recorded spans (sinks stay).
-    /// Counters are zeroed in place rather than dropped: [`counter!`]
-    /// call sites hold on to their counter, and must keep counting into
-    /// the one snapshots read.
+    /// Counters and histograms are zeroed in place rather than dropped:
+    /// [`counter!`] and [`histogram!`] call sites hold on to theirs, and
+    /// must keep recording into the one snapshots read.
     pub fn reset(&self) {
         for c in self.counters.lock().expect("counters poisoned").values() {
             c.reset();
         }
-        self.histograms.lock().expect("histograms poisoned").clear();
+        let histograms = self.histograms.lock().expect("histograms poisoned");
+        histograms.values().for_each(|h| h.reset());
+        drop(histograms);
         self.spans.lock().expect("spans poisoned").clear();
     }
 }
@@ -802,6 +812,22 @@ macro_rules! counter {
     }};
 }
 
+/// A call-site-cached handle to a global histogram, the [`counter!`]
+/// of histograms: each sample after the first is one bucket search and
+/// a few atomic adds, with no registry lock.
+///
+/// ```
+/// hoiho_obs::histogram!("demo.request_us").record(42);
+/// ```
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {{
+        static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+            ::std::sync::OnceLock::new();
+        CELL.get_or_init(|| $crate::global().histogram($name))
+    }};
+}
+
 /// Add `n` to the global counter `name`.
 pub fn add(name: &str, n: u64) {
     global().add(name, n);
@@ -827,11 +853,6 @@ pub fn progress(msg: String) {
     global().progress(msg);
 }
 
-/// Record a µs duration sample into the global histogram `name`.
-pub fn record(name: &str, us: u64) {
-    global().record(name, us);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,10 +869,14 @@ mod tests {
         assert_eq!(c.get(), u64::MAX);
     }
 
+    /// Serializes the tests that reset the global registry.
+    static GLOBAL_RESET: Mutex<()> = Mutex::new(());
+
     /// A `counter!` call site keeps its counter across a reset, so the
     /// reset must zero that counter rather than orphan it.
     #[test]
     fn reset_keeps_call_site_counters_registered() {
+        let _serial = GLOBAL_RESET.lock().unwrap_or_else(|e| e.into_inner());
         fn bump() {
             crate::counter!("test.reset.site").inc();
         }
@@ -862,6 +887,21 @@ mod tests {
             global().snapshot().counters.get("test.reset.site"),
             Some(&1)
         );
+    }
+
+    /// Likewise a `histogram!` call site keeps its histogram.
+    #[test]
+    fn reset_keeps_call_site_histograms_registered() {
+        let _serial = GLOBAL_RESET.lock().unwrap_or_else(|e| e.into_inner());
+        fn sample(us: u64) {
+            crate::histogram!("test.reset.hist").record(us);
+        }
+        sample(7);
+        global().reset();
+        sample(3);
+        let snap = global().snapshot();
+        let h = &snap.histograms["test.reset.hist"];
+        assert_eq!((h.count, h.sum, h.max), (1, 3, 3));
     }
 
     #[test]
@@ -900,12 +940,12 @@ mod tests {
     fn prometheus_rendering_is_sanitised_and_typed() {
         let r = Registry::new();
         r.add("serve.requests", 7);
-        r.record("serve.shard.gtt.net", 42);
+        r.record("serve.request_us", 42);
         let text = r.snapshot().render_prometheus();
         assert!(text.contains("# TYPE hoiho_serve_requests counter"));
         assert!(text.contains("hoiho_serve_requests 7"));
-        assert!(text.contains("hoiho_serve_shard_gtt_net_count 1"));
-        assert!(text.contains("hoiho_serve_shard_gtt_net_max_us 42"));
+        assert!(text.contains("hoiho_serve_request_us_count 1"));
+        assert!(text.contains("hoiho_serve_request_us_max_us 42"));
     }
 
     #[test]

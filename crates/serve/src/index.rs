@@ -1,59 +1,32 @@
 //! The read-optimized lookup index and its epoch-swapped shared handle.
 //!
 //! A [`LookupIndex`] is an immutable snapshot of one artifact file:
-//! every suffix's compiled regexes and learned hints, grouped so a
-//! query routes to exactly one shard. Workers never lock it — they hold
-//! an `Arc` for the duration of one request. Hot reload builds a fresh
-//! index off to the side and swaps it into the [`SharedIndex`] with the
-//! epoch counter bumped; in-flight requests keep the `Arc` they already
-//! loaded, so a swap can never fail a request.
+//! core's [`Geolocator`] together with the dictionary and suffix list
+//! its answers need. Every query goes through [`Geolocator::lookup`],
+//! the same path `hoiho apply` takes. Workers never lock the index —
+//! they hold an `Arc` for the duration of one request. Hot reload
+//! builds a fresh index off to the side and swaps it into the
+//! [`SharedIndex`] with the epoch counter bumped; in-flight requests
+//! keep the `Arc` they already loaded, so a swap can never fail a
+//! request.
 
-use hoiho::apply::{GeoInference, SuffixGeo};
+use hoiho::apply::GeoInference;
 use hoiho::artifact::{parse_artifacts, ArtifactError};
 use hoiho::Geolocator;
 use hoiho_geodb::GeoDb;
-use hoiho_obs::Histogram;
 use hoiho_psl::PublicSuffixList;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
-/// One suffix's slice of the index: the deployable artifacts plus a
-/// latency histogram registered as `serve.shard.<suffix>`.
-struct Shard {
-    geo: SuffixGeo,
-    latency: Arc<Histogram>,
-}
-
-/// An immutable, suffix-sharded snapshot of one artifact file together
-/// with the dictionary and suffix list needed to answer queries.
+/// An immutable snapshot of one artifact file together with the
+/// dictionary and suffix list needed to answer queries.
 pub struct LookupIndex {
     db: Arc<GeoDb>,
     psl: Arc<PublicSuffixList>,
-    shards: HashMap<String, Shard>,
+    geo: Geolocator,
 }
 
 impl LookupIndex {
-    /// Build an index from a parsed [`Geolocator`].
-    pub fn new(db: Arc<GeoDb>, psl: Arc<PublicSuffixList>, geo: Geolocator) -> LookupIndex {
-        let shards = geo
-            .iter()
-            .map(|s| {
-                let latency =
-                    hoiho_obs::global().histogram(&format!("serve.shard.{}", s.nc.suffix));
-                (
-                    s.nc.suffix.clone(),
-                    Shard {
-                        geo: s.clone(),
-                        latency,
-                    },
-                )
-            })
-            .collect();
-        LookupIndex { db, psl, shards }
-    }
-
     /// Parse `text` as `hoiho-artifacts-v1` and build an index. A parse
     /// error leaves any previously-built index untouched (the caller
     /// simply keeps serving it).
@@ -63,17 +36,23 @@ impl LookupIndex {
         text: &str,
     ) -> Result<LookupIndex, ArtifactError> {
         let geo = parse_artifacts(text, &db)?;
-        Ok(LookupIndex::new(db, psl, geo))
+        Ok(LookupIndex { db, psl, geo })
     }
 
-    /// Number of suffix shards.
+    /// Parse `text` into a fresh index over the same dictionary and
+    /// suffix list (hot reload).
+    pub fn reload(&self, text: &str) -> Result<LookupIndex, ArtifactError> {
+        LookupIndex::from_artifacts(Arc::clone(&self.db), Arc::clone(&self.psl), text)
+    }
+
+    /// Number of suffixes covered.
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.geo.len()
     }
 
-    /// Whether the index has no shards.
+    /// Whether the index covers no suffix.
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.geo.is_empty()
     }
 
     /// The dictionary queries decode against.
@@ -81,37 +60,11 @@ impl LookupIndex {
         &self.db
     }
 
-    /// Shared handle to the dictionary (reload support).
-    pub fn shared_db(&self) -> Arc<GeoDb> {
-        Arc::clone(&self.db)
-    }
-
-    /// Shared handle to the suffix list (reload support).
-    pub fn shared_psl(&self) -> Arc<PublicSuffixList> {
-        Arc::clone(&self.psl)
-    }
-
-    /// Geolocate one hostname. `scratch` is a reusable buffer the
-    /// hostname is lowercased into, so the routing step allocates
-    /// nothing; each worker thread owns one scratch string.
+    /// Geolocate one hostname through [`Geolocator::lookup`].
+    /// `scratch` is the reusable buffer the hostname is lowercased
+    /// into; each worker thread owns one.
     pub fn lookup(&self, hostname: &str, scratch: &mut String) -> Option<GeoInference> {
-        scratch.clear();
-        scratch.push_str(hostname.trim());
-        scratch.make_ascii_lowercase();
-        let suffix = self.psl.registerable_suffix_of(scratch)?;
-        let shard = self.shards.get(suffix)?;
-        let start = Instant::now();
-        let inference = shard.geo.geolocate(&self.db, scratch);
-        shard.latency.record(start.elapsed().as_micros() as u64);
-        inference
-    }
-
-    /// The suffix a hostname would route to, if the index has a shard
-    /// for it (test and introspection support).
-    pub fn route(&self, hostname: &str) -> Option<&str> {
-        let lower = hostname.to_ascii_lowercase();
-        let suffix = self.psl.registerable_suffix_of(&lower)?;
-        self.shards.get_key_value(suffix).map(|(k, _)| k.as_str())
+        self.geo.lookup(&self.db, &self.psl, hostname, scratch)
     }
 }
 
@@ -176,25 +129,21 @@ mod tests {
     }
 
     #[test]
-    fn routes_to_the_owning_shard_only() {
+    fn lookup_resolves_and_misses() {
         let idx = index(&["gtt.net", "zayo.com"]);
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.route("r1.lhr1.gtt.net"), Some("gtt.net"));
-        assert_eq!(idx.route("R1.LHR1.GTT.NET"), Some("gtt.net"));
-        assert_eq!(idx.route("a.b.zayo.com"), Some("zayo.com"));
-        assert_eq!(idx.route("r1.lhr1.ntt.net"), None);
-        assert_eq!(idx.route("com"), None);
-    }
-
-    #[test]
-    fn lookup_resolves_and_misses() {
-        let idx = index(&["gtt.net"]);
         let mut scratch = String::new();
         let hit = idx.lookup("ae1.LHR2.gtt.net", &mut scratch).expect("hit");
         assert_eq!(idx.db().location(hit.location).name, "London");
         assert_eq!(hit.suffix, "gtt.net");
-        // Unknown suffix and non-matching shape both miss cleanly.
+        let hit = idx.lookup("R1.LHR1.GTT.NET", &mut scratch).expect("hit");
+        assert_eq!(hit.suffix, "gtt.net");
+        let hit = idx.lookup("a.ams1.zayo.com", &mut scratch).expect("hit");
+        assert_eq!(hit.suffix, "zayo.com");
+        // Unknown suffix, bare public suffix and non-matching shape all
+        // miss cleanly.
         assert!(idx.lookup("ae1.lhr2.ntt.net", &mut scratch).is_none());
+        assert!(idx.lookup("com", &mut scratch).is_none());
         assert!(idx.lookup("weird-shape.gtt.net", &mut scratch).is_none());
         assert!(idx.lookup("", &mut scratch).is_none());
     }

@@ -12,11 +12,11 @@
 //!
 //! Three pieces, all hand-rolled on `std`:
 //!
-//! - [`LookupIndex`] — an immutable, suffix-sharded snapshot of one
-//!   artifact file: a query resolves its registerable suffix once
-//!   (allocation-free via
-//!   [`hoiho_psl::PublicSuffixList::registerable_suffix_of`]) and
-//!   touches a single shard's compiled regexes and learned hints.
+//! - [`LookupIndex`] — an immutable snapshot of one artifact file:
+//!   core's [`hoiho::Geolocator`] plus the dictionary and suffix list.
+//!   Every query goes through [`hoiho::Geolocator::lookup`], the path
+//!   `hoiho apply` takes too: trim, lowercase into a reusable buffer,
+//!   route to one suffix's compiled regexes and learned hints.
 //! - [`SharedIndex`] — the epoch-swapped `Arc<LookupIndex>` handle:
 //!   artifact hot-reload builds a new index aside and swaps it in;
 //!   in-flight requests finish against the index they loaded, so a

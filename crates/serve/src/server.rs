@@ -391,43 +391,9 @@ fn respond_line(shared: &Shared, line: &str, scratch: &mut String) -> String {
     let start = Instant::now();
     let mut out = String::new();
     match proto::parse_request(line) {
-        Request::Lookup(host) => {
-            hoiho_obs::counter!("serve.requests").inc();
-            hoiho_obs::counter!("serve.lookups").inc();
-            let index = shared.index.load();
-            let inf = index.lookup(&host, scratch);
-            if inf.is_some() {
-                hoiho_obs::counter!("serve.hits").inc();
-            }
-            proto::render_result(index.db(), &host, inf.as_ref(), &mut out);
-        }
-        Request::Batch(hosts) => {
-            hoiho_obs::counter!("serve.requests.batch").inc();
-            hoiho_obs::counter!("serve.lookups").add(hosts.len() as u64);
-            let index = shared.index.load();
-            out.push_str("{\"results\":[");
-            for (i, host) in hosts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let inf = index.lookup(host, scratch);
-                if inf.is_some() {
-                    hoiho_obs::counter!("serve.hits").inc();
-                }
-                proto::render_result(index.db(), host, inf.as_ref(), &mut out);
-            }
-            out.push_str("]}");
-        }
-        Request::Ping => {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "{{\"ok\":true,\"epoch\":{},\"shards\":{}}}",
-                    shared.index.epoch(),
-                    shared.index.load().len()
-                ),
-            );
-        }
+        Request::Lookup(host) => lookup_one(shared, &host, scratch, &mut out),
+        Request::Batch(hosts) => lookup_batch(shared, &hosts, scratch, &mut out),
+        Request::Ping => out.push_str(&status(shared)),
         Request::Shutdown => {
             out.push_str("{\"ok\":true,\"draining\":true}");
             shared.begin_shutdown();
@@ -438,8 +404,60 @@ fn respond_line(shared: &Shared, line: &str, scratch: &mut String) -> String {
         }
     }
     out.push('\n');
-    hoiho_obs::global().record("serve.request_us", start.elapsed().as_micros() as u64);
+    record_request(start);
     out
+}
+
+/// Look up one hostname and render its result object into `out`.
+fn lookup_one(shared: &Shared, host: &str, scratch: &mut String, out: &mut String) {
+    hoiho_obs::counter!("serve.requests").inc();
+    hoiho_obs::counter!("serve.lookups").inc();
+    answer(&shared.index.load(), host, scratch, out);
+}
+
+/// Look up a batch against one index snapshot and render
+/// `{"results":[…]}` into `out`.
+fn lookup_batch(
+    shared: &Shared,
+    hosts: &[impl AsRef<str>],
+    scratch: &mut String,
+    out: &mut String,
+) {
+    hoiho_obs::counter!("serve.requests.batch").inc();
+    hoiho_obs::counter!("serve.lookups").add(hosts.len() as u64);
+    let index = shared.index.load();
+    out.push_str("{\"results\":[");
+    for (i, host) in hosts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        answer(&index, host.as_ref(), scratch, out);
+    }
+    out.push_str("]}");
+}
+
+/// The one lookup → hit count → render step every request kind shares.
+fn answer(index: &LookupIndex, host: &str, scratch: &mut String, out: &mut String) {
+    let inf = index.lookup(host, scratch);
+    if inf.is_some() {
+        hoiho_obs::counter!("serve.hits").inc();
+    }
+    proto::render_result(index.db(), host, inf.as_ref(), out);
+}
+
+/// The `{"ok":true,"epoch":…,"shards":…}` status object (line `ping`
+/// and `/healthz`); `shards` counts the suffixes the index covers.
+fn status(shared: &Shared) -> String {
+    format!(
+        "{{\"ok\":true,\"epoch\":{},\"shards\":{}}}",
+        shared.index.epoch(),
+        shared.index.load().len()
+    )
+}
+
+/// Record a served request's latency into `serve.request_us`.
+fn record_request(start: Instant) {
+    hoiho_obs::histogram!("serve.request_us").record(start.elapsed().as_micros() as u64);
 }
 
 /// Serve one HTTP-lite request (`Connection: close`). One *hard*
@@ -523,18 +541,12 @@ fn handle_http(
             }
         }
     }
+    let mut drain = false;
     let response = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/lookup") => match proto::query_param(&req.query, "h") {
             Some(host) => {
-                hoiho_obs::counter!("serve.requests").inc();
-                hoiho_obs::counter!("serve.lookups").inc();
-                let index = shared.index.load();
-                let inf = index.lookup(&host, scratch);
-                if inf.is_some() {
-                    hoiho_obs::counter!("serve.hits").inc();
-                }
                 let mut body = String::new();
-                proto::render_result(index.db(), &host, inf.as_ref(), &mut body);
+                lookup_one(shared, &host, scratch, &mut body);
                 body.push('\n');
                 proto::http_response("200 OK", "application/json", &body)
             }
@@ -576,21 +588,9 @@ fn handle_http(
                 .map(str::trim)
                 .filter(|l| !l.is_empty())
                 .collect();
-            hoiho_obs::counter!("serve.requests.batch").inc();
-            hoiho_obs::counter!("serve.lookups").add(hosts.len() as u64);
-            let index = shared.index.load();
-            let mut out_body = String::from("{\"results\":[");
-            for (i, host) in hosts.iter().enumerate() {
-                if i > 0 {
-                    out_body.push(',');
-                }
-                let inf = index.lookup(host, scratch);
-                if inf.is_some() {
-                    hoiho_obs::counter!("serve.hits").inc();
-                }
-                proto::render_result(index.db(), host, inf.as_ref(), &mut out_body);
-            }
-            out_body.push_str("]}\n");
+            let mut out_body = String::new();
+            lookup_batch(shared, &hosts, scratch, &mut out_body);
+            out_body.push('\n');
             proto::http_response("200 OK", "application/json", &out_body)
         }
         ("GET", "/metrics") => {
@@ -606,27 +606,22 @@ fn handle_http(
             );
             proto::http_response("200 OK", "text/plain; version=0.0.4", &body)
         }
-        ("GET", "/healthz") => proto::http_response(
-            "200 OK",
-            "application/json",
-            &format!(
-                "{{\"ok\":true,\"epoch\":{},\"shards\":{}}}\n",
-                shared.index.epoch(),
-                shared.index.load().len()
-            ),
-        ),
+        ("GET", "/healthz") => {
+            proto::http_response("200 OK", "application/json", &(status(shared) + "\n"))
+        }
         ("POST", "/shutdown") => {
+            drain = true;
             let body = "{\"ok\":true,\"draining\":true}\n";
-            let r = proto::http_response("200 OK", "application/json", body);
-            let _ = send(out, &r);
-            shared.begin_shutdown();
-            hoiho_obs::global().record("serve.request_us", start.elapsed().as_micros() as u64);
-            return;
+            proto::http_response("200 OK", "application/json", body)
         }
         _ => proto::error_response("404 Not Found", "not found"),
     };
     let _ = send(out, &response);
-    hoiho_obs::global().record("serve.request_us", start.elapsed().as_micros() as u64);
+    // Drain only once the client has its answer.
+    if drain {
+        shared.begin_shutdown();
+    }
+    record_request(start);
 }
 
 fn watcher_loop(shared: &Shared, cfg: &ReloadConfig) {
@@ -653,28 +648,24 @@ fn watcher_loop(shared: &Shared, cfg: &ReloadConfig) {
         }
         last = now;
         match std::fs::read_to_string(&cfg.path) {
-            Ok(text) => {
-                let current = shared.index.load();
-                match LookupIndex::from_artifacts(current.shared_db(), current.shared_psl(), &text)
-                {
-                    Ok(index) => {
-                        let shards = index.len();
-                        let epoch = shared.index.swap(index);
-                        hoiho_obs::counter!("serve.reload.ok").inc();
-                        hoiho_obs::progress(format!(
-                            "reloaded {} (epoch {epoch}, {shards} shards)",
-                            cfg.path.display()
-                        ));
-                    }
-                    Err(e) => {
-                        hoiho_obs::counter!("serve.reload.err").inc();
-                        eprintln!(
-                            "serve: reload of {} failed, keeping old index: {e}",
-                            cfg.path.display()
-                        );
-                    }
+            Ok(text) => match shared.index.load().reload(&text) {
+                Ok(index) => {
+                    let suffixes = index.len();
+                    let epoch = shared.index.swap(index);
+                    hoiho_obs::counter!("serve.reload.ok").inc();
+                    hoiho_obs::progress(format!(
+                        "reloaded {} (epoch {epoch}, {suffixes} suffixes)",
+                        cfg.path.display()
+                    ));
                 }
-            }
+                Err(e) => {
+                    hoiho_obs::counter!("serve.reload.err").inc();
+                    eprintln!(
+                        "serve: reload of {} failed, keeping old index: {e}",
+                        cfg.path.display()
+                    );
+                }
+            },
             Err(e) => {
                 hoiho_obs::counter!("serve.reload.err").inc();
                 eprintln!(
