@@ -9,6 +9,14 @@
 # target/release binaries, so include `build` (or have run it before)
 # when selecting them.
 #
+# bench is a paired gate: it builds the base commit (`git merge-base
+# HEAD main`, or HEAD~1 on main itself) in a temporary git worktree,
+# then times `hoiho learn` and `hoiho apply` for base and change in 5
+# interleaved pairs on one seeded 100k-router corpus and fails when a
+# change median exceeds the base median by more than CI_BENCH_TOL.
+# chaos runs serve_chaos, which holds the well-behaved clients' p99
+# under chaos to 5x their p99 in a calm window of the same run.
+#
 # Knobs: CI_BENCH_TOL (bench regression tolerance, percent, default 25),
 # CI_CHAOS_SECS (chaos soak length, default 10), CI_NO_CURL=1 (force the
 # serve_probe fallback even when curl is installed).
@@ -44,13 +52,11 @@ want() {
 
 WORK=$(mktemp -d)
 SERVE_PID=
-# A smoke check that fails while the server runs must not leave it behind.
-trap '[ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null; rm -rf "$WORK"' EXIT
-
-# First "key":N match in a (flat) JSON benchmark record.
-json_num() {
-    grep -o "\"$2\":[0-9.]*" "$1" | head -n 1 | cut -d: -f2
-}
+# A smoke check that fails while the server runs must not leave it
+# behind, and a failed bench stage must not leave its base worktree.
+trap '[ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null
+[ ! -d "$WORK/base" ] || git worktree remove --force "$WORK/base" || true
+rm -rf "$WORK"' EXIT
 
 if want fmt; then
     echo "==> stage fmt: cargo fmt --check"
@@ -155,39 +161,62 @@ fi
 
 if want bench; then
     TOL="${CI_BENCH_TOL:-25}"
-    echo "==> stage bench (regression tolerance ${TOL}%)"
-    ./target/release/serve_load --routers 2000 --requests 6000 --out "$WORK/BENCH_serve.json"
-    ./target/release/learn_bench --routers 2000 --out "$WORK/BENCH_learn.json"
-    FAIL=0
-    # check_bench FILE KEY: compare the fresh run in $WORK against the
-    # committed baseline of the same name; a drop beyond TOL% fails. The
-    # baselines are only read: fresh records stay in $WORK.
-    check_bench() {
-        fresh=$(json_num "$WORK/$1" "$2")
-        [ -n "$fresh" ] || {
-            echo "    $1: no \"$2\" in fresh record"
-            FAIL=1
-            return 0
-        }
-        base=""
-        [ -f "$1" ] && base=$(json_num "$1" "$2")
-        if [ -z "$base" ]; then
-            printf '    %-18s %-16s baseline -            fresh %-12s (no baseline)\n' \
-                "$1" "$2" "$fresh"
-            return 0
+    BASE=$(git merge-base HEAD main 2>/dev/null || true)
+    [ -n "$BASE" ] && [ "$BASE" != "$(git rev-parse HEAD)" ] || BASE=$(git rev-parse HEAD~1)
+    echo "==> stage bench: base $(git rev-parse --short "$BASE") vs change (tolerance ${TOL}%)"
+    git worktree prune
+    git worktree add --quiet --detach "$WORK/base" "$BASE"
+    cargo build --offline --release --quiet -p hoiho-cli \
+        --manifest-path "$WORK/base/Cargo.toml" --target-dir target/ci-base
+    # One seeded corpus for both sides; apply reads its 72k iface
+    # hostnames 20 times over (1.4M lines), so each apply is >= 1 s.
+    ./target/release/hoiho generate --routers 100000 --seed 7 --out "$WORK/bench.txt" >/dev/null
+    awk '$1 == "iface" && NF >= 3 { print $3 }' "$WORK/bench.txt" >"$WORK/hosts1.txt"
+    i=0
+    while [ "$i" -lt 20 ]; do
+        cat "$WORK/hosts1.txt"
+        i=$((i + 1))
+    done >"$WORK/hosts.txt"
+    # run_side SIDE BIN: time one learn and one apply, appending the
+    # wall milliseconds to $WORK/SIDE.learn and $WORK/SIDE.apply.
+    run_side() {
+        t0=$(date +%s%N)
+        "$2" learn --threads 1 --corpus "$WORK/bench.txt" --out "$WORK/$1.art" >/dev/null
+        t1=$(date +%s%N)
+        "$2" apply --artifacts "$WORK/$1.art" <"$WORK/hosts.txt" >/dev/null
+        t2=$(date +%s%N)
+        echo $(((t1 - t0) / 1000000)) >>"$WORK/$1.learn"
+        echo $(((t2 - t1) / 1000000)) >>"$WORK/$1.apply"
+    }
+    # Five interleaved pairs, alternating which side goes first.
+    for pair in 1 2 3 4 5; do
+        if [ $((pair % 2)) -eq 1 ]; then
+            run_side base target/ci-base/release/hoiho
+            run_side change ./target/release/hoiho
+        else
+            run_side change ./target/release/hoiho
+            run_side base target/ci-base/release/hoiho
         fi
-        if awk -v f="$fresh" -v b="$base" -v t="$TOL" \
-            'BEGIN { exit !(f >= b * (1 - t / 100)) }'; then
+    done
+    median() { sort -n "$1" | sed -n 3p; }
+    FAIL=0
+    printf '    %-6s %10s %10s %7s\n' row "base ms" "change ms" ratio
+    for row in learn apply; do
+        b=$(median "$WORK/base.$row")
+        c=$(median "$WORK/change.$row")
+        if awk -v b="$b" -v c="$c" -v t="$TOL" 'BEGIN { exit !(c <= b * (1 + t / 100)) }'; then
             verdict=ok
         else
             verdict="REGRESSED >${TOL}%"
             FAIL=1
         fi
-        printf '    %-18s %-16s baseline %-12s fresh %-12s %s\n' \
-            "$1" "$2" "$base" "$fresh" "$verdict"
-    }
-    check_bench BENCH_serve.json lookups_per_sec
-    check_bench BENCH_learn.json hosts_per_sec
+        printf '    %-6s %10s %10s %7s %s\n' "$row" "$b" "$c" \
+            "$(awk -v b="$b" -v c="$c" 'BEGIN { printf "%.3f", c / b }')" "$verdict"
+    done
+    for row in learn apply; do
+        echo "    $row runs in pair order, base: $(echo $(cat "$WORK/base.$row"));" \
+            "change: $(echo $(cat "$WORK/change.$row"))"
+    done
     [ "$FAIL" -eq 0 ] || {
         echo "bench regression gate failed (tolerance ${TOL}%, override with CI_BENCH_TOL)"
         exit 1
@@ -197,11 +226,8 @@ fi
 if want chaos; then
     SECS="${CI_CHAOS_SECS:-10}"
     echo "==> stage chaos (${SECS}s soak)"
-    BASELINE=""
-    [ -f BENCH_serve.json ] && BASELINE="--baseline BENCH_serve.json"
-    # shellcheck disable=SC2086 # $BASELINE is two words or empty
     ./target/release/serve_chaos --routers 1500 --seed 7 \
-        --secs "$SECS" $BASELINE --out "$WORK/BENCH_chaos.json"
+        --secs "$SECS" --out "$WORK/chaos.json"
 fi
 
 echo "CI OK ($STAGES)"

@@ -8,7 +8,7 @@ fn main() {
     let db = hoiho_bench::dictionary();
     let psl = PublicSuffixList::builtin();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
-    let g = hoiho_bench::phase("generate", || hoiho_itdk::generate(&db, &spec));
+    let g = hoiho_itdk::generate(&db, &spec);
 
     let mut ops_with_custom = 0;
     let mut custom_pops = 0;
@@ -32,9 +32,7 @@ fn main() {
         custom_pops
     );
 
-    let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-    });
+    let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
     // For every operator with customs, show the suffix outcome.
     for op in &g.operators {
         let customs = op.custom_hints();

@@ -29,9 +29,7 @@ fn main() {
             learn,
             ..Default::default()
         };
-        let report = hoiho_bench::learn_phase(name, || {
-            Hoiho::with_options(&db, &psl, opts).learn_corpus(&g.corpus)
-        });
+        let report = Hoiho::with_options(&db, &psl, opts).learn_corpus(&g.corpus);
         let geo = Geolocator::from_report(&report);
         let scores = score_method(&db, &psl, &g.corpus, |h, _| {
             geo.geolocate(&db, &psl, h).map(|i| i.location)

@@ -22,9 +22,7 @@ fn main() {
     let g = hoiho_bench::gt::corpus(&db);
 
     eprintln!("training methods…");
-    let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-    });
+    let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
     let geo = Geolocator::from_report(&report);
     let drop_model = Drop::train(&db, &psl, &g.corpus);
     let hloc_model = Hloc::new();

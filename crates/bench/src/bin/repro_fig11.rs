@@ -18,9 +18,7 @@ fn main() {
     eprintln!("generating ground-truth corpus…");
     let g = hoiho_bench::gt::corpus(&db);
     eprintln!("learning…");
-    let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-    });
+    let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
 
     let truth: HashMap<&str, HashMap<String, hoiho_geotypes::LocationId>> = g
         .operators

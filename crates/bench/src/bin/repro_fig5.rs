@@ -18,7 +18,7 @@ fn main() {
     let db = hoiho_bench::dictionary();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
     eprintln!("generating {}…", spec.label);
-    let g = hoiho_bench::phase("generate", || hoiho_itdk::generate(&db, &spec));
+    let g = hoiho_itdk::generate(&db, &spec);
 
     let mut ping_min: Vec<f64> = Vec::new();
     let mut tr_min: Vec<f64> = Vec::new();

@@ -35,9 +35,7 @@ fn main() {
         learn_custom_hints: !no_learned,
         ..Default::default()
     };
-    let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::with_options(&db, &psl, opts).learn_corpus(&g.corpus)
-    });
+    let report = Hoiho::with_options(&db, &psl, opts).learn_corpus(&g.corpus);
     let geo = Geolocator::from_report(&report);
     let hoiho_scores = score_method(&db, &psl, &g.corpus, |h, _| {
         geo.geolocate(&db, &psl, h).map(|i| i.location)

@@ -28,9 +28,7 @@ fn main() {
     ]);
     for g in &corpora {
         eprintln!("learning {} ({} routers)…", g.corpus.label, g.corpus.len());
-        let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-            Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-        });
+        let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         let pct = |n: usize| 100.0 * n as f64 / report.total_routers as f64;
         t.row(vec![
             report.label.clone(),

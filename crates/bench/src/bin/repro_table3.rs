@@ -20,9 +20,7 @@ fn main() {
     let mut t = Table::new(vec!["corpus", "good", "promising", "poor", "total"]);
     for g in &corpora {
         eprintln!("learning {}…", g.corpus.label);
-        let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-            Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-        });
+        let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         // The paper's denominator: suffixes with an apparent geohint.
         let with_hint: Vec<_> = report
             .results

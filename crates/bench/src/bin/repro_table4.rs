@@ -17,11 +17,9 @@ fn main() {
     let psl = PublicSuffixList::builtin();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
     eprintln!("generating {}…", spec.label);
-    let g = hoiho_bench::phase("generate", || hoiho_itdk::generate(&db, &spec));
+    let g = hoiho_itdk::generate(&db, &spec);
     eprintln!("learning…");
-    let report = hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-    });
+    let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
 
     // (class, type, annotated) → count. A NC's type is its first
     // regex's plan type; a NC mixing types counts under each type it

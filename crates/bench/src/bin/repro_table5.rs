@@ -19,19 +19,15 @@ fn main() {
     let psl = PublicSuffixList::builtin();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
     eprintln!("generating {}…", spec.label);
-    let g = hoiho_bench::phase("generate", || hoiho_itdk::generate(&db, &spec));
+    let g = hoiho_itdk::generate(&db, &spec);
     eprintln!("learning scaled corpus…");
-    let reports = [hoiho_bench::learn_phase(&g.corpus.label, || {
-        Hoiho::new(&db, &psl).learn_corpus(&g.corpus)
-    })];
+    let reports = [Hoiho::new(&db, &psl).learn_corpus(&g.corpus)];
     // The ground-truth suite carries the hub repurposings ("ash",
     // "tor", "tok", …) that recur across real networks.
     let gt_db = hoiho_geodb::GeoDb::builtin();
     let gt = hoiho_bench::gt::corpus(&gt_db);
     eprintln!("learning ground-truth corpus…");
-    let gt_report = hoiho_bench::learn_phase(&gt.corpus.label, || {
-        Hoiho::new(&gt_db, &psl).learn_corpus(&gt.corpus)
-    });
+    let gt_report = Hoiho::new(&gt_db, &psl).learn_corpus(&gt.corpus);
 
     // (token, location display) → suffix count.
     let mut freq: HashMap<(String, String), usize> = HashMap::new();

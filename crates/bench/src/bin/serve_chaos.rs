@@ -18,18 +18,20 @@
 //! while a corruptor thread rewrites the artifact file good/corrupt in
 //! a loop, so hot reloads (and rejected reloads) happen mid-flight.
 //!
+//! Before any of that starts, the well-behaved clients run alone
+//! against the same server for a fixed calm window; that window's p99
+//! is the run's own latency baseline.
+//!
 //! Every adversarial connection must *resolve* — answered, rejected,
 //! or cut by a deadline — within a generous client-side deadline;
 //! anything else counts as hung and fails the run. Well-behaved
 //! requests must see zero errors, and their p99 while chaos runs must
-//! stay within 5× the `BENCH_serve.json` baseline p99 when a baseline
-//! is supplied. Results land in one JSON object (stdout, plus
-//! `--out FILE` — the `BENCH_chaos.json` gate comes from here).
+//! stay within 5× the calm window's p99. Results land in one JSON
+//! object (stdout, plus `--out FILE`).
 //!
 //! ```text
 //! serve_chaos [--routers N] [--seed S] [--secs N] [--threads N]
-//!             [--well-clients N] [--baseline BENCH_serve.json]
-//!             [--out FILE]
+//!             [--well-clients N] [--out FILE]
 //! ```
 
 use hoiho::artifact::write_artifacts;
@@ -51,13 +53,19 @@ use std::time::{Duration, Instant};
 /// (response, reject, or close) within this window counts as hung.
 const CLIENT_DEADLINE: Duration = Duration::from_secs(5);
 
+/// How long the well-behaved clients run alone before chaos starts;
+/// their p99 over this window is the baseline the chaos p99 is held to.
+const CALM_WINDOW: Duration = Duration::from_secs(2);
+
+/// The chaos-phase p99 may be at most this multiple of the calm p99.
+const P99_LIMIT: f64 = 5.0;
+
 struct Args {
     routers: usize,
     seed: u64,
     secs: u64,
     threads: usize,
     well_clients: usize,
-    baseline: Option<String>,
     out: Option<String>,
 }
 
@@ -80,7 +88,6 @@ fn parse_args() -> Args {
         secs: num("--secs", 10).max(1) as u64,
         threads: num("--threads", 8),
         well_clients: num("--well-clients", 2).max(1),
-        baseline: value("--baseline"),
         out: value("--out"),
     }
 }
@@ -111,6 +118,9 @@ struct KindStats {
 /// Well-behaved clients' tally.
 #[derive(Default)]
 struct WellStats {
+    /// Request latencies before chaos started.
+    calm_us: Vec<f64>,
+    /// Request latencies while chaos ran.
     latency_us: Vec<f64>,
     requests: u64,
     lookups: u64,
@@ -166,13 +176,15 @@ fn main() {
     let server = Server::start(Arc::new(SharedIndex::new(index)), &cfg).expect("bind");
     let addr = server.local_addr().to_string();
     eprintln!(
-        "chaos soak: {}s against {addr} ({} workers)…",
-        args.secs, args.threads
+        "calm window: {}s, then chaos soak: {}s against {addr} ({} workers)…",
+        CALM_WINDOW.as_secs(),
+        args.secs,
+        args.threads
     );
 
     let stop = Arc::new(AtomicBool::new(false));
+    let chaos = Arc::new(AtomicBool::new(false));
     let hosts = Arc::new(hosts);
-    let started = Instant::now();
 
     // Well-behaved clients: persistent line-JSON batch connections that
     // must see zero failures while chaos runs around them.
@@ -180,15 +192,19 @@ fn main() {
     for c in 0..args.well_clients {
         let addr = addr.clone();
         let hosts = Arc::clone(&hosts);
+        let chaos = Arc::clone(&chaos);
         let stop = Arc::clone(&stop);
         let seed = args.seed ^ (0x3E11 + c as u64);
         well_threads.push(
             std::thread::Builder::new()
                 .name(format!("chaos-well-{c}"))
-                .spawn(move || well_loop(&addr, &hosts, seed, &stop))
+                .spawn(move || well_loop(&addr, &hosts, seed, &chaos, &stop))
                 .expect("spawn well client"),
         );
     }
+    std::thread::sleep(CALM_WINDOW);
+    chaos.store(true, Ordering::Relaxed);
+    let started = Instant::now();
 
     // Adversaries: the long-running kinds (each attack pins a worker
     // for hundreds of ms) on one thread, the quick kinds on another,
@@ -250,6 +266,7 @@ fn main() {
     for t in well_threads {
         match t.join() {
             Ok(s) => {
+                well.calm_us.extend_from_slice(&s.calm_us);
                 well.latency_us.extend_from_slice(&s.latency_us);
                 well.requests += s.requests;
                 well.lookups += s.lookups;
@@ -290,8 +307,8 @@ fn main() {
     let hung: u64 = kinds.values().map(|k| k.hung).sum();
     let ms = |q| quantile(&well.latency_us, q) / 1e3;
     let p99_ms = ms(0.99);
-    let baseline_p99 = args.baseline.as_deref().and_then(baseline_p99_ms);
-    let p99_ratio = baseline_p99.map(|b| p99_ms / b);
+    let calm_p99_ms = quantile(&well.calm_us, 0.99) / 1e3;
+    let p99_ratio = p99_ms / calm_p99_ms;
 
     let mut kinds_json = String::new();
     for (i, (k, s)) in kinds.iter().enumerate() {
@@ -314,7 +331,8 @@ fn main() {
          \"timeout_write\":{},\"reject_oversize\":{},\"reject_truncated\":{},\"reject_slow\":{},\
          \"reject_malformed\":{},\"shed_queue_full\":{},\"shed_draining\":{},\
          \"reload_ok\":{},\"reload_err\":{},\"epoch\":{epoch}}},\
-         \"baseline_p99_ms\":{},\"p99_ratio\":{},\"panicked\":{panicked}}}",
+         \"calm\":{{\"requests\":{},\"p99_ms\":{calm_p99_ms:.3}}},\"p99_ratio\":{p99_ratio:.2},\
+         \"panicked\":{panicked}}}",
         args.seed,
         args.routers,
         elapsed,
@@ -342,8 +360,7 @@ fn main() {
         c("serve.shed.draining"),
         c("serve.reload.ok"),
         c("serve.reload.err"),
-        baseline_p99.map_or("null".to_string(), |b| format!("{b:.3}")),
-        p99_ratio.map_or("null".to_string(), |r| format!("{r:.2}")),
+        well.calm_us.len(),
     );
     println!("{record}");
     if let Some(out) = &args.out {
@@ -370,8 +387,12 @@ fn main() {
             ));
         }
     }
-    if well.requests == 0 {
-        failed.push("well-behaved clients issued no requests".to_string());
+    if well.calm_us.is_empty() || well.latency_us.is_empty() {
+        failed.push(format!(
+            "well-behaved clients issued {} calm and {} chaos requests (need both)",
+            well.calm_us.len(),
+            well.latency_us.len()
+        ));
     }
     if well.errors > 0 {
         failed.push(format!("{} well-behaved requests failed", well.errors));
@@ -386,12 +407,11 @@ fn main() {
     if c("serve.timeout.read") + c("serve.conn.reaped") + c("serve.reject.slow") == 0 {
         failed.push("no deadline ever fired — limits are not engaged".to_string());
     }
-    if let Some(r) = p99_ratio {
-        if r > 5.0 {
-            failed.push(format!(
-                "well-behaved p99 {p99_ms:.3}ms is {r:.1}× the baseline (limit 5×)"
-            ));
-        }
+    if p99_ratio > P99_LIMIT {
+        failed.push(format!(
+            "well-behaved p99 {p99_ms:.3}ms is {p99_ratio:.1}× the calm p99 \
+             {calm_p99_ms:.3}ms (limit {P99_LIMIT}×)"
+        ));
     }
     if !failed.is_empty() {
         for f in &failed {
@@ -401,23 +421,21 @@ fn main() {
     }
     eprintln!(
         "chaos OK: {attempted} adversarial connections all resolved, \
-         {} well-behaved requests (0 errors), p99 {p99_ms:.3}ms",
+         {} well-behaved requests (0 errors), p99 {p99_ms:.3}ms \
+         ({p99_ratio:.2}× the calm p99 {calm_p99_ms:.3}ms)",
         well.requests
     );
 }
 
-/// The committed `serve_load` baseline's p99 (ms), if the file parses.
-fn baseline_p99_ms(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    // The record nests p99 under "latency_ms"; the first "p99": is it.
-    let tail = text.split_once("\"p99\":")?.1;
-    let end = tail.find(|c: char| c != '.' && !c.is_ascii_digit())?;
-    tail[..end].parse().ok()
-}
-
 /// One well-behaved client: persistent batch lookups, reconnecting on
 /// a clean close (the request-budget path) without counting an error.
-fn well_loop(addr: &str, hosts: &[String], seed: u64, stop: &AtomicBool) -> WellStats {
+fn well_loop(
+    addr: &str,
+    hosts: &[String],
+    seed: u64,
+    chaos: &AtomicBool,
+    stop: &AtomicBool,
+) -> WellStats {
     const BATCH: usize = 8;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = WellStats::default();
@@ -452,6 +470,7 @@ fn well_loop(addr: &str, hosts: &[String], seed: u64, stop: &AtomicBool) -> Well
             req.push('"');
         }
         req.push_str("]}\n");
+        let calm = !chaos.load(Ordering::Relaxed);
         let t = Instant::now();
         resp.clear();
         let mut ok = writer.write_all(req.as_bytes()).is_ok()
@@ -474,7 +493,12 @@ fn well_loop(addr: &str, hosts: &[String], seed: u64, stop: &AtomicBool) -> Well
             stats.errors += 1;
             break;
         }
-        stats.latency_us.push(t.elapsed().as_nanos() as f64 / 1e3);
+        let us = t.elapsed().as_nanos() as f64 / 1e3;
+        if calm {
+            stats.calm_us.push(us);
+        } else {
+            stats.latency_us.push(us);
+        }
         stats.requests += 1;
         stats.lookups += BATCH as u64;
         stats.hits += resp.matches("\"ok\":true").count() as u64;

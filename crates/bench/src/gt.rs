@@ -546,9 +546,7 @@ pub fn corpus(db: &GeoDb) -> Generated {
         provider_side_fraction: 0.01,
         ipv6: false,
     };
-    crate::phase("generate ground-truth", || {
-        generate_with_operators(db, &spec, suite(db))
-    })
+    generate_with_operators(db, &spec, suite(db))
 }
 
 #[cfg(test)]

@@ -21,10 +21,8 @@ use hoiho_itdk::spec::CorpusSpec;
 /// plus a synthetic tail of towns, so routers occupy far more places
 /// than VPs cover (the paper's dictionary has 444k cities vs ~100 VPs).
 pub fn dictionary() -> GeoDb {
-    phase("dictionary", || {
-        let base = GeoDb::builtin();
-        expand_with_towns(GeoDbBuilder::with_builtin_data(), &base, 800, 0xD1C7).build()
-    })
+    let base = GeoDb::builtin();
+    expand_with_towns(GeoDbBuilder::with_builtin_data(), &base, 800, 0xD1C7).build()
 }
 
 /// Routers per IPv4 corpus (env `HOIHO_SCALE`, default 12_000).
@@ -47,19 +45,8 @@ pub fn four_itdks(db: &GeoDb) -> Vec<Generated> {
     ];
     specs
         .into_iter()
-        .map(|spec| {
-            phase(&format!("generate {}", spec.label), || {
-                hoiho_itdk::generate(db, &spec)
-            })
-        })
+        .map(|spec| hoiho_itdk::generate(db, &spec))
         .collect()
-}
-
-/// [`phase`] specialised to the learning step every repro binary runs:
-/// names the phase after the corpus so multi-corpus bins emit one
-/// timing record each.
-pub fn learn_phase<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    phase(&format!("learn {label}"), f)
 }
 
 /// Simple fixed-width text table.
@@ -121,63 +108,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Run `f`, printing `[phase] <name>: <ms>` to stderr, and append a
-/// JSON line to the file named by `HOIHO_PHASES_JSON` when set — the
-/// hook `BENCH_*.json` trajectories are built from. Every `repro_*` bin
-/// wraps its major steps (corpus generation, learning, rendering) in
-/// this, so per-stage wall time is visible without a profiler.
-pub fn phase<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    let start = std::time::Instant::now();
-    let out = f();
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    eprintln!("[phase] {name}: {ms:.1} ms");
-    if let Ok(path) = std::env::var("HOIHO_PHASES_JSON") {
-        use std::io::Write as _;
-        if let Ok(mut file) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(file, "{{\"phase\":\"{name}\",\"ms\":{ms:.3}}}");
-        }
-    }
-    out
-}
-
-/// Minimal bench harness for the `benches/` targets (the offline build
-/// has no criterion): runs `f` `iters` times after a small warmup and
-/// prints mean and median per-iteration wall time.
-pub fn run_bench<T>(name: &str, iters: usize, mut f: impl FnMut() -> T) {
-    let warmup = (iters / 10).clamp(1, 100);
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut samples_ns: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = std::time::Instant::now();
-        std::hint::black_box(f());
-        samples_ns.push(t.elapsed().as_nanos() as f64);
-    }
-    let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-    let median = quantile(&samples_ns, 0.5);
-    let fmt = |ns: f64| {
-        if ns >= 1e9 {
-            format!("{:.3} s", ns / 1e9)
-        } else if ns >= 1e6 {
-            format!("{:.3} ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.3} us", ns / 1e3)
-        } else {
-            format!("{ns:.0} ns")
-        }
-    };
-    println!(
-        "bench {name:<40} median {:>12}  mean {:>12}  ({iters} iters)",
-        fmt(median),
-        fmt(mean)
-    );
 }
 
 /// The q-quantile (0..=1) of an unsorted sample.

@@ -159,9 +159,10 @@ pub fn apply(opts: &Options) -> Result<(), String> {
     } else {
         opts.positional.clone()
     };
-    // Tolerate a closed pipe (`hoiho apply … | head`).
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+    // Buffered, since stdout alone writes once per line: about a third
+    // of apply's time at 1M hostnames. Tolerate a closed pipe
+    // (`hoiho apply … | head`).
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     for h in &hostnames {
         let line = match geo.geolocate(&db, &psl, h) {
             Some(inf) => {
@@ -182,6 +183,7 @@ pub fn apply(opts: &Options) -> Result<(), String> {
             return Ok(());
         }
     }
+    let _ = out.flush();
     Ok(())
 }
 

@@ -25,7 +25,7 @@
 //! Cache traffic is tallied locally (plain `Cell`s — each context lives
 //! on one worker thread) and flushed to the global `hoiho_obs` counters
 //! `evalctx.decode.hit/miss` and `evalctx.feas.hit/miss` when the
-//! context drops, so the Prometheus renderer and `learn_bench` see
+//! context drops, so `hoiho learn -v` and the Prometheus renderer see
 //! per-run hit rates without per-probe atomic traffic.
 
 use crate::train::TrainHost;

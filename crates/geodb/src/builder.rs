@@ -234,8 +234,12 @@ impl GeoDbBuilder {
             }
         }
         // IATA by (served name, country), to embed in derived LOCODEs.
+        // Scan the codes sorted, so a city with two airports (Dallas
+        // DAL/DFW) keeps the same one whatever the map's order.
+        let mut iata: Vec<_> = self.db.iata.iter().collect();
+        iata.sort_unstable_by_key(|(code, _)| *code);
         let mut iata_for: HashMap<(String, String), String> = HashMap::new();
-        for (code, ids) in &self.db.iata {
+        for (code, ids) in iata {
             for id in ids {
                 let l = &self.db.locations[id.0 as usize];
                 iata_for
@@ -462,5 +466,19 @@ mod tests {
         assert!(!hits.is_empty());
         let l = db.location(hits[0].location);
         assert_eq!(l.state.unwrap().as_str(), "dc");
+    }
+
+    #[test]
+    fn derived_codes_do_not_depend_on_hash_order() {
+        // Every HashMap gets fresh RandomState keys, so eight builds in
+        // one process see eight iteration orders of the IATA table.
+        // Cities with two airports (Dallas DFW/DAL, Houston IAH/HOU)
+        // must still derive the same LOCODE every time.
+        let first = GeoDb::builtin();
+        for _ in 0..7 {
+            let db = GeoDb::builtin();
+            assert_eq!(db.locode, first.locode);
+            assert_eq!(db.clli, first.clli);
+        }
     }
 }

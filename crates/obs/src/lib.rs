@@ -381,12 +381,6 @@ pub fn json_escape(s: &str) -> String {
 // Spans
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct SpanRecord {
-    path: String,
-    us: u64,
-}
-
 thread_local! {
     static SPAN_STACK: std::cell::RefCell<Vec<&'static str>> =
         const { std::cell::RefCell::new(Vec::new()) };
@@ -565,7 +559,9 @@ pub struct Registry {
     enabled: AtomicBool,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<Vec<SpanRecord>>,
+    /// Span path → (count, total µs), aggregated as each span closes, so
+    /// memory grows with the number of distinct paths, not of spans.
+    spans: Mutex<BTreeMap<String, (u64, u64)>>,
     sinks: Mutex<Vec<Arc<dyn Sink>>>,
 }
 
@@ -582,7 +578,7 @@ impl Registry {
             enabled: AtomicBool::new(false),
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(Vec::new()),
+            spans: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(Vec::new()),
         }
     }
@@ -678,10 +674,17 @@ impl Registry {
 
     fn close_span(&self, path: String, name: &str, detail: Option<String>, us: u64) {
         self.record(&format!("span.{name}"), us);
-        self.spans.lock().expect("spans poisoned").push(SpanRecord {
-            path: path.clone(),
-            us,
-        });
+        let mut spans = self.spans.lock().expect("spans poisoned");
+        match spans.get_mut(&path) {
+            Some((count, total_us)) => {
+                *count += 1;
+                *total_us += us;
+            }
+            None => {
+                spans.insert(path.clone(), (1, us));
+            }
+        }
+        drop(spans);
         self.emit(&Event::SpanEnd {
             path,
             name: name.to_string(),
@@ -732,16 +735,13 @@ impl Registry {
                 )
             })
             .collect();
-        let mut agg: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for rec in self.spans.lock().expect("spans poisoned").iter() {
-            let e = agg.entry(rec.path.clone()).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += rec.us;
-        }
-        let spans = agg
-            .into_iter()
-            .map(|(path, (count, total_us))| SpanAggregate {
-                path,
+        let spans = self
+            .spans
+            .lock()
+            .expect("spans poisoned")
+            .iter()
+            .map(|(path, &(count, total_us))| SpanAggregate {
+                path: path.clone(),
                 count,
                 total_us,
             })
@@ -959,5 +959,21 @@ mod tests {
         let snap = r.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["outer", "outer/inner"]);
+    }
+
+    #[test]
+    fn spans_aggregate_on_close() {
+        let r = Registry::new();
+        r.set_enabled(true);
+        for _ in 0..10_000 {
+            let _g = r.span("hot");
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.spans.len(), 1);
+        assert_eq!(snap.spans[0].path, "hot");
+        assert_eq!(snap.spans[0].count, 10_000);
+        assert_eq!(r.spans.lock().unwrap().len(), 1);
+        r.reset();
+        assert!(r.snapshot().spans.is_empty());
     }
 }
