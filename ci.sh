@@ -98,11 +98,17 @@ if want smoke; then
         post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
     fi
     ./target/release/hoiho generate --routers 1500 --seed 11 --out "$WORK/corpus.txt"
-    ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" --out "$WORK/artifacts.txt"
+    ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" \
+        --out "$WORK/artifacts.txt" --metrics "$WORK/metrics1.jsonl"
     # Learning is deterministic across thread counts: a two-thread learn
-    # must write the same artifact byte for byte.
-    ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" --out "$WORK/artifacts2.txt"
+    # must write the same artifact byte for byte and count the same.
+    ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" \
+        --out "$WORK/artifacts2.txt" --metrics "$WORK/metrics2.jsonl"
     cmp "$WORK/artifacts.txt" "$WORK/artifacts2.txt"
+    grep '"type":"counter"' "$WORK/metrics1.jsonl" | sort >"$WORK/counters1.txt"
+    grep '"type":"counter"' "$WORK/metrics2.jsonl" | sort >"$WORK/counters2.txt"
+    [ -s "$WORK/counters1.txt" ] || { echo "smoke: learn wrote no counters"; exit 1; }
+    cmp "$WORK/counters1.txt" "$WORK/counters2.txt"
     ./target/release/hoiho serve --artifacts "$WORK/artifacts.txt" \
         --addr 127.0.0.1:0 --threads 2 --port-file "$WORK/port" &
     SERVE_PID=$!

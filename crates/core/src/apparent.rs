@@ -7,11 +7,11 @@
 //! CLLI embeddings (fig 6d), facility street addresses (fig 6f), and
 //! tags adjacent country/state codes as part of the hint (fig 6a).
 
-use crate::evalctx::FeasibilityCache;
 use crate::tokenize::{tokenize, Token, TokenKind};
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpSet};
+use std::collections::BTreeMap;
 
 /// An apparent geohint tagged on a hostname.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,22 +45,17 @@ pub fn tag_prefix(
     prefix: &str,
     policy: &ConsistencyPolicy,
 ) -> Vec<Tag> {
-    // Transient cache: single-prefix callers (tests, ad-hoc tagging)
-    // still dedup repeated interpretations within one prefix.
-    let feas = FeasibilityCache::standalone(db, vps, policy);
-    tag_prefix_cached(db, rtts, prefix, &feas, 0)
+    let table = BestCaseTable::new(vps, policy, db.len());
+    tag_prefix_with(db, rtts, prefix, &table)
 }
 
-/// [`tag_prefix`] with a caller-owned [`FeasibilityCache`], which fixes
-/// the vantage points and policy. Corpus-wide callers
-/// (`build_training_sets`) pass one cache keyed by router id so every
-/// prefix of a router shares feasibility answers.
-pub fn tag_prefix_cached(
+/// [`tag_prefix`] testing feasibility through `table`, which fixes the
+/// vantage points and policy; a learn shares one across every prefix.
+pub(crate) fn tag_prefix_with(
     db: &GeoDb,
     rtts: &RouterRtts,
     prefix: &str,
-    feas: &FeasibilityCache,
-    key: u64,
+    table: &BestCaseTable,
 ) -> Vec<Tag> {
     if rtts.is_empty() || prefix.is_empty() {
         return Vec::new();
@@ -75,7 +70,7 @@ pub fn tag_prefix_cached(
         }
         let mut cands = db.lookup(t.text);
         cands.extend(db.lookup_clli_head(t.text));
-        push_consistent(db, rtts, feas, key, &mut tags, t, None, cands);
+        push_consistent(db, rtts, table, &mut tags, t, None, cands);
 
         // Split CLLI: a 4-letter token whose next alphabetic neighbour
         // (across digits/punctuation, within the same label) is a
@@ -84,7 +79,7 @@ pub fn tag_prefix_cached(
             if let Some(two) = next_alpha_in_label(&tokens, i) {
                 if two.text.len() == 2 {
                     let cands = db.lookup_clli_split(t.text, two.text);
-                    push_consistent(db, rtts, feas, key, &mut tags, t, Some(two), cands);
+                    push_consistent(db, rtts, table, &mut tags, t, Some(two), cands);
                 }
             }
         }
@@ -101,7 +96,7 @@ pub fn tag_prefix_cached(
             let locs = db.lookup_typed(label, GeohintType::Facility);
             let consistent: Vec<LocationId> = locs
                 .into_iter()
-                .filter(|id| feas.feasible(db, key, rtts, *id))
+                .filter(|id| table.feasibility(rtts, *id, &db.location(*id).coords))
                 .collect();
             if !consistent.is_empty() {
                 tags.push(Tag {
@@ -149,21 +144,21 @@ pub fn tag_prefix_cached(
     tags
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Tag `token` once per dictionary type with an RTT-consistent
+/// interpretation among `cands`, in `GeohintType` order so tags with
+/// equal spans come out the same way every time.
 fn push_consistent(
     db: &GeoDb,
     rtts: &RouterRtts,
-    feas: &FeasibilityCache,
-    key: u64,
+    table: &BestCaseTable,
     tags: &mut Vec<Tag>,
     token: &Token<'_>,
     split_two: Option<&Token<'_>>,
     cands: Vec<hoiho_geodb::HintMatch>,
 ) {
-    use std::collections::HashMap;
-    let mut by_type: HashMap<GeohintType, Vec<LocationId>> = HashMap::new();
+    let mut by_type: BTreeMap<GeohintType, Vec<LocationId>> = BTreeMap::new();
     for c in cands {
-        if feas.feasible(db, key, rtts, c.location) {
+        if table.feasibility(rtts, c.location, &db.location(c.location).coords) {
             by_type.entry(c.hint_type).or_default().push(c.location);
         }
     }
@@ -360,6 +355,29 @@ mod tests {
         let tags = tags_for(&w, &r, "a02.snjsca04.us01.bb");
         let clli = tags.iter().find(|t| t.ty == GeohintType::Clli).unwrap();
         assert!(clli.cc_texts.is_empty());
+    }
+
+    #[test]
+    fn equal_span_tags_come_out_in_one_order() {
+        // One loose sample keeps `london` feasible as both a city name
+        // and a CLLI head; both tags span the same bytes, so only the
+        // grouping order decides which comes first.
+        let mut vps = VpSet::new();
+        vps.add("null-island", Coordinates::new(0.0, 0.0));
+        let db = GeoDb::builtin();
+        let r = rtts(&[(0, 400.0)]);
+        let order = || -> Vec<GeohintType> {
+            tag_prefix(&db, &vps, &r, "cr1.london1", &ConsistencyPolicy::STRICT)
+                .iter()
+                .map(|t| t.ty)
+                .collect()
+        };
+        let first = order();
+        assert!(first.contains(&GeohintType::CityName), "{first:?}");
+        assert!(first.contains(&GeohintType::Clli), "{first:?}");
+        for _ in 1..32 {
+            assert_eq!(order(), first);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The per-suffix evaluation context: memoized decode + RTT feasibility.
+//! The per-suffix evaluation context: memoized decode + the shared
+//! RTT feasibility table.
 //!
 //! Stage-3 learning evaluates up to hundreds of candidate regexes per
-//! suffix, and every evaluation used to re-run two per-host computations
-//! whose answers never change across candidates:
+//! suffix, and every evaluation asks two per-host questions whose
+//! answers never change across candidates:
 //!
 //! - **decode** — `(hint text, type) → locations` is a property of the
 //!   dictionary, not of the regex that extracted the hint;
@@ -12,9 +13,9 @@
 //! [`EvalContext`] is built once per suffix in `learn_suffix` and
 //! threaded through phases 1–4. It interns hint strings into dense
 //! [`HintId`]s (computing the base dictionary decode exactly once per
-//! distinct `(text, type)` pair) and memoizes the pure
-//! [`hoiho_rtt::consistency::feasibility`] predicate per
-//! `(router, location)` pair in a [`FeasibilityCache`].
+//! distinct `(text, type)` pair) and answers feasibility from a
+//! [`BestCaseTable`] shared by the whole learn, whose precomputed best
+//! cases make each probe one compare per RTT sample.
 //!
 //! Stage-4 learned hints never invalidate the decode memo: a learned
 //! hint maps a `(text, type)` pair to a *single* location, so the
@@ -22,16 +23,16 @@
 //! back to the memoized base decode — the overlay is a delta on top of
 //! the cache, not a reason to flush it.
 //!
-//! Cache traffic is tallied locally (plain `Cell`s — each context lives
-//! on one worker thread) and flushed to the global `hoiho_obs` counters
-//! `evalctx.decode.hit/miss` and `evalctx.feas.hit/miss` when the
-//! context drops, so `hoiho learn -v` and the Prometheus renderer see
-//! per-run hit rates without per-probe atomic traffic.
+//! Decode memo traffic is tallied locally (plain `Cell`s — each context
+//! lives on one worker thread) and flushed to the global `hoiho_obs`
+//! counters `evalctx.decode.hit/miss` when the context drops, so
+//! `hoiho learn -v` and the Prometheus renderer see per-run hit rates
+//! without per-probe atomic traffic.
 
 use crate::train::TrainHost;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, VpSet};
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -61,97 +62,8 @@ struct Interner {
     entries: Vec<HintEntry>,
 }
 
-/// A memoized view of the pure RTT-feasibility predicate.
-///
-/// Keys are `(caller-chosen u64, LocationId)`; the caller's key must
-/// uniquely identify one set of RTT samples — a router id for
-/// corpus-wide caches (`build_training_sets`, `detect_stale`), or the
-/// address of the shared `Arc<RouterRtts>` inside an [`EvalContext`]
-/// (robust even when hand-built hosts reuse a router id with different
-/// samples). A miss is answered by the cache's [`BestCaseTable`], which
-/// fixes the vantage points and policy and may be shared by many caches
-/// (every stage-2 and stage-3 cache of one learn shares one). Feasibility
-/// is a pure function of the samples, so cached answers are exactly what
-/// [`feasibility`](hoiho_rtt::consistency::feasibility) would return.
-#[derive(Debug)]
-pub struct FeasibilityCache {
-    table: Arc<BestCaseTable>,
-    map: RefCell<HashMap<(u64, LocationId), bool>>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    accepts: Cell<u64>,
-    rejects: Cell<u64>,
-}
-
-impl FeasibilityCache {
-    /// An empty cache answering its misses from `table`.
-    pub fn new(table: Arc<BestCaseTable>) -> FeasibilityCache {
-        FeasibilityCache {
-            table,
-            map: RefCell::default(),
-            hits: Cell::default(),
-            misses: Cell::default(),
-            accepts: Cell::default(),
-            rejects: Cell::default(),
-        }
-    }
-
-    /// A cache with its own table for `vps` under `policy`, sized for
-    /// `db`'s locations.
-    pub fn standalone(db: &GeoDb, vps: &VpSet, policy: &ConsistencyPolicy) -> FeasibilityCache {
-        FeasibilityCache::new(Arc::new(BestCaseTable::new(vps, policy, db.len())))
-    }
-
-    /// Whether `loc` is feasible for the router whose samples are
-    /// `rtts`, identified by `key`. Computes and memoizes on first use.
-    pub fn feasible(&self, db: &GeoDb, key: u64, rtts: &RouterRtts, loc: LocationId) -> bool {
-        let cached = self.map.borrow().get(&(key, loc)).copied();
-        let v = match cached {
-            Some(v) => {
-                self.hits.set(self.hits.get() + 1);
-                v
-            }
-            None => {
-                self.misses.set(self.misses.get() + 1);
-                let v = self.table.feasibility(rtts, loc, &db.location(loc).coords);
-                self.map.borrow_mut().insert((key, loc), v);
-                v
-            }
-        };
-        // Every probe still counts toward the accept/reject totals the
-        // uncached rtt_consistent path used to emit.
-        if v {
-            self.accepts.set(self.accepts.get() + 1);
-        } else {
-            self.rejects.set(self.rejects.get() + 1);
-        }
-        v
-    }
-
-    /// Flush the hit/miss tallies to the global `evalctx.feas.*`
-    /// counters and reset them. Owners of long-lived caches call this
-    /// once per unit of work; transient caches that never flush simply
-    /// don't contribute.
-    pub fn flush_obs(&self) {
-        let (h, m) = (self.hits.take(), self.misses.take());
-        if h > 0 {
-            hoiho_obs::add("evalctx.feas.hit", h);
-        }
-        if m > 0 {
-            hoiho_obs::add("evalctx.feas.miss", m);
-        }
-        let (a, r) = (self.accepts.take(), self.rejects.take());
-        if a > 0 {
-            hoiho_obs::add("rtt.consistency.accept", a);
-        }
-        if r > 0 {
-            hoiho_obs::add("rtt.consistency.reject", r);
-        }
-    }
-}
-
 /// Shared evaluation state for one suffix: the dictionary, the training
-/// hosts, plus the decode and feasibility memos every candidate
+/// hosts, the decode memo and the best-case table every candidate
 /// evaluation draws from.
 pub struct EvalContext<'a> {
     /// The reference dictionary.
@@ -162,7 +74,7 @@ pub struct EvalContext<'a> {
     /// clone the suffix or hosts into throwaway conventions).
     pub hosts: &'a [TrainHost],
     interner: RefCell<Interner>,
-    feas: FeasibilityCache,
+    table: Arc<BestCaseTable>,
     decode_hits: Cell<u64>,
     decode_misses: Cell<u64>,
 }
@@ -181,7 +93,7 @@ impl<'a> EvalContext<'a> {
         EvalContext::with_table(db, suffix, hosts, table)
     }
 
-    /// A fresh context whose feasibility misses are answered from a
+    /// A fresh context whose feasibility probes are answered from a
     /// shared `table`, which fixes the vantage points and policy.
     pub fn with_table(
         db: &'a GeoDb,
@@ -194,7 +106,7 @@ impl<'a> EvalContext<'a> {
             suffix,
             hosts,
             interner: RefCell::new(Interner::default()),
-            feas: FeasibilityCache::new(table),
+            table,
             decode_hits: Cell::new(0),
             decode_misses: Cell::new(0),
         }
@@ -242,13 +154,10 @@ impl<'a> EvalContext<'a> {
         self.interner.borrow().entries[id.0 as usize].canon
     }
 
-    /// Memoized RTT feasibility of `loc` for `host`'s router. Keyed by
-    /// the address of the host's shared RTT table, so hosts of one
-    /// router share answers while hand-built test hosts that reuse a
-    /// router id with different samples stay distinct.
+    /// RTT feasibility of `loc` for `host`'s router.
     pub fn feasible(&self, host: &TrainHost, loc: LocationId) -> bool {
-        let key = Arc::as_ptr(&host.rtts) as u64;
-        self.feas.feasible(self.db, key, &host.rtts, loc)
+        self.table
+            .feasibility(&host.rtts, loc, &self.db.location(loc).coords)
     }
 
     /// Resolve interned ids back to sorted hint texts — the report
@@ -274,15 +183,13 @@ impl Drop for EvalContext<'_> {
         if m > 0 {
             hoiho_obs::add("evalctx.decode.miss", m);
         }
-        self.feas.flush_obs();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoiho_geotypes::{Coordinates, Rtt};
-    use hoiho_rtt::{consistency::feasibility, VpId};
+    use hoiho_geotypes::Coordinates;
 
     fn world() -> (GeoDb, VpSet) {
         let db = GeoDb::builtin();
@@ -309,29 +216,6 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(ctx.canonical(c), ctx.canonical(a));
         assert_eq!(ctx.canonical(a), a);
-    }
-
-    #[test]
-    fn feasibility_cache_matches_pure_predicate() {
-        let (db, vps) = world();
-        let policy = ConsistencyPolicy::STRICT;
-        let mut rtts = RouterRtts::new();
-        rtts.record(VpId(0), Rtt::from_ms(3.0));
-        let cache = FeasibilityCache::standalone(&db, &vps, &policy);
-        for &(hint, ty) in &[
-            ("lhr", GeohintType::Iata),
-            ("iad", GeohintType::Iata),
-            ("fra", GeohintType::Iata),
-        ] {
-            for loc in db.lookup_typed(hint, ty) {
-                let pure = feasibility(&vps, &rtts, &db.location(loc).coords, &policy);
-                // First call computes, second must hit the memo; both
-                // agree with the pure predicate.
-                assert_eq!(cache.feasible(&db, 7, &rtts, loc), pure);
-                assert_eq!(cache.feasible(&db, 7, &rtts, loc), pure);
-            }
-        }
-        assert!(cache.hits.get() >= cache.misses.get());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod train;
 pub use apply::{GeoInference, Geolocator, SuffixGeo};
 pub use convention::{CaptureRole, Extraction, GeoRegex, NamingConvention, Plan};
 pub use eval::{EvalResult, Metrics, Outcome};
-pub use evalctx::{EvalContext, FeasibilityCache, HintId};
+pub use evalctx::{EvalContext, HintId};
 pub use learned::{LearnPolicy, LearnedHint, LearnedHints, RankOrder};
 pub use pipeline::{Hoiho, HoihoOptions, LearnReport, SuffixResult};
 pub use rank::NcClass;

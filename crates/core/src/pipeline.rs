@@ -15,6 +15,13 @@ use hoiho_rtt::{ConsistencyPolicy, VpSet};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Cap on deduplicated phase-1 candidates per suffix.
+const MAX_CANDIDATES: usize = 300;
+/// How many top-ranked candidates phase 3 refines.
+const REFINE_TOP: usize = 40;
+/// Minimum tagged hostnames for a suffix to be worth learning.
+pub const MIN_TAGGED: usize = 3;
+
 /// Tunables of the learner.
 #[derive(Debug, Clone)]
 pub struct HoihoOptions {
@@ -24,12 +31,6 @@ pub struct HoihoOptions {
     pub learn: LearnPolicy,
     /// Stage-4 master switch (the §6.1 ablation sets this false).
     pub learn_custom_hints: bool,
-    /// Cap on deduplicated phase-1 candidates per suffix.
-    pub max_candidates: usize,
-    /// How many top-ranked candidates phase 3 refines.
-    pub refine_top: usize,
-    /// Minimum tagged hostnames for a suffix to be worth learning.
-    pub min_tagged: usize,
     /// Automatically detect and discard vantage points whose access
     /// routers spoof probe responses (§5.1.4: the paper discarded seven
     /// such VPs by hand and sketches this automation as future work).
@@ -45,9 +46,6 @@ impl Default for HoihoOptions {
             policy: ConsistencyPolicy::STRICT,
             learn: LearnPolicy::default(),
             learn_custom_hints: true,
-            max_candidates: 300,
-            refine_top: 40,
-            min_tagged: 3,
             filter_spoofed_vps: true,
             threads: 0,
         }
@@ -191,7 +189,7 @@ impl<'a> Hoiho<'a> {
             ));
         }
         // One best-case RTT table for the whole learn: stage 2 and every
-        // suffix's evaluation context answer feasibility misses from it.
+        // suffix's evaluation context answer feasibility probes from it.
         let table = Arc::new(BestCaseTable::new(
             &corpus.vps,
             &self.opts.policy,
@@ -304,7 +302,7 @@ impl<'a> Hoiho<'a> {
         self.learn_suffix_with(set, &table)
     }
 
-    /// [`Hoiho::learn_suffix`] answering feasibility misses from a
+    /// [`Hoiho::learn_suffix`] answering feasibility probes from a
     /// best-case table shared across suffixes.
     fn learn_suffix_with(&self, set: &SuffixSet, table: &Arc<BestCaseTable>) -> SuffixResult {
         let hosts = &set.hosts;
@@ -321,12 +319,12 @@ impl<'a> Hoiho<'a> {
             geolocated_routers: HashSet::new(),
             extrapolated_routers: HashSet::new(),
         };
-        if tagged < self.opts.min_tagged {
+        if tagged < MIN_TAGGED {
             return empty(NcClass::Poor);
         }
         let _suffix_span = hoiho_obs::span_detail("learn.suffix", set.suffix.clone());
         // One evaluation context for the whole suffix: every candidate
-        // below shares its decode and feasibility memos.
+        // below shares its decode memo and the learn's best-case table.
         let ctx = EvalContext::with_table(self.db, &set.suffix, hosts, Arc::clone(table));
 
         let ranked = self.rank_candidates(&ctx);
@@ -416,7 +414,7 @@ impl<'a> Hoiho<'a> {
             b.1.cmp(&a.1)
                 .then_with(|| a.0.regex.as_pattern().cmp(&b.0.regex.as_pattern()))
         });
-        cands.truncate(self.opts.max_candidates);
+        cands.truncate(MAX_CANDIDATES);
 
         // Evaluate singles.
         let mut evals: Vec<(GeoRegex, EvalResult)> = Vec::new();
@@ -456,7 +454,7 @@ impl<'a> Hoiho<'a> {
         // Phase 3: refine the leaders.
         let phase3 = hoiho_obs::span("learn.suffix.phase3");
         let mut refined = Vec::new();
-        for (r, _) in evals.iter().take(self.opts.refine_top) {
+        for (r, _) in evals.iter().take(REFINE_TOP) {
             if let Some(n) = embed_character_classes(hosts, r) {
                 if seen.insert(n.regex.as_pattern()) {
                     let e = eval_regex(ctx, &n, None);

@@ -13,11 +13,10 @@
 //!    agree on a different, RTT-consistent location.
 
 use crate::apply::Geolocator;
-use crate::evalctx::FeasibilityCache;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::{Corpus, RouterId};
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::ConsistencyPolicy;
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy};
 use std::collections::HashMap;
 
 /// One flagged hostname.
@@ -48,9 +47,7 @@ pub fn detect_stale(
     policy: &ConsistencyPolicy,
 ) -> Vec<StaleFinding> {
     let mut out = Vec::new();
-    // Corpus-wide feasibility cache: sibling hostnames on one router
-    // frequently resolve to the same handful of locations.
-    let feas = FeasibilityCache::standalone(db, &corpus.vps, policy);
+    let table = BestCaseTable::new(&corpus.vps, policy, db.len());
     for (id, router) in corpus.iter() {
         if router.rtts.is_empty() {
             continue;
@@ -59,7 +56,11 @@ pub fn detect_stale(
         let mut located: Vec<(String, hoiho_geotypes::LocationId, bool)> = Vec::new();
         for h in router.hostnames() {
             if let Some(inf) = geo.geolocate(db, psl, h) {
-                let ok = feas.feasible(db, id.0 as u64, &router.rtts, inf.location);
+                let ok = table.feasibility(
+                    &router.rtts,
+                    inf.location,
+                    &db.location(inf.location).coords,
+                );
                 located.push((h.to_string(), inf.location, ok));
             }
         }
@@ -88,7 +89,6 @@ pub fn detect_stale(
             }
         }
     }
-    feas.flush_obs();
     out
 }
 

@@ -1,7 +1,6 @@
 //! Per-suffix training sets assembled from a corpus.
 
-use crate::apparent::{tag_prefix_cached, Tag};
-use crate::evalctx::FeasibilityCache;
+use crate::apparent::{tag_prefix_with, Tag};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
@@ -57,7 +56,7 @@ pub fn build_training_sets(
     corpus: &Corpus,
     policy: &ConsistencyPolicy,
 ) -> Vec<SuffixSet> {
-    let table = Arc::new(BestCaseTable::new(&corpus.vps, policy, db.len()));
+    let table = BestCaseTable::new(&corpus.vps, policy, db.len());
     build_training_sets_stripped(db, psl, corpus, &table, &[])
 }
 
@@ -70,13 +69,9 @@ pub(crate) fn build_training_sets_stripped(
     db: &GeoDb,
     psl: &PublicSuffixList,
     corpus: &Corpus,
-    table: &Arc<BestCaseTable>,
+    table: &BestCaseTable,
     spoofed: &[VpId],
 ) -> Vec<SuffixSet> {
-    // One corpus-wide feasibility cache, keyed by router id: every
-    // hostname of a router probes the same candidate locations against
-    // the same RTT samples.
-    let feas = FeasibilityCache::new(Arc::clone(table));
     let mut by_suffix: HashMap<String, Vec<TrainHost>> = HashMap::new();
     for (id, r) in corpus.iter() {
         let mut rtts: Option<Arc<RouterRtts>> = None;
@@ -95,7 +90,7 @@ pub(crate) fn build_training_sets_stripped(
                 })
             });
             let prefix = prefix.to_ascii_lowercase();
-            let tags = tag_prefix_cached(db, rtts, &prefix, &feas, id.0 as u64);
+            let tags = tag_prefix_with(db, rtts, &prefix, table);
             by_suffix.entry(suffix).or_default().push(TrainHost {
                 hostname: h.to_ascii_lowercase(),
                 prefix,
@@ -105,7 +100,6 @@ pub(crate) fn build_training_sets_stripped(
             });
         }
     }
-    feas.flush_obs();
     let mut sets: Vec<SuffixSet> = by_suffix
         .into_iter()
         .map(|(suffix, hosts)| SuffixSet { suffix, hosts })

@@ -53,11 +53,9 @@ impl ConsistencyPolicy {
 /// vacuously consistent (the paper can only tag hints on routers with
 /// constraints; callers decide how to treat the unconstrained case).
 ///
-/// This is a pure function of `(samples, candidate, policy)` — no
-/// observability side effects — which is what makes it safe to memoize:
-/// `hoiho`'s `FeasibilityCache` stores one bit per `(router, location)`
-/// pair, answers its misses from a [`BestCaseTable`], and every layer
-/// answers exactly what this function would.
+/// This is a pure function of `(samples, candidate, policy)` with no
+/// observability side effects. The learner asks a [`BestCaseTable`]
+/// instead, which answers exactly what this function would.
 pub fn feasibility(
     vps: &VpSet,
     samples: &RouterRtts,
@@ -100,7 +98,8 @@ impl BestCaseTable {
 
     /// [`feasibility`] of location `loc`, whose coordinates are
     /// `candidate`, for a router's samples. The coordinates are read only
-    /// when `loc`'s row is first filled.
+    /// when `loc`'s row is first filled. Counts the answer toward
+    /// `rtt.consistency.{accept,reject}`, as [`rtt_consistent`] does.
     ///
     /// # Panics
     /// Panics when `loc` is outside the table or a sample names a VP
@@ -117,15 +116,17 @@ impl BestCaseTable {
                 .map(|vp| best_case_rtt_ms(vp, candidate) * self.policy.bestcase_factor)
                 .collect()
         });
-        samples
+        let ok = samples
             .samples()
             .iter()
-            .all(|(vp, measured)| row[vp.0 as usize] <= measured.as_ms() + self.policy.slack_ms)
+            .all(|(vp, measured)| row[vp.0 as usize] <= measured.as_ms() + self.policy.slack_ms);
+        count(ok);
+        ok
     }
 }
 
-/// [`feasibility`] plus accept/reject observability counters — the
-/// uncached entry point for code outside the memoized learn path.
+/// [`feasibility`] plus accept/reject observability counters, for
+/// callers without a [`BestCaseTable`].
 pub fn rtt_consistent(
     vps: &VpSet,
     samples: &RouterRtts,
@@ -133,8 +134,14 @@ pub fn rtt_consistent(
     policy: &ConsistencyPolicy,
 ) -> bool {
     let ok = feasibility(vps, samples, candidate, policy);
-    // This predicate runs in the innermost learner loops, so even a
-    // cached atomic add is only paid when observability is on.
+    count(ok);
+    ok
+}
+
+/// Count one feasibility answer toward `rtt.consistency.{accept,reject}`.
+/// The predicate runs in the innermost learner loops, so even a cached
+/// atomic add is only paid when observability is on.
+fn count(ok: bool) {
     if hoiho_obs::enabled() {
         if ok {
             hoiho_obs::counter!("rtt.consistency.accept").inc();
@@ -142,23 +149,6 @@ pub fn rtt_consistent(
             hoiho_obs::counter!("rtt.consistency.reject").inc();
         }
     }
-    ok
-}
-
-/// The subset of `candidates` that survive the feasibility test.
-pub fn filter_consistent<'a, I>(
-    vps: &VpSet,
-    samples: &RouterRtts,
-    candidates: I,
-    policy: &ConsistencyPolicy,
-) -> Vec<&'a Coordinates>
-where
-    I: IntoIterator<Item = &'a Coordinates>,
-{
-    candidates
-        .into_iter()
-        .filter(|c| rtt_consistent(vps, samples, c, policy))
-        .collect()
 }
 
 #[cfg(test)]
@@ -293,16 +283,5 @@ mod tests {
             }
             assert!(yes > 100 && no > 100, "both answers exercised: {yes}/{no}");
         }
-    }
-
-    #[test]
-    fn filter_keeps_only_feasible() {
-        let (vps, ashburn, london) = world();
-        let mut s = RouterRtts::new();
-        s.record(crate::VpId(0), Rtt::from_ms(3.0));
-        let cands = [ashburn, london];
-        let kept = filter_consistent(&vps, &s, cands.iter(), &ConsistencyPolicy::STRICT);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0], &ashburn);
     }
 }

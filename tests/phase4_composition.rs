@@ -5,6 +5,7 @@
 //! and which member matched.
 
 use hoiho::eval::eval_nc;
+use hoiho::pipeline::MIN_TAGGED;
 use hoiho::sets::build_sets;
 use hoiho::train::build_training_sets;
 use hoiho::{EvalContext, Hoiho};
@@ -20,7 +21,7 @@ fn check_corpus(db: &GeoDb, psl: &PublicSuffixList, corpus: &Corpus) -> (usize, 
     let opts = hoiho.options();
     let sets = build_training_sets(db, psl, corpus, &opts.policy);
     let (mut checked, mut grown) = (0, 0);
-    for set in sets.iter().filter(|s| s.tagged() >= opts.min_tagged) {
+    for set in sets.iter().filter(|s| s.tagged() >= MIN_TAGGED) {
         let ctx = EvalContext::new(db, &corpus.vps, &opts.policy, &set.suffix, &set.hosts);
         let ranked = hoiho.rank_candidates(&ctx);
         for (nc, composed) in build_sets(&ctx, &ranked) {
