@@ -109,6 +109,13 @@ if want smoke; then
     grep '"type":"counter"' "$WORK/metrics2.jsonl" | sort >"$WORK/counters2.txt"
     [ -s "$WORK/counters1.txt" ] || { echo "smoke: learn wrote no counters"; exit 1; }
     cmp "$WORK/counters1.txt" "$WORK/counters2.txt"
+    # The spoofed-VP filter reports both counters, zero or not.
+    for c in rtt.spoof.vps_checked rtt.spoof.vps_flagged; do
+        grep -q "\"name\":\"$c\"" "$WORK/counters1.txt" || {
+            echo "smoke: learn wrote no $c counter"
+            exit 1
+        }
+    done
     ./target/release/hoiho serve --artifacts "$WORK/artifacts.txt" \
         --addr 127.0.0.1:0 --threads 2 --port-file "$WORK/port" &
     SERVE_PID=$!

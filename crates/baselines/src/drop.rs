@@ -99,10 +99,7 @@ impl Drop {
         let mut tallies: HashMap<(String, DropRule), (usize, usize)> = HashMap::new();
         for (_, router) in corpus.iter() {
             for h in router.hostnames() {
-                let Some(suffix) = psl.registerable_suffix(h) else {
-                    continue;
-                };
-                let Some(prefix) = psl.prefix_of(h) else {
+                let Some((prefix, suffix)) = psl.split_at_suffix(h) else {
                     continue;
                 };
                 let prefix = prefix.to_ascii_lowercase();
@@ -196,9 +193,8 @@ impl Drop {
         hostname: &str,
     ) -> Option<LocationId> {
         let hostname = hostname.to_ascii_lowercase();
-        let suffix = psl.registerable_suffix(&hostname)?;
+        let (prefix, suffix) = psl.split_at_suffix(&hostname)?;
         let rule = self.rules.get(&suffix)?;
-        let prefix = psl.prefix_of(&hostname)?;
         let labels: Vec<&str> = prefix.split('.').collect();
         // Rigid structure: exact label count (figure 2's failure mode).
         if labels.len() != rule.labels {

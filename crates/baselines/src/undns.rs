@@ -95,9 +95,8 @@ impl Undns {
     /// hostname.
     pub fn geolocate(&self, psl: &PublicSuffixList, hostname: &str) -> Option<LocationId> {
         let hostname = hostname.to_ascii_lowercase();
-        let suffix = psl.registerable_suffix(&hostname)?;
+        let (prefix, suffix) = psl.split_at_suffix(&hostname)?;
         let table = self.rules.get(&suffix)?;
-        let prefix = psl.prefix_of(&hostname)?;
         for label in prefix.split('.') {
             for run in label.split(|c: char| !c.is_ascii_lowercase()) {
                 if run.is_empty() {

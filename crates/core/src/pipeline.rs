@@ -21,12 +21,12 @@ const MAX_CANDIDATES: usize = 300;
 const REFINE_TOP: usize = 40;
 /// Minimum tagged hostnames for a suffix to be worth learning.
 pub const MIN_TAGGED: usize = 3;
+/// RTT feasibility policy (STRICT reproduces the paper).
+const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
 /// Tunables of the learner.
 #[derive(Debug, Clone)]
 pub struct HoihoOptions {
-    /// RTT feasibility policy (STRICT reproduces the paper).
-    pub policy: ConsistencyPolicy,
     /// Stage-4 thresholds.
     pub learn: LearnPolicy,
     /// Stage-4 master switch (the §6.1 ablation sets this false).
@@ -43,7 +43,6 @@ pub struct HoihoOptions {
 impl Default for HoihoOptions {
     fn default() -> Self {
         HoihoOptions {
-            policy: ConsistencyPolicy::STRICT,
             learn: LearnPolicy::default(),
             learn_custom_hints: true,
             filter_spoofed_vps: true,
@@ -190,11 +189,7 @@ impl<'a> Hoiho<'a> {
         }
         // One best-case RTT table for the whole learn: stage 2 and every
         // suffix's evaluation context answer feasibility probes from it.
-        let table = Arc::new(BestCaseTable::new(
-            &corpus.vps,
-            &self.opts.policy,
-            self.db.len(),
-        ));
+        let table = Arc::new(BestCaseTable::new(&corpus.vps, &POLICY, self.db.len()));
         // Stage 2 strips the spoofed samples as it copies each training
         // router's RTTs; nothing later reads the corpus's own RTTs.
         let sets = {
@@ -298,7 +293,7 @@ impl<'a> Hoiho<'a> {
     /// Run stages 3–5 for one suffix (stage 2 tags are already on the
     /// training set).
     pub fn learn_suffix(&self, vps: &VpSet, set: &SuffixSet) -> SuffixResult {
-        let table = Arc::new(BestCaseTable::new(vps, &self.opts.policy, self.db.len()));
+        let table = Arc::new(BestCaseTable::new(vps, &POLICY, self.db.len()));
         self.learn_suffix_with(set, &table)
     }
 

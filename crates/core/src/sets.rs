@@ -197,7 +197,7 @@ mod tests {
         let psl = hoiho_psl::PublicSuffixList::builtin();
         let g = hoiho_itdk::generate(&db, &CorpusSpec::ipv4_aug2020(3000));
         let hoiho = Hoiho::new(&db, &psl);
-        let policy = hoiho.options().policy;
+        let policy = hoiho_rtt::ConsistencyPolicy::STRICT;
         let sets = crate::train::build_training_sets(&db, &psl, &g.corpus, &policy);
         let mut tried = 0;
         for set in sets.iter().filter(|s| s.tagged() >= 3).take(12) {

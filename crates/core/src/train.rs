@@ -76,10 +76,7 @@ pub(crate) fn build_training_sets_stripped(
     for (id, r) in corpus.iter() {
         let mut rtts: Option<Arc<RouterRtts>> = None;
         for h in r.hostnames() {
-            let Some(suffix) = psl.registerable_suffix(h) else {
-                continue;
-            };
-            let Some(prefix) = psl.prefix_of(h) else {
+            let Some((prefix, suffix)) = psl.split_at_suffix(h) else {
                 continue;
             };
             let rtts = rtts.get_or_insert_with(|| {

@@ -16,7 +16,7 @@
 //! other records accept any Unicode whitespace); each number is unsigned
 //! decimal with an optional leading `+`, as `str::parse` accepts.
 
-use crate::{Corpus, HostnameTruth, Interface, Router, RouterId};
+use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
 use std::fmt::Write as _;
@@ -377,11 +377,6 @@ fn scan_decimal(bytes: &[u8], mut i: usize) -> (Option<u64>, usize) {
         i += 1;
     }
     (n.filter(|_| i > start), i)
-}
-
-/// Convenience: the router ids in a corpus (used by format tests).
-pub fn router_ids(corpus: &Corpus) -> Vec<RouterId> {
-    (0..corpus.len() as u32).map(RouterId).collect()
 }
 
 #[cfg(test)]

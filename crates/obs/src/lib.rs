@@ -618,11 +618,10 @@ impl Registry {
         c
     }
 
-    /// Add `n` to the counter `name`.
+    /// Add `n` to the counter `name`, registering it even when `n` is 0
+    /// so a snapshot tells "counted nothing" from "never counted".
     pub fn add(&self, name: &str, n: u64) {
-        if n > 0 {
-            self.counter(name).add(n);
-        }
+        self.counter(name).add(n);
     }
 
     /// The histogram registered under `name` (exponential µs buckets),
@@ -934,6 +933,13 @@ mod tests {
         let snap = r.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn adding_zero_registers_the_counter() {
+        let r = Registry::new();
+        r.add("x", 0);
+        assert_eq!(r.snapshot().counters.get("x"), Some(&0));
     }
 
     #[test]

@@ -187,17 +187,27 @@ impl PublicSuffixList {
         reg_at(best)
     }
 
-    /// The part of the hostname before the registerable suffix (without
-    /// the joining dot): `r1.lon` for `r1.lon.gtt.net`. Empty when the
-    /// hostname *is* the registerable suffix; `None` when there is no
-    /// registerable suffix at all.
-    pub fn prefix_of<'h>(&self, hostname: &'h str) -> Option<&'h str> {
+    /// Split a hostname at its registerable suffix with one PSL walk:
+    /// the part before it (original case, without the joining dot) and
+    /// the suffix as [`PublicSuffixList::registerable_suffix`] returns
+    /// it. The prefix is empty when the hostname *is* the registerable
+    /// suffix; `None` when there is no registerable suffix at all.
+    ///
+    /// ```
+    /// let psl = hoiho_psl::PublicSuffixList::builtin();
+    /// assert_eq!(psl.split_at_suffix("r1.lon.gtt.net"), Some(("r1.lon", "gtt.net".to_string())));
+    /// assert_eq!(psl.split_at_suffix("gtt.net"), Some(("", "gtt.net".to_string())));
+    /// assert_eq!(psl.split_at_suffix("net"), None);
+    /// ```
+    pub fn split_at_suffix<'h>(&self, hostname: &'h str) -> Option<(&'h str, String)> {
         let suffix = self.registerable_suffix(hostname)?;
         let host = hostname.trim_end_matches('.');
-        if host.len() == suffix.len() {
-            return Some("");
-        }
-        Some(&host[..host.len() - suffix.len() - 1])
+        let prefix = if host.len() == suffix.len() {
+            ""
+        } else {
+            &host[..host.len() - suffix.len() - 1]
+        };
+        Some((prefix, suffix))
     }
 }
 
@@ -276,11 +286,63 @@ mod tests {
     }
 
     #[test]
-    fn prefix_of_splits_correctly() {
+    fn split_at_suffix_matches_two_walks() {
+        // The split as it was computed before: the suffix from one walk,
+        // then a second walk to slice the prefix off the hostname.
+        fn two_walks<'h>(psl: &PublicSuffixList, hostname: &'h str) -> Option<(&'h str, String)> {
+            let suffix = psl.registerable_suffix(hostname)?;
+            let prefix = {
+                let suffix = psl.registerable_suffix(hostname)?;
+                let host = hostname.trim_end_matches('.');
+                if host.len() == suffix.len() {
+                    ""
+                } else {
+                    &host[..host.len() - suffix.len() - 1]
+                }
+            };
+            Some((prefix, suffix))
+        }
         let psl = PublicSuffixList::builtin();
-        assert_eq!(psl.prefix_of("r1.lon.gtt.net"), Some("r1.lon"));
-        assert_eq!(psl.prefix_of("gtt.net"), Some(""));
-        assert_eq!(psl.prefix_of("net"), None);
+        let ck = PublicSuffixList::parse("*.ck\n!www.ck\n");
+        assert_eq!(
+            psl.split_at_suffix("r1.lon.gtt.net"),
+            Some(("r1.lon", "gtt.net".to_string()))
+        );
+        assert_eq!(
+            psl.split_at_suffix("gtt.net"),
+            Some(("", "gtt.net".to_string()))
+        );
+        assert_eq!(psl.split_at_suffix("net"), None);
+        assert_eq!(
+            psl.split_at_suffix("R1.LON.GTT.NET."),
+            Some(("R1.LON", "gtt.net".to_string()))
+        );
+        assert_eq!(
+            psl.split_at_suffix("a..b.gtt.net"),
+            Some(("a..b", "gtt.net".to_string()))
+        );
+        for (l, host) in [
+            (&psl, "foo.bar.example.com"),
+            (&psl, "core1.syd.ccnw.net.au"),
+            (&psl, "r.x.isp.co.uk"),
+            (&psl, "a.b.frobnicate"),
+            (&psl, "com"),
+            (&psl, "net.au"),
+            (&psl, ""),
+            (&psl, "."),
+            (&psl, "R1.LON.GTT.NET."),
+            (&psl, "r1.lon.gtt.net.."),
+            (&psl, "a..b.gtt.net"),
+            (&psl, "gtt.net"),
+            (&psl, "ccnw.net.au"),
+            (&psl, "net"),
+            (&ck, "host.shop.example.ck"),
+            (&ck, "host.www.ck"),
+            (&ck, "www.ck"),
+            (&ck, "example.ck"),
+        ] {
+            assert_eq!(l.split_at_suffix(host), two_walks(l, host), "{host}");
+        }
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! routers *spoofed* TCP reset responses: RTTs were 1–2 ms regardless of
 //! target distance. This module injects that pathology into a simulated
 //! measurement campaign and implements the automatic filter the paper
-//! sketches as future work (flag VPs whose RTTs are implausibly constant
-//! across targets at very different distances).
+//! sketches as future work: [`detect_spoofing_vps_blind`] flags VPs
+//! whose RTTs are implausibly tight and small across all their targets,
+//! from four numbers per VP gathered in one pass over the samples, and
+//! [`strip_vps`] removes the flagged VPs' samples from a measurement.
 
 use crate::rng::Rng;
 use crate::{RouterRtts, VpId, VpSet};
-use hoiho_geotypes::{Coordinates, Rtt};
+use hoiho_geotypes::Rtt;
 
 /// Replace the samples of `spoofed_vps` in a measurement with constant
 /// near-zero RTTs, as a spoofing middlebox would.
@@ -35,48 +37,15 @@ impl RouterRtts {
     }
 }
 
-/// Detect spoofing VPs across a measurement campaign: a VP is flagged
-/// when, over many targets spanning very different distances, its RTT
-/// spread stays within `max_spread_ms`. Honest VPs see a wide spread
-/// because targets range from local to intercontinental.
-pub fn detect_spoofing_vps(
-    vps: &VpSet,
-    campaigns: &[(Coordinates, RouterRtts)],
-    max_spread_ms: f64,
-    min_targets: usize,
-) -> Vec<VpId> {
-    let mut flagged = Vec::new();
-    for (vp_id, _) in vps.iter() {
-        let mut min = f64::INFINITY;
-        let mut max: f64 = 0.0;
-        let mut n = 0usize;
-        let mut dist_min = f64::INFINITY;
-        let mut dist_max: f64 = 0.0;
-        for (router, samples) in campaigns {
-            if let Ok(i) = samples.samples().binary_search_by_key(&vp_id, |(v, _)| *v) {
-                let rtt = samples.samples()[i].1.as_ms();
-                min = min.min(rtt);
-                max = max.max(rtt);
-                n += 1;
-                let d = vps.get(vp_id).coords.distance_km(router);
-                dist_min = dist_min.min(d);
-                dist_max = dist_max.max(d);
-            }
-        }
-        // Only meaningful when this VP measured targets at genuinely
-        // different distances.
-        if n >= min_targets && dist_max - dist_min > 2_000.0 && max - min <= max_spread_ms {
-            flagged.push(vp_id);
-        }
-    }
-    flagged
-}
-
-/// Detect spoofing VPs *without* ground-truth target locations — the
-/// production-usable variant of [`detect_spoofing_vps`]. A spoofing
-/// middlebox answers every probe locally, so the VP's RTT distribution
-/// across many targets is implausibly tight and implausibly small; an
-/// honest VP probing Internet-spread targets sees a wide spread.
+/// Detect spoofing VPs without target locations. A spoofing middlebox
+/// answers every probe locally, so the VP's RTT distribution across many
+/// targets is implausibly tight and implausibly small; an honest VP
+/// probing Internet-spread targets sees a wide spread.
+///
+/// A VP is flagged when it has at least `min_targets` samples, their
+/// spread is at most `max_spread_ms` and their upper median (the
+/// `n / 2`-th smallest) is at most `max_median_ms`. Samples naming a VP
+/// outside `vps` are skipped.
 pub fn detect_spoofing_vps_blind(
     vps: &VpSet,
     campaigns: &[&RouterRtts],
@@ -84,42 +53,30 @@ pub fn detect_spoofing_vps_blind(
     max_median_ms: f64,
     min_targets: usize,
 ) -> Vec<VpId> {
-    // One pass over the campaigns scatters every sample to its VP's
-    // bucket; the per-VP binary-search alternative touches each
-    // campaign's sample vector once per VP and is badly cache-hostile
-    // at corpus scale.
-    let mut per_vp: Vec<Vec<f64>> = vec![Vec::new(); vps.len()];
+    // One pass folds each sample into its VP's (n, min, max, le), where
+    // `le` counts samples at or under `max_median_ms`: the upper median
+    // is at or under the bound exactly when `le > n / 2`, which also
+    // keeps a VP with no samples from being flagged.
+    let mut acc = vec![(0usize, f64::INFINITY, 0.0f64, 0usize); vps.len()];
     for samples in campaigns {
         for (vp, rtt) in samples.samples() {
-            if let Some(bucket) = per_vp.get_mut(vp.0 as usize) {
-                bucket.push(rtt.as_ms());
+            if let Some((n, min, max, le)) = acc.get_mut(vp.0 as usize) {
+                let ms = rtt.as_ms();
+                *n += 1;
+                *min = min.min(ms);
+                *max = max.max(ms);
+                *le += usize::from(ms <= max_median_ms);
             }
         }
     }
-    let mut flagged = Vec::new();
-    for (vp_id, _) in vps.iter() {
-        let rtts = &mut per_vp[vp_id.0 as usize];
-        if rtts.len() < min_targets {
-            continue;
-        }
-        // Selection instead of a full sort: the spread needs only the
-        // extremes and the median is a single order statistic.
-        let mid = rtts.len() / 2;
-        let (_, &mut median, _) = rtts.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
-        let mut lo = rtts[0];
-        let mut hi = rtts[0];
-        for &v in rtts.iter() {
-            if v.total_cmp(&lo).is_lt() {
-                lo = v;
-            }
-            if v.total_cmp(&hi).is_gt() {
-                hi = v;
-            }
-        }
-        if hi - lo <= max_spread_ms && median <= max_median_ms {
-            flagged.push(vp_id);
-        }
-    }
+    let flagged: Vec<VpId> = vps
+        .iter()
+        .map(|(vp_id, _)| vp_id)
+        .filter(|vp_id| {
+            let (n, min, max, le) = acc[vp_id.0 as usize];
+            n >= min_targets && max - min <= max_spread_ms && le > n / 2
+        })
+        .collect();
     hoiho_obs::add("rtt.spoof.vps_checked", vps.len() as u64);
     hoiho_obs::add("rtt.spoof.vps_flagged", flagged.len() as u64);
     flagged
@@ -145,6 +102,7 @@ mod tests {
     use super::*;
     use crate::rng::StdRng;
     use crate::RttModel;
+    use hoiho_geotypes::Coordinates;
 
     fn world() -> VpSet {
         let mut vps = VpSet::new();
@@ -164,23 +122,90 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn spoofed_vp_detected_honest_vps_not() {
-        let vps = world();
-        let model = RttModel {
-            per_vp_response_rate: 1.0,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(77);
-        let spoofed = vec![VpId(1)];
-        let mut campaigns = Vec::new();
-        for t in targets() {
-            let mut s = model.probe_from_all(&vps, &t, &mut rng);
-            inject_spoofing(&mut s, &spoofed, &mut rng);
-            campaigns.push((t, s));
+    /// The detector as it was before the accumulators: scatter every
+    /// sample into a per-VP bucket, select the upper median, rescan for
+    /// the extremes. Kept as the equivalence reference; like the
+    /// original it panics on an empty bucket when `min_targets` is 0.
+    fn reference_spoofing_vps(
+        vps: &VpSet,
+        campaigns: &[&RouterRtts],
+        max_spread_ms: f64,
+        max_median_ms: f64,
+        min_targets: usize,
+    ) -> Vec<VpId> {
+        let mut per_vp: Vec<Vec<f64>> = vec![Vec::new(); vps.len()];
+        for samples in campaigns {
+            for (vp, rtt) in samples.samples() {
+                if let Some(bucket) = per_vp.get_mut(vp.0 as usize) {
+                    bucket.push(rtt.as_ms());
+                }
+            }
         }
-        let flagged = detect_spoofing_vps(&vps, &campaigns, 5.0, 3);
-        assert_eq!(flagged, vec![VpId(1)]);
+        let mut flagged = Vec::new();
+        for (vp_id, _) in vps.iter() {
+            let rtts = &mut per_vp[vp_id.0 as usize];
+            if rtts.len() < min_targets {
+                continue;
+            }
+            let mid = rtts.len() / 2;
+            let (_, &mut median, _) = rtts.select_nth_unstable_by(mid, |a, b| a.total_cmp(b));
+            let mut lo = rtts[0];
+            let mut hi = rtts[0];
+            for &v in rtts.iter() {
+                if v.total_cmp(&lo).is_lt() {
+                    lo = v;
+                }
+                if v.total_cmp(&hi).is_gt() {
+                    hi = v;
+                }
+            }
+            if hi - lo <= max_spread_ms && median <= max_median_ms {
+                flagged.push(vp_id);
+            }
+        }
+        flagged
+    }
+
+    fn vp_set(n: usize) -> VpSet {
+        let mut vps = VpSet::new();
+        for i in 0..n {
+            vps.add(format!("vp{i}"), Coordinates::new(0.0, 0.0));
+        }
+        vps
+    }
+
+    /// One target's samples as (VP id, RTT in µs).
+    type Target<'a> = &'a [(u16, u64)];
+
+    /// One campaign per target, each holding one sample per VP listed
+    /// for that target.
+    fn campaigns_us(per_target: &[Target]) -> Vec<RouterRtts> {
+        per_target
+            .iter()
+            .map(|samples| {
+                let mut s = RouterRtts::new();
+                for &(vp, us) in *samples {
+                    s.record(VpId(vp), Rtt::from_us(us));
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// Both detectors agree on `campaigns` for every threshold triple.
+    fn assert_matches_reference(vps: &VpSet, campaigns: &[RouterRtts], label: &str) {
+        let refs: Vec<&RouterRtts> = campaigns.iter().collect();
+        for spread in [0.0, 1.0, 5.0, 1e300] {
+            for median in [0.0, 1.0, 2.0, 5.0, 1e300] {
+                for min_targets in 1..=4 {
+                    assert_eq!(
+                        detect_spoofing_vps_blind(vps, &refs, spread, median, min_targets),
+                        reference_spoofing_vps(vps, &refs, spread, median, min_targets),
+                        "{label}: spread {spread} median {median} min_targets {min_targets}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -196,8 +221,29 @@ mod tests {
     #[test]
     fn detection_requires_enough_targets() {
         let vps = world();
-        let campaigns = vec![];
-        assert!(detect_spoofing_vps(&vps, &campaigns, 5.0, 3).is_empty());
+        assert!(detect_spoofing_vps_blind(&vps, &[], 5.0, 5.0, 3).is_empty());
+        // VP 1 answers every target in 1 ms: flagged at `min_targets`
+        // samples, not at one fewer.
+        let campaigns = campaigns_us(&[&[(1, 1_000)], &[(1, 1_000)], &[(1, 1_000)]]);
+        let refs: Vec<&RouterRtts> = campaigns.iter().collect();
+        assert!(detect_spoofing_vps_blind(&vps, &refs[..2], 5.0, 5.0, 3).is_empty());
+        assert_eq!(
+            detect_spoofing_vps_blind(&vps, &refs, 5.0, 5.0, 3),
+            vec![VpId(1)]
+        );
+    }
+
+    #[test]
+    fn vp_without_samples_is_never_flagged() {
+        let vps = world();
+        assert!(detect_spoofing_vps_blind(&vps, &[], 5.0, 5.0, 0).is_empty());
+        // Only VP 0 has samples; the silent VPs 1 and 2 stay unflagged.
+        let campaigns = campaigns_us(&[&[(0, 1_000)]]);
+        let refs: Vec<&RouterRtts> = campaigns.iter().collect();
+        assert_eq!(
+            detect_spoofing_vps_blind(&vps, &refs, 5.0, 5.0, 0),
+            vec![VpId(0)]
+        );
     }
 
     #[test]
@@ -218,6 +264,86 @@ mod tests {
         let refs: Vec<&RouterRtts> = campaigns_owned.iter().collect();
         let flagged = detect_spoofing_vps_blind(&vps, &refs, 5.0, 5.0, 3);
         assert_eq!(flagged, vec![VpId(2)]);
+    }
+
+    #[test]
+    fn accumulators_match_reference_on_seeded_campaigns() {
+        let model = RttModel {
+            per_vp_response_rate: 0.6,
+            ..Default::default()
+        };
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let vps = vp_set(rng.random_range(1..8usize));
+            let mut campaigns = Vec::new();
+            for _ in 0..rng.random_range(0..12usize) {
+                let lat = rng.random::<f64>() * 160.0 - 80.0;
+                let lon = rng.random::<f64>() * 360.0 - 180.0;
+                let mut s = model.probe_from_all(&vps, &Coordinates::new(lat, lon), &mut rng);
+                // Some VPs spoof, some answer in a few ms from nearby.
+                for (vp, _) in vps.iter() {
+                    match rng.random_range(0..4u8) {
+                        0 => s.record_spoofed(vp, Rtt::from_ms(1.0 + rng.random::<f64>())),
+                        1 => s.record_spoofed(vp, Rtt::from_us(rng.random_range(0..6_000u64))),
+                        _ => {}
+                    }
+                }
+                campaigns.push(s);
+            }
+            assert_matches_reference(&vps, &campaigns, &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn accumulators_match_reference_on_adversarial_campaigns() {
+        let vps = vp_set(3);
+        let table: &[(&str, &[Target])] = &[
+            ("no campaigns", &[]),
+            ("n = 1", &[&[(0, 1_000), (1, 2_000), (2, 9_000)]]),
+            // Odd n = 3: two of three at the 2 ms bound flag, one does not.
+            (
+                "odd, half plus one at bound",
+                &[&[(0, 2_000)], &[(0, 2_000)], &[(0, 2_001)]],
+            ),
+            (
+                "odd, under half at bound",
+                &[&[(0, 2_000)], &[(0, 2_001)], &[(0, 2_001)]],
+            ),
+            // Even n = 4: the upper median needs three of four at the bound.
+            (
+                "even, exactly half at bound",
+                &[&[(1, 2_000)], &[(1, 2_000)], &[(1, 2_001)], &[(1, 2_001)]],
+            ),
+            (
+                "even, half plus one at bound",
+                &[&[(1, 2_000)], &[(1, 2_000)], &[(1, 2_000)], &[(1, 2_001)]],
+            ),
+            // Spread exactly 1 ms and 5 ms, a hair over each.
+            (
+                "spread at bound",
+                &[&[(2, 1_000), (0, 0)], &[(2, 2_000), (0, 5_000)]],
+            ),
+            (
+                "spread over bound",
+                &[&[(2, 1_000), (0, 0)], &[(2, 2_001), (0, 5_001)]],
+            ),
+            ("zero rtts", &[&[(0, 0), (1, 0)], &[(0, 0), (1, 0)]]),
+            (
+                "max rtts",
+                &[&[(0, u64::MAX), (1, 0)], &[(0, u64::MAX), (1, u64::MAX)]],
+            ),
+            // VP ids 3 and 500 are not in the set and must be skipped.
+            (
+                "vps beyond the set",
+                &[
+                    &[(0, 1_000), (3, 1_000), (500, 1_000)],
+                    &[(3, 1_000), (500, 9_000)],
+                ],
+            ),
+        ];
+        for (label, per_target) in table {
+            assert_matches_reference(&vps, &campaigns_us(per_target), label);
+        }
     }
 
     #[test]
