@@ -206,7 +206,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     };
     let defaults = ConnLimits::default();
     let limits = ConnLimits {
-        read_timeout: Duration::from_millis(opts.num("read-timeout-ms", 5000)?.max(1)),
+        read_timeout: Duration::from_millis(
+            opts.num("read-timeout-ms", defaults.read_timeout.as_millis() as u64)?
+                .max(1),
+        ),
         idle_timeout: Duration::from_millis(
             opts.num("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?
                 .max(1),
@@ -217,7 +220,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let cfg = ServeConfig {
         addr: opts.get("addr").unwrap_or("127.0.0.1:3845").to_string(),
         threads,
-        queue_cap: opts.num("queue", 128)? as usize,
+        queue_cap: opts.num("queue", ServeConfig::default().queue_cap as u64)? as usize,
         limits,
         reload: (reload_ms > 0).then(|| ReloadConfig {
             path: path.into(),

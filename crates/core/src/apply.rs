@@ -170,8 +170,8 @@ impl Geolocator {
 
     /// The one lookup path: trim `hostname` and lowercase it into
     /// `scratch`, route it with the borrowing `registerable_suffix_of`
-    /// (falling back to the learner's key, `registerable_suffix`, only
-    /// where that gives up), and apply the owning [`SuffixGeo`].
+    /// (the learner's key, found by the same bounded PSL walk), and
+    /// apply the owning [`SuffixGeo`].
     pub fn lookup(
         &self,
         db: &GeoDb,
@@ -185,11 +185,8 @@ impl Geolocator {
         scratch.clear();
         scratch.push_str(hostname.trim());
         scratch.make_ascii_lowercase();
-        let geo = match psl.registerable_suffix_of(scratch) {
-            Some(suffix) => self.map.get(suffix),
-            None => self.map.get(&psl.registerable_suffix(scratch)?),
-        }?;
-        geo.geolocate(db, scratch)
+        let suffix = psl.registerable_suffix_of(scratch)?;
+        self.map.get(suffix)?.geolocate(db, scratch)
     }
 }
 

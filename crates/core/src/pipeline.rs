@@ -228,14 +228,15 @@ impl<'a> Hoiho<'a> {
         }
     }
 
-    /// Learn every suffix, fanning work across worker threads: suffixes
-    /// are independent, so results are identical to the sequential
-    /// order-preserving loop.
+    /// Learn every suffix on `threads.min(sets.len())` scoped workers
+    /// pulling from one shared counter, at every thread count: suffixes
+    /// are independent and results are returned in `sets` order, so they
+    /// do not depend on the thread count.
     fn learn_all(&self, sets: &[SuffixSet], table: &Arc<BestCaseTable>) -> Vec<SuffixResult> {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let threads = self.opts.resolved_threads().min(sets.len().max(1));
-        let done = AtomicUsize::new(0);
-        let report = |result: &SuffixResult, done: &AtomicUsize| {
+        let threads = self.opts.resolved_threads().min(sets.len());
+        let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let report = |result: &SuffixResult| {
             if hoiho_obs::enabled() {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 hoiho_obs::progress(format!(
@@ -249,23 +250,10 @@ impl<'a> Hoiho<'a> {
                 ));
             }
         };
-        if threads <= 1 || sets.len() < 4 {
-            return sets
-                .iter()
-                .map(|s| {
-                    let r = self.learn_suffix_with(s, table);
-                    report(&r, &done);
-                    r
-                })
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
         let mut indexed: Vec<(usize, SuffixResult)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let next = &next;
-                    let done = &done;
-                    let report = &report;
+                    let (next, report) = (&next, &report);
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         loop {
@@ -274,7 +262,7 @@ impl<'a> Hoiho<'a> {
                                 break;
                             }
                             let r = self.learn_suffix_with(&sets[i], table);
-                            report(&r, done);
+                            report(&r);
                             local.push((i, r));
                         }
                         local

@@ -1,8 +1,6 @@
 //! Corpus summary statistics (table 1 of the paper).
 
 use crate::Corpus;
-use hoiho_psl::PublicSuffixList;
-use std::collections::HashMap;
 
 /// Table-1-style summary of a corpus.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,25 +48,6 @@ fn pct(n: usize, d: usize) -> f64 {
     }
 }
 
-/// Group routers by the registerable suffix of their hostnames: the unit
-/// Hoiho learns per. Returns suffix → router indices (a router appears
-/// under every suffix its hostnames fall under — interconnection
-/// interfaces put one router in two suffixes).
-pub fn routers_by_suffix(corpus: &Corpus, psl: &PublicSuffixList) -> HashMap<String, Vec<u32>> {
-    let mut out: HashMap<String, Vec<u32>> = HashMap::new();
-    for (id, r) in corpus.iter() {
-        let mut seen = std::collections::HashSet::new();
-        for h in r.hostnames() {
-            if let Some(sfx) = psl.registerable_suffix(h) {
-                if seen.insert(sfx.clone()) {
-                    out.entry(sfx).or_default().push(id.0);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,34 +84,6 @@ mod tests {
             s.hostname_pct()
         );
         assert!((70.0..95.0).contains(&s.rtt_pct()), "{}", s.rtt_pct());
-    }
-
-    #[test]
-    fn suffix_grouping_covers_hostnames() {
-        let db = GeoDb::builtin();
-        let spec = CorpusSpec {
-            label: "sfx-test".into(),
-            seed: 7,
-            operators: 5,
-            routers: 150,
-            geo_operator_fraction: 1.0,
-            sloppy_operator_fraction: 0.0,
-            hostname_rate: 0.9,
-            rtt_response_rate: 0.9,
-            vps: 6,
-            custom_hint_operator_fraction: 0.0,
-            custom_hint_rate: 0.0,
-            stale_fraction: 0.0,
-            provider_side_fraction: 0.0,
-            ipv6: false,
-        };
-        let g = crate::generate(&db, &spec);
-        let psl = hoiho_psl::PublicSuffixList::builtin();
-        let by_suffix = routers_by_suffix(&g.corpus, &psl);
-        assert_eq!(by_suffix.len(), 5, "one group per operator");
-        let grouped: usize = by_suffix.values().map(Vec::len).sum();
-        let with_host = g.corpus.routers.iter().filter(|r| r.has_hostname()).count();
-        assert!(grouped >= with_host);
     }
 
     #[test]

@@ -530,7 +530,12 @@ impl Snapshot {
             return out;
         }
         out.push_str("-- span tree --\n");
-        for agg in &self.spans {
+        // Order by path component, not by the joined string: `.` sorts
+        // before `/`, so `learn.suffix` would land between `learn` and
+        // `learn/learn.train` and look like their parent.
+        let mut spans: Vec<&SpanAggregate> = self.spans.iter().collect();
+        spans.sort_by(|a, b| a.path.split('/').cmp(b.path.split('/')));
+        for agg in spans {
             let depth = agg.path.matches('/').count();
             let leaf = agg.path.rsplit('/').next().unwrap_or(&agg.path);
             let indent = "  ".repeat(depth + 1);
@@ -965,6 +970,28 @@ mod tests {
         let snap = r.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["outer", "outer/inner"]);
+    }
+
+    #[test]
+    fn span_tree_nests_children_under_their_parent() {
+        let r = Registry::new();
+        r.set_enabled(true);
+        {
+            let _learn = r.span("learn");
+            let _train = r.span("learn.train");
+        }
+        drop(r.span("learn.suffix"));
+        let tree = r.snapshot().render_span_tree();
+        let leaves: Vec<&str> = tree
+            .lines()
+            .skip(1)
+            .map(|l| l.split("  n=").next().unwrap())
+            .collect();
+        assert_eq!(
+            leaves,
+            vec!["  learn", "    learn.train", "  learn.suffix"],
+            "{tree}"
+        );
     }
 
     #[test]

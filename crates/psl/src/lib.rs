@@ -9,6 +9,14 @@
 //! rules (`!www.ck`) — and answers "what suffix does this hostname group
 //! under".
 //!
+//! [`PublicSuffixList::registerable_suffix`],
+//! [`PublicSuffixList::registerable_suffix_of`] and
+//! [`PublicSuffixList::split_at_suffix`] share one walk. It scans the
+//! hostname from the right and probes only as many labels as the longest
+//! rule has, so a name's cost does not grow with the labels left of its
+//! suffix. A name with an empty label inside its registerable suffix
+//! (`r1.gtt..net`) has none: no tail of it is a registerable domain.
+//!
 //! A built-in list covering the effective TLDs that appear in router
 //! hostname corpora is embedded via [`PublicSuffixList::builtin`]; the
 //! full Mozilla list can be loaded with [`PublicSuffixList::parse`].
@@ -32,15 +40,15 @@ enum Rule {
     Exception,
 }
 
-/// Most labels a hostname may have and still be answered by the
-/// borrowed fast path [`PublicSuffixList::registerable_suffix_of`].
-pub const MAX_BORROWED_LABELS: usize = 32;
-
 /// A parsed public suffix list.
 #[derive(Debug, Clone)]
 pub struct PublicSuffixList {
     /// Keyed by the rule's labels joined with dots (without `*.`/`!`).
     rules: HashMap<String, Rule>,
+    /// Labels in the longest rule as written (`*.ck` has two). A
+    /// registerable suffix has at most one label more, so the walk never
+    /// looks further left.
+    max_rule_labels: usize,
 }
 
 impl PublicSuffixList {
@@ -48,6 +56,7 @@ impl PublicSuffixList {
     /// blank lines ignored. Later duplicate rules overwrite earlier ones.
     pub fn parse(text: &str) -> PublicSuffixList {
         let mut rules = HashMap::new();
+        let mut max_rule_labels = 0;
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with("//") {
@@ -56,15 +65,21 @@ impl PublicSuffixList {
             // The official list terminates rules at whitespace.
             let token = line.split_whitespace().next().expect("nonempty line");
             let token = token.to_ascii_lowercase();
-            if let Some(rest) = token.strip_prefix('!') {
-                rules.insert(rest.to_string(), Rule::Exception);
+            let (key, rule) = if let Some(rest) = token.strip_prefix('!') {
+                (rest, Rule::Exception)
             } else if let Some(rest) = token.strip_prefix("*.") {
-                rules.insert(rest.to_string(), Rule::Wildcard);
+                (rest, Rule::Wildcard)
             } else {
-                rules.insert(token, Rule::Normal);
-            }
+                (token.as_str(), Rule::Normal)
+            };
+            let labels = key.split('.').count() + usize::from(rule == Rule::Wildcard);
+            max_rule_labels = max_rule_labels.max(labels);
+            rules.insert(key.to_string(), rule);
         }
-        PublicSuffixList { rules }
+        PublicSuffixList {
+            rules,
+            max_rule_labels,
+        }
     }
 
     /// The embedded list of effective TLDs.
@@ -82,33 +97,39 @@ impl PublicSuffixList {
         self.rules.is_empty()
     }
 
-    /// The length in labels of the public suffix of `labels`, per the PSL
-    /// algorithm (an unlisted TLD is a public suffix of one label).
-    fn public_suffix_labels(&self, labels: &[&str]) -> usize {
-        let mut best = 1; // prevailing default rule: "*"
-        for start in 0..labels.len() {
-            let key = labels[start..].join(".");
-            match self.rules.get(&key) {
-                Some(Rule::Normal) => best = best.max(labels.len() - start),
+    /// The PSL walk behind every public method: the byte offset in
+    /// `host` (lowercase, no leading or trailing dot) where its
+    /// registerable suffix starts. `None` when `host` is itself a public
+    /// suffix, or when an empty label falls inside the registerable
+    /// suffix, which would then not be a tail of the name.
+    ///
+    /// It probes only the last `max_rule_labels` tails as rule keys and
+    /// reads one label more, so its cost does not grow with the number
+    /// of labels left of the suffix.
+    fn suffix_start(&self, host: &str) -> Option<usize> {
+        // Byte offset of the last 1, 2, 3, … labels.
+        let tails = || host.rmatch_indices('.').map(|(dot, _)| dot + 1).chain([0]);
+        let mut public = 1; // prevailing default rule: "*"
+        let mut exception = None;
+        for (labels, start) in (1..=self.max_rule_labels).zip(tails()) {
+            match self.rules.get(&host[start..]) {
+                Some(Rule::Normal) => public = public.max(labels),
                 // The wildcard extends one label further left.
-                Some(Rule::Wildcard) if start > 0 => {
-                    best = best.max(labels.len() - start + 1);
-                }
-                Some(Rule::Exception) => {
-                    // Exception: the public suffix is the rule minus its
-                    // leftmost label.
-                    return labels.len() - start - 1;
-                }
+                Some(Rule::Wildcard) if start > 0 => public = public.max(labels + 1),
+                // The longest exception wins over every other rule: the
+                // public suffix is the rule minus its leftmost label.
+                Some(Rule::Exception) => exception = Some(labels - 1),
                 _ => {}
             }
         }
-        best
+        let start = tails().nth(exception.unwrap_or(public))?;
+        (!host[start..].split('.').any(str::is_empty)).then_some(start)
     }
 
     /// The *registerable suffix* (public suffix + one label) of a
     /// hostname, lowercased — the grouping key Hoiho learns conventions
-    /// per. Returns `None` when the hostname is itself a public suffix or
-    /// empty.
+    /// per. Returns `None` when the hostname is itself a public suffix,
+    /// is empty, or has an empty label inside that suffix.
     ///
     /// ```
     /// let psl = hoiho_psl::PublicSuffixList::builtin();
@@ -117,16 +138,8 @@ impl PublicSuffixList {
     /// assert_eq!(psl.registerable_suffix("com"), None);
     /// ```
     pub fn registerable_suffix(&self, hostname: &str) -> Option<String> {
-        let lower = hostname.trim_end_matches('.').to_ascii_lowercase();
-        let labels: Vec<&str> = lower.split('.').filter(|l| !l.is_empty()).collect();
-        if labels.is_empty() {
-            return None;
-        }
-        let ps = self.public_suffix_labels(&labels);
-        if labels.len() <= ps {
-            return None;
-        }
-        Some(labels[labels.len() - ps - 1..].join("."))
+        let lower = hostname.to_ascii_lowercase();
+        self.registerable_suffix_of(&lower).map(str::to_string)
     }
 
     /// Allocation-free variant of [`PublicSuffixList::registerable_suffix`]
@@ -136,10 +149,7 @@ impl PublicSuffixList {
     /// The caller must pass an **already-lowercased** hostname (e.g. via
     /// [`str::make_ascii_lowercase`] into a reusable buffer); a hostname
     /// containing ASCII uppercase returns `None` rather than a
-    /// wrong-cased grouping key. Hostnames with empty interior labels
-    /// (`a..b.com`) or more than [`MAX_BORROWED_LABELS`] labels are not
-    /// handled by this fast path and also return `None` — use the
-    /// allocating [`PublicSuffixList::registerable_suffix`] for those.
+    /// wrong-cased grouping key.
     ///
     /// ```
     /// let psl = hoiho_psl::PublicSuffixList::builtin();
@@ -147,51 +157,18 @@ impl PublicSuffixList {
     /// assert_eq!(psl.registerable_suffix_of("com"), None);
     /// ```
     pub fn registerable_suffix_of<'h>(&self, hostname: &'h str) -> Option<&'h str> {
-        let host = hostname.trim_matches('.');
-        if host.is_empty() {
+        if hostname.bytes().any(|b| b.is_ascii_uppercase()) {
             return None;
         }
-        // One pass: collect label start offsets on the stack, reject
-        // inputs the borrowed path cannot answer correctly.
-        let mut starts = [0usize; MAX_BORROWED_LABELS];
-        let mut n = 1;
-        let bytes = host.as_bytes();
-        for (i, &b) in bytes.iter().enumerate() {
-            if b.is_ascii_uppercase() {
-                return None;
-            }
-            if b == b'.' {
-                if bytes[i + 1] == b'.' {
-                    return None; // empty interior label
-                }
-                if n == MAX_BORROWED_LABELS {
-                    return None;
-                }
-                starts[n] = i + 1;
-                n += 1;
-            }
-        }
-        // The PSL walk of `public_suffix_labels`, but each candidate key
-        // is a suffix slice of `host` instead of a joined allocation.
-        let reg_at = |ps: usize| (n > ps).then(|| &host[starts[n - ps - 1]..]);
-        let mut best = 1; // prevailing default rule: "*"
-        for idx in 0..n {
-            match self.rules.get(&host[starts[idx]..]) {
-                Some(Rule::Normal) => best = best.max(n - idx),
-                // The wildcard extends one label further left.
-                Some(Rule::Wildcard) if idx > 0 => best = best.max(n - idx + 1),
-                Some(Rule::Exception) => return reg_at(n - idx - 1),
-                _ => {}
-            }
-        }
-        reg_at(best)
+        let host = hostname.trim_matches('.');
+        Some(&host[self.suffix_start(host)?..])
     }
 
-    /// Split a hostname at its registerable suffix with one PSL walk:
-    /// the part before it (original case, without the joining dot) and
-    /// the suffix as [`PublicSuffixList::registerable_suffix`] returns
-    /// it. The prefix is empty when the hostname *is* the registerable
-    /// suffix; `None` when there is no registerable suffix at all.
+    /// Split a hostname at its registerable suffix: the part before it
+    /// (original case, without the joining dot) and the suffix as
+    /// [`PublicSuffixList::registerable_suffix`] returns it. The prefix
+    /// is empty when the hostname *is* the registerable suffix; `None`
+    /// when there is no registerable suffix at all.
     ///
     /// ```
     /// let psl = hoiho_psl::PublicSuffixList::builtin();
@@ -200,20 +177,72 @@ impl PublicSuffixList {
     /// assert_eq!(psl.split_at_suffix("net"), None);
     /// ```
     pub fn split_at_suffix<'h>(&self, hostname: &'h str) -> Option<(&'h str, String)> {
-        let suffix = self.registerable_suffix(hostname)?;
         let host = hostname.trim_end_matches('.');
-        let prefix = if host.len() == suffix.len() {
-            ""
-        } else {
-            &host[..host.len() - suffix.len() - 1]
-        };
-        Some((prefix, suffix))
+        let lower = host.to_ascii_lowercase();
+        let trimmed = lower.trim_start_matches('.');
+        let at = lower.len() - trimmed.len() + self.suffix_start(trimmed)?;
+        Some((&host[..at.saturating_sub(1)], lower[at..].to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hoiho_rtt::rng::{Rng, StdRng};
+
+    /// The allocating walk the crate used before the bounded one: drop
+    /// empty labels, then join and look up one candidate key per label.
+    /// Kept as the reference [`PublicSuffixList::suffix_start`] must
+    /// match.
+    fn reference_suffix(psl: &PublicSuffixList, hostname: &str) -> Option<String> {
+        let lower = hostname.trim_end_matches('.').to_ascii_lowercase();
+        let labels: Vec<&str> = lower.split('.').filter(|l| !l.is_empty()).collect();
+        let n = labels.len();
+        let mut ps = 1; // prevailing default rule: "*"
+        for start in 0..n {
+            match psl.rules.get(&labels[start..].join(".")) {
+                Some(Rule::Normal) => ps = ps.max(n - start),
+                Some(Rule::Wildcard) if start > 0 => ps = ps.max(n - start + 1),
+                Some(Rule::Exception) => {
+                    ps = n - start - 1;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        (n > ps).then(|| labels[n - ps - 1..].join("."))
+    }
+
+    /// What the bounded walk must answer: the reference suffix, or `None`
+    /// where an empty label falls among the hostname's last labels that
+    /// suffix covers (the reference skipped it, so its key is not a tail
+    /// of the name).
+    fn expected(psl: &PublicSuffixList, hostname: &str) -> Option<String> {
+        let suffix = reference_suffix(psl, hostname)?;
+        let host = hostname.trim_matches('.');
+        let mut covered = host.rsplit('.').take(suffix.split('.').count());
+        (!covered.any(str::is_empty)).then_some(suffix)
+    }
+
+    /// Every public wrapper against [`expected`]; the split's prefix is
+    /// the name before the suffix and its joining dot.
+    fn check(psl: &PublicSuffixList, hostname: &str) {
+        let want = expected(psl, hostname);
+        assert_eq!(psl.registerable_suffix(hostname), want, "{hostname:?}");
+        let lower = hostname.to_ascii_lowercase();
+        assert_eq!(
+            psl.registerable_suffix_of(&lower),
+            want.as_deref(),
+            "{hostname:?}"
+        );
+        let host = hostname.trim_end_matches('.');
+        let split = want.map(|s| (&host[..(host.len() - s.len()).saturating_sub(1)], s));
+        assert_eq!(psl.split_at_suffix(hostname), split, "{hostname:?}");
+    }
+
+    fn ck() -> PublicSuffixList {
+        PublicSuffixList::parse("*.ck\n!www.ck\n")
+    }
 
     #[test]
     fn simple_tld() {
@@ -256,7 +285,7 @@ mod tests {
 
     #[test]
     fn wildcard_and_exception() {
-        let psl = PublicSuffixList::parse("*.ck\n!www.ck\n");
+        let psl = ck();
         // Anything one label under .ck is a public suffix...
         assert_eq!(
             psl.registerable_suffix("host.shop.example.ck"),
@@ -286,24 +315,34 @@ mod tests {
     }
 
     #[test]
-    fn split_at_suffix_matches_two_walks() {
-        // The split as it was computed before: the suffix from one walk,
-        // then a second walk to slice the prefix off the hostname.
-        fn two_walks<'h>(psl: &PublicSuffixList, hostname: &'h str) -> Option<(&'h str, String)> {
-            let suffix = psl.registerable_suffix(hostname)?;
-            let prefix = {
-                let suffix = psl.registerable_suffix(hostname)?;
-                let host = hostname.trim_end_matches('.');
-                if host.len() == suffix.len() {
-                    ""
-                } else {
-                    &host[..host.len() - suffix.len() - 1]
-                }
-            };
-            Some((prefix, suffix))
-        }
+    fn walk_reads_at_most_one_label_past_the_longest_rule() {
+        assert_eq!(PublicSuffixList::builtin().max_rule_labels, 2);
+        assert_eq!(ck().max_rule_labels, 2);
+        assert_eq!(PublicSuffixList::parse("*.ck\n").max_rule_labels, 2);
+        assert_eq!(PublicSuffixList::parse("a.b.c\n").max_rule_labels, 3);
+        assert_eq!(PublicSuffixList::parse("").max_rule_labels, 0);
+        // With no rules the default "*" still applies.
+        let empty = PublicSuffixList::parse("");
+        assert_eq!(empty.registerable_suffix_of("x.b.c"), Some("b.c"));
+        let three = PublicSuffixList::parse("a.b.c\n");
+        assert_eq!(three.registerable_suffix_of("x.y.a.b.c"), Some("y.a.b.c"));
+        // Labels left of the longest rule are never split into keys: a
+        // long name costs what a short one does.
         let psl = PublicSuffixList::builtin();
-        let ck = PublicSuffixList::parse("*.ck\n!www.ck\n");
+        let long = "a.".repeat(31_998) + "gtt.net";
+        assert_eq!(long.len(), 64_003);
+        assert_eq!(psl.registerable_suffix_of(&long), Some("gtt.net"));
+        assert_eq!(psl.registerable_suffix(&long), Some("gtt.net".to_string()));
+        let prefix = &long[..long.len() - "gtt.net".len() - 1];
+        assert_eq!(
+            psl.split_at_suffix(&long),
+            Some((prefix, "gtt.net".to_string()))
+        );
+    }
+
+    #[test]
+    fn split_at_suffix_cuts_before_the_suffix() {
+        let psl = PublicSuffixList::builtin();
         assert_eq!(
             psl.split_at_suffix("r1.lon.gtt.net"),
             Some(("r1.lon", "gtt.net".to_string()))
@@ -321,7 +360,26 @@ mod tests {
             psl.split_at_suffix("a..b.gtt.net"),
             Some(("a..b", "gtt.net".to_string()))
         );
+        // An empty label left of the suffix stays in the prefix.
+        assert_eq!(
+            psl.split_at_suffix("r1..gtt.net"),
+            Some(("r1.", "gtt.net".to_string()))
+        );
+        // One inside it: no tail of the name is registerable.
+        assert_eq!(psl.split_at_suffix("r1.gtt..net"), None);
+        assert_eq!(psl.split_at_suffix("x..net"), None);
+    }
+
+    #[test]
+    fn walk_matches_reference_on_psl_cases() {
+        let psl = PublicSuffixList::builtin();
+        let ck = ck();
+        // A wildcard needs a label under it: `b.c` itself falls back to `c`.
+        let nested = PublicSuffixList::parse("c\n*.b.c\n");
         for (l, host) in [
+            (&nested, "b.c"),
+            (&nested, "x.b.c"),
+            (&nested, "y.x.b.c"),
             (&psl, "foo.bar.example.com"),
             (&psl, "core1.syd.ccnw.net.au"),
             (&psl, "r.x.isp.co.uk"),
@@ -330,9 +388,14 @@ mod tests {
             (&psl, "net.au"),
             (&psl, ""),
             (&psl, "."),
+            (&psl, "..."),
             (&psl, "R1.LON.GTT.NET."),
             (&psl, "r1.lon.gtt.net.."),
+            (&psl, "gtt.net."),
+            (&psl, ".leading.gtt.net"),
+            (&psl, "..gtt.net"),
             (&psl, "a..b.gtt.net"),
+            (&psl, "r1..gtt.net"),
             (&psl, "gtt.net"),
             (&psl, "ccnw.net.au"),
             (&psl, "net"),
@@ -340,8 +403,80 @@ mod tests {
             (&ck, "host.www.ck"),
             (&ck, "www.ck"),
             (&ck, "example.ck"),
+            (&ck, "ck"),
+            (&ck, "a.b.www.ck"),
+            (&ck, "x..www.ck"),
         ] {
-            assert_eq!(l.split_at_suffix(host), two_walks(l, host), "{host}");
+            check(l, host);
+        }
+    }
+
+    #[test]
+    fn walk_is_none_where_an_empty_label_falls_inside_the_suffix() {
+        let psl = PublicSuffixList::builtin();
+        let ck = ck();
+        for (l, host) in [
+            (&psl, "r1.gtt..net"),
+            (&psl, "x..net"),
+            (&psl, "a.ccnw.net..au"),
+            (&psl, "a.ccnw..net.au"),
+            (&ck, "host.shop..ck"),
+            (&ck, "host..shop.ck"),
+            (&ck, "host.www..ck"),
+        ] {
+            assert!(reference_suffix(l, host).is_some(), "{host}");
+            assert_eq!(l.registerable_suffix(host), None, "{host}");
+            assert_eq!(l.registerable_suffix_of(host), None, "{host}");
+            assert_eq!(l.split_at_suffix(host), None, "{host}");
+            check(l, host);
+        }
+    }
+
+    #[test]
+    fn walk_matches_reference_on_seeded_corpus_hostnames() {
+        let db = hoiho_geodb::GeoDb::builtin();
+        let spec = hoiho_itdk::spec::CorpusSpec {
+            seed: 7,
+            ..hoiho_itdk::spec::CorpusSpec::ipv4_aug2020(3_000)
+        };
+        let g = hoiho_itdk::generate(&db, &spec);
+        let psl = PublicSuffixList::builtin();
+        let mut hosts = 0;
+        for h in g.corpus.routers.iter().flat_map(|r| r.hostnames()) {
+            assert!(psl.registerable_suffix(h).is_some(), "{h}");
+            check(&psl, h);
+            hosts += 1;
+        }
+        assert!(hosts > 1_000, "{hosts} hostnames");
+    }
+
+    #[test]
+    fn walk_matches_reference_on_seeded_label_soup() {
+        // Names stitched from rule labels, router-style labels, empty
+        // labels, upper case and stray dots.
+        let psl = PublicSuffixList::builtin();
+        let ck = ck();
+        let mut words: Vec<&str> = BUILTIN_RULES
+            .lines()
+            .filter(|l| !l.starts_with("//"))
+            .flat_map(|l| l.split('.'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        words.extend(["", "", "gtt", "ck", "www", "shop", "r1", "LHR1", "ae-0"]);
+        let mut rng = StdRng::seed_from_u64(0x951);
+        for _ in 0..20_000 {
+            let n = rng.random_range(0..7usize);
+            let mut host = (0..n)
+                .map(|_| words[rng.random_range(0..words.len())])
+                .collect::<Vec<_>>()
+                .join(".");
+            match rng.random_range(0..4u8) {
+                0 => host.push('.'),
+                1 => host.insert(0, '.'),
+                _ => {}
+            }
+            check(&psl, &host);
+            check(&ck, &host);
         }
     }
 
@@ -351,48 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_variant_matches_allocating_path() {
-        let psl = PublicSuffixList::builtin();
-        let ck = PublicSuffixList::parse("*.ck\n!www.ck\n");
-        for (l, host) in [
-            (&psl, "foo.bar.example.com"),
-            (&psl, "core1.syd.ccnw.net.au"),
-            (&psl, "r.x.isp.co.uk"),
-            (&psl, "a.b.frobnicate"),
-            (&psl, "com"),
-            (&psl, "net.au"),
-            (&psl, "gtt.net."),
-            (&psl, ".leading.gtt.net"),
-            (&ck, "host.shop.example.ck"),
-            (&ck, "host.www.ck"),
-            (&ck, "www.ck"),
-        ] {
-            assert_eq!(
-                l.registerable_suffix_of(host),
-                l.registerable_suffix(host).as_deref(),
-                "{host}"
-            );
-        }
-    }
-
-    #[test]
     fn borrowed_variant_rejects_unsupported_inputs() {
         let psl = PublicSuffixList::builtin();
         // Uppercase: would produce a wrong-cased grouping key.
         assert_eq!(psl.registerable_suffix_of("R1.LON.GTT.NET"), None);
-        // Empty interior label: the suffix is not a contiguous tail.
-        assert_eq!(psl.registerable_suffix_of("a..b.gtt.net"), None);
         assert_eq!(psl.registerable_suffix_of(""), None);
         assert_eq!(psl.registerable_suffix_of("..."), None);
-        // Too many labels for the stack-allocated offsets.
-        let long = "x.".repeat(MAX_BORROWED_LABELS + 1) + "gtt.net";
-        assert_eq!(psl.registerable_suffix_of(&long), None);
-        // The allocating path still answers all of these.
-        assert_eq!(
-            psl.registerable_suffix("a..b.gtt.net"),
-            Some("gtt.net".to_string())
-        );
-        assert_eq!(psl.registerable_suffix(&long), Some("gtt.net".to_string()));
     }
 
     #[test]

@@ -74,11 +74,8 @@ fn front_ends_agree_on_an_itdk_corpus() {
     assert!(hits > 0 && hits < hosts, "{hits} of {hosts} resolved");
 }
 
-/// The answer the one path gives for hostnames the two front ends used
-/// to route differently: trimmed, lowercased, and routed by the
-/// learner's key when the borrowed route gives up.
-#[test]
-fn edge_cases_answer_the_same_through_both_front_ends() {
+/// Both front ends over one hand-written `gtt.net` convention.
+fn gtt_front_ends() -> (Arc<GeoDb>, Arc<PublicSuffixList>, Geolocator, LookupIndex) {
     let text = "hoiho-artifacts-v1\n\
                 suffix gtt.net good\n\
                 regex iata ^.+\\.([a-z]{3})\\d+\\.gtt\\.net$\n";
@@ -87,13 +84,26 @@ fn edge_cases_answer_the_same_through_both_front_ends() {
     let geo = parse_artifacts(text, &db).expect("parse");
     let index =
         LookupIndex::from_artifacts(Arc::clone(&db), Arc::clone(&psl), text).expect("parse");
+    (db, psl, geo, index)
+}
+
+/// The answer the one path gives for hostnames the two front ends used
+/// to route differently: trimmed, lowercased, and routed by the
+/// learner's key.
+#[test]
+fn edge_cases_answer_the_same_through_both_front_ends() {
+    let (db, psl, geo, index) = gtt_front_ends();
     let many_labels = format!("{}lhr1.gtt.net", "a.".repeat(39));
     assert_eq!(many_labels.split('.').count(), 42);
-    let table: [(&str, Option<&str>); 8] = [
-        // An empty interior label: the borrowed route gives up.
+    let huge = long_host();
+    let table: [(&str, Option<&str>); 11] = [
+        // An empty label left of the suffix.
         ("x..lhr1.gtt.net", Some("London")),
-        // More labels than the borrowed route handles.
         (&many_labels, Some("London")),
+        (&huge, None),
+        // An empty label inside the suffix: no tail is registerable.
+        ("r1.gtt..net", None),
+        ("x..net", None),
         (" x.lhr1.gtt.net ", Some("London")),
         (".x.lhr1.gtt.net", Some("London")),
         // Routes to gtt.net, but the learned regex ends at `net`.
@@ -116,4 +126,30 @@ fn edge_cases_answer_the_same_through_both_front_ends() {
             "serve: {host:?}"
         );
     }
+}
+
+/// A 64 003-byte, 32 000-label name under `gtt.net`.
+fn long_host() -> String {
+    let host = "a.".repeat(31_998) + "gtt.net";
+    assert_eq!((host.len(), host.split('.').count()), (64_003, 32_000));
+    host
+}
+
+/// Routing reads only the labels the longest PSL rule can reach, so a
+/// name with tens of thousands of labels costs about what its bytes do,
+/// through either front end.
+#[test]
+fn a_long_hostname_is_answered_quickly() {
+    let (db, psl, geo, index) = gtt_front_ends();
+    let host = long_host();
+    let start = std::time::Instant::now();
+    assert_eq!(geo.geolocate(&db, &psl, &host), None);
+    let apply = start.elapsed();
+    let start = std::time::Instant::now();
+    assert_eq!(index.lookup(&host, &mut String::new()), None);
+    let serve = start.elapsed();
+    assert!(
+        apply.as_secs_f64() < 1.0 && serve.as_secs_f64() < 1.0,
+        "apply {apply:?}, serve {serve:?}"
+    );
 }
