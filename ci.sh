@@ -1,13 +1,16 @@
 #!/bin/sh
 # Offline CI gate, split into named stages:
 #
-#   fmt clippy build test smoke bench chaos
+#   fmt clippy build test doc smoke bench chaos
 #
 # Run everything (the default), a subset via the environment
 # (`CI_STAGES="fmt test" ./ci.sh`), or `./ci.sh --only smoke,chaos`.
 # Later stages assume the build artifacts exist: smoke/bench/chaos use
 # target/release binaries, so include `build` (or have run it before)
 # when selecting them.
+#
+# doc builds every library's rustdoc with warnings as errors, so a
+# broken or ambiguous intra-doc link fails the gate.
 #
 # bench is a paired gate: it builds the base commit (`git merge-base
 # HEAD main`, or HEAD~1 on main itself) in a temporary git worktree,
@@ -27,7 +30,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-ALL_STAGES="fmt clippy build test smoke bench chaos"
+ALL_STAGES="fmt clippy build test doc smoke bench chaos"
 STAGES="${CI_STAGES:-$ALL_STAGES}"
 if [ "${1:-}" = "--only" ]; then
     [ -n "${2:-}" ] || {
@@ -79,6 +82,13 @@ if want test; then
     # The benchmark package has its own workspace; its cross-process
     # determinism test guards corpus generation and ingest.
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+fi
+
+if want doc; then
+    echo "==> stage doc: rustdoc -D warnings"
+    # --lib: the `hoiho` bin and the `hoiho` lib would share one
+    # target/doc directory.
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --lib
 fi
 
 if want smoke; then
@@ -150,8 +160,9 @@ if want smoke; then
         exit 1
     }
     echo "    apply and serve each resolved $APPLY_HITS of the first 200 hostnames"
-    # Routing reads only the labels the longest PSL rule can reach: a
-    # 64 003-byte, 32 000-label bare hostname is answered within 1 s.
+    # A name past DNS's 253-byte limit is refused by the length bound
+    # before routing or regex matching: a 64 003-byte, 32 000-label
+    # bare hostname is answered within 1 s.
     LONG=$(awk 'BEGIN { for (i = 0; i < 31998; i++) printf "a."; printf "gtt.net" }')
     ./target/release/serve_probe --addr "127.0.0.1:$PORT" --line "$LONG" --timeout-ms 1000 |
         grep -q '"host":' || {

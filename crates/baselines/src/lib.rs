@@ -6,7 +6,7 @@
 //! Each baseline is reimplemented from its paper's description,
 //! *including the documented weaknesses* the comparison turns on:
 //!
-//! - [`drop`] — DRoP (Huffaker et al. 2014): end-anchored single-form
+//! - [`drop`](mod@drop) — DRoP (Huffaker et al. 2014): end-anchored single-form
 //!   rules without digit sequences, verbatim dictionary, majority
 //!   (>50%) consistency against traceroute-observed RTTs only;
 //! - [`hloc`] — HLOC (Scheitle et al. 2017): run-time dictionary

@@ -34,7 +34,7 @@ fn main() {
                 rtt_to_vp.push(best_case_rtt_ms(&g.corpus.vps.get(vp).coords, &coords));
             }
             if h.ty == GeohintType::Iata && h.token.len() == 3 {
-                for a in db.airports_with_iata(&h.token) {
+                for a in db.lookup_typed(&h.token, GeohintType::Iata) {
                     collision_dist.push(db.location(a).coords.distance_km(&coords));
                 }
             }

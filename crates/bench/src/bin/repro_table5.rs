@@ -73,7 +73,7 @@ fn main() {
     ]);
     let db = hoiho_geodb::GeoDb::builtin();
     for ((token, loc_name), n) in rows.iter().take(12) {
-        let airports = db.airports_with_iata(token);
+        let airports = db.lookup_typed(token, GeohintType::Iata);
         let collision = if airports.is_empty() { "-" } else { "⊗" };
         let dist = airports
             .iter()

@@ -12,7 +12,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--routers",
     "--operators",
     "--seed",
-    "--towns",
     "--corpus",
     "--artifacts",
     "--out",

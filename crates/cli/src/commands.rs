@@ -5,8 +5,7 @@ use crate::{read_stdin_lines, write_file};
 use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
-use hoiho_geodb::synth::expand_with_towns;
-use hoiho_geodb::{GeoDb, GeoDbBuilder};
+use hoiho_geodb::GeoDb;
 use hoiho_itdk::format::{parse_corpus, write_corpus};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::stats::CorpusStats;
@@ -55,28 +54,17 @@ impl Drop for ObsGuard {
     }
 }
 
-/// The dictionary, optionally extended with synthetic towns.
-fn dictionary(opts: &Options) -> Result<GeoDb, String> {
-    let towns = opts.num("towns", 0)? as usize;
-    if towns == 0 {
-        Ok(GeoDb::builtin())
-    } else {
-        let base = GeoDb::builtin();
-        Ok(expand_with_towns(GeoDbBuilder::with_builtin_data(), &base, towns, 0xD1C7).build())
-    }
-}
-
 fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
     let path = opts.require("corpus")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let corpus = parse_corpus(&text).map_err(|e| e.to_string())?;
     // Sanity: the corpus references dictionary ids; a corpus generated
-    // against a larger dictionary cannot be interpreted by a smaller one.
+    // against a larger dictionary cannot be interpreted by this one.
     for r in &corpus.routers {
         if r.location.0 as usize >= db_len {
             return Err(format!(
-                "corpus references location {} but the dictionary has {} entries; \
-                 regenerate with the same --towns value",
+                "corpus references location {} but the builtin dictionary has {} entries; \
+                 the corpus was generated against another dictionary",
                 r.location.0, db_len
             ));
         }
@@ -86,7 +74,7 @@ fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, Stri
 
 /// `hoiho generate`
 pub fn generate(opts: &Options) -> Result<(), String> {
-    let db = dictionary(opts)?;
+    let db = GeoDb::builtin();
     let routers = opts.num("routers", 2000)? as usize;
     let seed = opts.num("seed", 1)?;
     let ipv6 = opts.has("--ipv6");
@@ -116,7 +104,7 @@ pub fn generate(opts: &Options) -> Result<(), String> {
 /// `hoiho learn`
 pub fn learn(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
-    let db = dictionary(opts)?;
+    let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
     let corpus = load_corpus(opts, db.len())?;
     let hoiho_opts = HoihoOptions {
@@ -149,7 +137,7 @@ pub fn learn(opts: &Options) -> Result<(), String> {
 /// `hoiho apply`
 pub fn apply(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
-    let db = dictionary(opts)?;
+    let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
     let path = opts.require("artifacts")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -190,7 +178,7 @@ pub fn apply(opts: &Options) -> Result<(), String> {
 /// `hoiho serve`
 pub fn serve(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
-    let db = Arc::new(dictionary(opts)?);
+    let db = Arc::new(GeoDb::builtin());
     let psl = Arc::new(PublicSuffixList::builtin());
     let path = opts.require("artifacts")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -254,7 +242,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 
 /// `hoiho stats`
 pub fn stats(opts: &Options) -> Result<(), String> {
-    let db = dictionary(opts)?;
+    let db = GeoDb::builtin();
     let corpus = load_corpus(opts, db.len())?;
     let s = CorpusStats::of(&corpus);
     println!("label:         {}", s.label);
@@ -272,7 +260,7 @@ pub fn stats(opts: &Options) -> Result<(), String> {
 /// `hoiho stale`
 pub fn stale(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
-    let db = dictionary(opts)?;
+    let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
     let corpus = load_corpus(opts, db.len())?;
     let path = opts.require("artifacts")?;

@@ -9,8 +9,7 @@
 //! hoiho serve    --artifacts artifacts.txt --addr 127.0.0.1:3845 [--threads N]
 //! ```
 //!
-//! All subcommands use the built-in reference dictionary; pass
-//! `--towns N` to extend it with a deterministic synthetic tail.
+//! All subcommands use the built-in reference dictionary.
 
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
@@ -79,11 +78,11 @@ fn usage() -> &'static str {
     "hoiho — learn geolocation naming conventions from router hostnames
 
 USAGE:
-  hoiho generate --routers N [--operators N] [--seed S] [--ipv6] [--towns N] --out FILE
-  hoiho learn    --corpus FILE [--no-learned-hints] [--threads N] [--towns N] --out FILE
-  hoiho apply    --artifacts FILE [--towns N] [HOSTNAME…]      (stdin if none given)
+  hoiho generate --routers N [--operators N] [--seed S] [--ipv6] --out FILE
+  hoiho learn    --corpus FILE [--no-learned-hints] [--threads N] --out FILE
+  hoiho apply    --artifacts FILE [HOSTNAME…]      (stdin if none given)
   hoiho stats    --corpus FILE
-  hoiho stale    --corpus FILE --artifacts FILE [--towns N]
+  hoiho stale    --corpus FILE --artifacts FILE
   hoiho serve    --artifacts FILE [--addr HOST:PORT] [--threads N]
   hoiho help [SUBCOMMAND]
   hoiho version
@@ -93,7 +92,6 @@ FLAGS:
   --operators N         operator count (default routers/120)
   --seed S              generator seed (default 1)
   --ipv6                IPv6-style corpus (fewer hostnames and RTTs)
-  --towns N             extend the dictionary with N synthetic towns
   --no-learned-hints    disable stage 4 (the paper's ablation)
   --threads N           worker threads (default 0 = auto-detect)
   --corpus FILE         corpus in the native corpus-v1 format
@@ -115,28 +113,26 @@ fn subcommand_help(topic: &str) -> Option<&'static str> {
             "hoiho generate — synthesize an ITDK-style router corpus
 
 USAGE:
-  hoiho generate --routers N [--operators N] [--seed S] [--ipv6] [--towns N] --out FILE
+  hoiho generate --routers N [--operators N] [--seed S] [--ipv6] --out FILE
 
 FLAGS:
   --routers N    corpus size (default 2000)
   --operators N  operator count (default routers/120)
   --seed S       generator seed (default 1)
   --ipv6         IPv6-style corpus (fewer hostnames and RTTs)
-  --towns N      extend the dictionary with N synthetic towns
   --out FILE     write the corpus-v1 file here"
         }
         "learn" => {
             "hoiho learn — learn per-suffix naming conventions from a corpus
 
 USAGE:
-  hoiho learn --corpus FILE [--no-learned-hints] [--threads N] [--towns N] --out FILE
+  hoiho learn --corpus FILE [--no-learned-hints] [--threads N] --out FILE
 
 FLAGS:
   --corpus FILE         corpus in the native corpus-v1 format
   --no-learned-hints    disable stage 4, the paper's ablation
   --threads N           worker threads (default 0 = auto-detect;
                         the resolved count prints under -v)
-  --towns N             match the --towns used at generate time
   --out FILE            write hoiho-artifacts-v1 here
   --metrics FILE        JSON-lines observability output
   --progress            live per-suffix progress on stderr
@@ -146,7 +142,7 @@ FLAGS:
             "hoiho apply — geolocate hostnames with learned artifacts
 
 USAGE:
-  hoiho apply --artifacts FILE [--towns N] [HOSTNAME…]
+  hoiho apply --artifacts FILE [HOSTNAME…]
 
 Hostnames come from the command line, or stdin (one per line) when
 none are given. Output is one tab-separated line per hostname:
@@ -155,7 +151,6 @@ suffix-specific learned geohint decoded it); '-' for no inference.
 
 FLAGS:
   --artifacts FILE   learned regexes + hints (hoiho-artifacts-v1)
-  --towns N          match the --towns used at learn time
   --metrics FILE, --progress, -v/--trace   observability"
         }
         "stats" => {
@@ -170,7 +165,7 @@ Prints router count, hostname and RTT coverage, and vantage points."
             "hoiho stale — flag hostnames whose geohint disagrees with siblings
 
 USAGE:
-  hoiho stale --corpus FILE --artifacts FILE [--towns N]
+  hoiho stale --corpus FILE --artifacts FILE
 
 Applies the artifacts to the corpus and reports hostnames whose
 hinted location is inconsistent with the RTT evidence of their
@@ -178,8 +173,7 @@ router's other interfaces (stale-name detection, §6.2).
 
 FLAGS:
   --corpus FILE      corpus in the native corpus-v1 format
-  --artifacts FILE   learned regexes + hints
-  --towns N          match the --towns used at learn time"
+  --artifacts FILE   learned regexes + hints"
         }
         "serve" => {
             "hoiho serve — concurrent hostname-geolocation lookup service
@@ -188,7 +182,7 @@ USAGE:
   hoiho serve --artifacts FILE [--addr HOST:PORT] [--threads N]
               [--queue N] [--read-timeout-ms MS] [--idle-timeout-ms MS]
               [--max-body-bytes N] [--reload-ms MS]
-              [--port-file FILE] [--towns N] [--metrics FILE]
+              [--port-file FILE] [--metrics FILE]
 
 Loads the artifact file into an in-memory per-suffix index and
 answers lookups over two protocols on one port:
@@ -222,7 +216,6 @@ FLAGS:
   --max-body-bytes N     reject HTTP bodies larger than N (default 1048576)
   --reload-ms MS         artifact poll period; 0 disables (default 1000)
   --port-file FILE       write the bound port here once listening
-  --towns N              match the --towns used at learn time
   --metrics FILE, --progress, -v/--trace   observability"
         }
         _ => return None,

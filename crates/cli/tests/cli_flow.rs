@@ -184,6 +184,55 @@ fn usage_errors_exit_2_with_usage() {
     // No subcommand: exit 2.
     let out = Command::new(bin()).output().expect("run");
     assert_eq!(out.status.code(), Some(2));
+
+    // There is one dictionary, so no subcommand takes --towns.
+    let out = Command::new(bin())
+        .args([
+            "learn", "--towns", "5", "--corpus", "c.txt", "--out", "a.txt",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --towns"), "{stderr}");
+}
+
+#[test]
+fn corpus_past_the_builtin_dictionary_is_refused() {
+    // A corpus names dictionary locations by id; one generated against a
+    // larger dictionary must be refused, not misread.
+    let entries = hoiho_geodb::GeoDb::builtin().len();
+    let corpus = tmp("past-dictionary.txt");
+    let artifacts = tmp("past-dictionary-artifacts.txt");
+    let write = |loc: usize| {
+        let text = format!("corpus-v1 x\nnode N0 loc={loc}\niface 10.0.0.1 a.example.net\n");
+        std::fs::write(&corpus, text).expect("write corpus");
+    };
+
+    // The last id is still in range.
+    write(entries - 1);
+    let out = Command::new(bin())
+        .args(["stats", "--corpus", &corpus])
+        .output()
+        .expect("run stats");
+    assert!(out.status.success(), "{out:?}");
+
+    write(entries);
+    for argv in [
+        &["stats", "--corpus", &corpus][..],
+        &["learn", "--corpus", &corpus, "--out", &artifacts],
+    ] {
+        let out = Command::new(bin()).args(argv).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("location {entries} "))
+                && stderr.contains(&format!("has {entries} entries")),
+            "{argv:?}: {stderr}"
+        );
+    }
+    assert!(!std::path::Path::new(&artifacts).exists());
+    std::fs::remove_file(&corpus).ok();
 }
 
 #[test]

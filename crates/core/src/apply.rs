@@ -18,6 +18,9 @@ use hoiho_geotypes::{Coordinates, GeohintType, LocationId};
 use hoiho_psl::PublicSuffixList;
 use std::collections::HashMap;
 
+/// The longest name DNS allows, in bytes, without a trailing dot.
+const MAX_HOSTNAME_LEN: usize = 253;
+
 /// One suffix's deployable artifacts.
 #[derive(Debug, Clone)]
 pub struct SuffixGeo {
@@ -171,7 +174,10 @@ impl Geolocator {
     /// The one lookup path: trim `hostname` and lowercase it into
     /// `scratch`, route it with the borrowing `registerable_suffix_of`
     /// (the learner's key, found by the same bounded PSL walk), and
-    /// apply the owning [`SuffixGeo`].
+    /// apply the owning [`SuffixGeo`]. A name longer than DNS's 253
+    /// bytes after trimming is no hostname and has no answer; the bound
+    /// also keeps each learned regex's backtracking as short as
+    /// `hoiho_regex::exec::DEFAULT_STEP_BUDGET` assumes.
     pub fn lookup(
         &self,
         db: &GeoDb,
@@ -182,8 +188,12 @@ impl Geolocator {
         if hoiho_obs::enabled() {
             hoiho_obs::counter!("apply.lookups").inc();
         }
+        let hostname = hostname.trim();
+        if hostname.len() > MAX_HOSTNAME_LEN {
+            return None;
+        }
         scratch.clear();
-        scratch.push_str(hostname.trim());
+        scratch.push_str(hostname);
         scratch.make_ascii_lowercase();
         let suffix = psl.registerable_suffix_of(scratch)?;
         self.map.get(suffix)?.geolocate(db, scratch)

@@ -47,14 +47,7 @@ impl std::error::Error for ArtifactError {}
 
 fn role_label(r: CaptureRole) -> &'static str {
     match r {
-        CaptureRole::Hint(t) => match t {
-            GeohintType::Iata => "iata",
-            GeohintType::Icao => "icao",
-            GeohintType::Locode => "locode",
-            GeohintType::Clli => "clli",
-            GeohintType::CityName => "city",
-            GeohintType::Facility => "facility",
-        },
+        CaptureRole::Hint(t) => t.label(),
         CaptureRole::ClliFour => "clli4",
         CaptureRole::ClliTwo => "clli2",
         CaptureRole::CcOrState => "cc",
@@ -63,16 +56,10 @@ fn role_label(r: CaptureRole) -> &'static str {
 
 fn role_from_label(s: &str) -> Option<CaptureRole> {
     Some(match s {
-        "iata" => CaptureRole::Hint(GeohintType::Iata),
-        "icao" => CaptureRole::Hint(GeohintType::Icao),
-        "locode" => CaptureRole::Hint(GeohintType::Locode),
-        "clli" => CaptureRole::Hint(GeohintType::Clli),
-        "city" => CaptureRole::Hint(GeohintType::CityName),
-        "facility" => CaptureRole::Hint(GeohintType::Facility),
         "clli4" => CaptureRole::ClliFour,
         "clli2" => CaptureRole::ClliTwo,
         "cc" => CaptureRole::CcOrState,
-        _ => return None,
+        _ => CaptureRole::Hint(GeohintType::from_label(s)?),
     })
 }
 

@@ -6,8 +6,8 @@
 //! not drop more than 10 points below the starting regex's.
 //!
 //! A grown set is never re-matched: its evaluation is composed from the
-//! members' single-regex evaluations ([`compose_nc`]), which equals
-//! evaluating the set afresh.
+//! members' single-regex evaluations (the crate-private
+//! `eval::compose_nc`), which equals evaluating the set afresh.
 
 use crate::convention::{GeoRegex, NamingConvention};
 use crate::eval::{compose_nc, EvalResult, Outcome};

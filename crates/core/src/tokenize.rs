@@ -97,12 +97,6 @@ pub fn labels(prefix: &str) -> Vec<(usize, usize)> {
     out
 }
 
-/// The alphabetic tokens of a prefix (the candidate geohint strings of
-/// stage 2).
-pub fn alpha_tokens<'a>(tokens: &'a [Token<'a>]) -> impl Iterator<Item = &'a Token<'a>> {
-    tokens.iter().filter(|t| t.kind == TokenKind::Alpha)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +105,11 @@ mod tests {
     fn zayo_example_tokens() {
         // figure 6a prefix
         let toks = tokenize("zayo-ntt.mpr1.lhr15.uk.zip");
-        let alphas: Vec<&str> = alpha_tokens(&toks).map(|t| t.text).collect();
+        let alphas: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokenKind::Alpha)
+            .map(|t| t.text)
+            .collect();
         assert_eq!(alphas, vec!["zayo", "ntt", "mpr", "lhr", "uk", "zip"]);
     }
 

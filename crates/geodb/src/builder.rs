@@ -11,7 +11,9 @@ use crate::GeoDb;
 use hoiho_geotypes::{Coordinates, CountryCode, Location, LocationId, LocationKind, StateCode};
 use std::collections::HashMap;
 
-/// Incremental builder for [`GeoDb`].
+/// Builder for [`GeoDb`]: [`GeoDbBuilder::with_builtin_data`] loads the
+/// embedded rows, [`crate::synth::expand_with_towns`] may add synthetic
+/// towns, and [`GeoDbBuilder::build`] finishes the dictionary.
 #[derive(Debug, Default)]
 pub struct GeoDbBuilder {
     db: GeoDb,
@@ -22,7 +24,7 @@ pub struct GeoDbBuilder {
 
 impl GeoDbBuilder {
     /// An empty builder.
-    pub fn new() -> GeoDbBuilder {
+    pub(crate) fn new() -> GeoDbBuilder {
         GeoDbBuilder::default()
     }
 
@@ -71,7 +73,7 @@ impl GeoDbBuilder {
     }
 
     /// Add a city; returns its id.
-    pub fn add_city(
+    pub(crate) fn add_city(
         &mut self,
         name: &str,
         cc: &str,
@@ -123,7 +125,7 @@ impl GeoDbBuilder {
 
     /// Add an airport serving `city_served`; indexes its IATA (and ICAO,
     /// when nonempty) codes.
-    pub fn add_airport(
+    pub(crate) fn add_airport(
         &mut self,
         iata: &str,
         icao: &str,
@@ -171,7 +173,7 @@ impl GeoDbBuilder {
     }
 
     /// Register a CLLI prefix for a location.
-    pub fn add_clli(&mut self, prefix: &str, loc: LocationId) {
+    pub(crate) fn add_clli(&mut self, prefix: &str, loc: LocationId) {
         debug_assert_eq!(prefix.len(), 6, "CLLI prefixes are six characters");
         self.db
             .clli
@@ -181,7 +183,7 @@ impl GeoDbBuilder {
     }
 
     /// Register a LOCODE for a location.
-    pub fn add_locode(&mut self, code: &str, loc: LocationId) {
+    pub(crate) fn add_locode(&mut self, code: &str, loc: LocationId) {
         debug_assert_eq!(code.len(), 5, "LOCODEs are five characters");
         self.db
             .locode
@@ -192,7 +194,12 @@ impl GeoDbBuilder {
 
     /// Add a facility in `city`; indexes its street token and marks the
     /// city as hosting a facility.
-    pub fn add_facility(&mut self, name: &str, street_token: &str, city: LocationId) -> LocationId {
+    pub(crate) fn add_facility(
+        &mut self,
+        name: &str,
+        street_token: &str,
+        city: LocationId,
+    ) -> LocationId {
         let city_loc = self.db.locations[city.0 as usize].clone();
         let loc = Location {
             name: name.to_string(),
@@ -220,7 +227,7 @@ impl GeoDbBuilder {
 
     /// For every city without a CLLI prefix or LOCODE, derive one
     /// following the real systems' structure. Idempotent.
-    pub fn derive_missing_codes(&mut self) {
+    pub(crate) fn derive_missing_codes(&mut self) {
         let mut have_clli: HashMap<LocationId, ()> = HashMap::new();
         for ids in self.db.clli.values() {
             for id in ids {
@@ -336,7 +343,7 @@ impl GeoDbBuilder {
 /// Derive the 4-letter city part of a CLLI prefix: the first character of
 /// the name followed by its consonants, padding with skipped vowels when
 /// the name is consonant-poor (`richmond` → `rcmd`, `edge` → `edge`).
-pub fn derive_clli_city4(name: &str) -> String {
+fn derive_clli_city4(name: &str) -> String {
     let form: String = name
         .chars()
         .filter(|c| c.is_ascii_alphabetic())

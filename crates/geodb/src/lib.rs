@@ -17,20 +17,19 @@
 //! collisions and ambiguities the paper's method must handle (e.g. the
 //! IATA code `ash` belongs to Nashua NH while operators use it for
 //! Ashburn VA; the city name `london` collides with the CLLI prefix for
-//! London, Ontario), plus parsers for the real file formats
-//! ([`formats`]) and a deterministic synthetic expander ([`synth`]) for
-//! scale experiments.
+//! London, Ontario), plus a deterministic synthetic expander ([`synth`])
+//! for scale experiments. Loaders for the real files can come back with
+//! the files themselves and a caller.
 
 pub mod abbrev;
 pub mod builder;
 pub mod data;
-pub mod formats;
 pub mod synth;
 
 pub use abbrev::{is_abbreviation, AbbrevOptions};
 pub use builder::GeoDbBuilder;
 
-use hoiho_geotypes::{CountryCode, GeohintType, Location, LocationId};
+use hoiho_geotypes::{GeohintType, Location, LocationId};
 use std::collections::{HashMap, HashSet};
 
 /// One dictionary hit: a token interpreted as a geohint of some type.
@@ -183,16 +182,6 @@ impl GeoDb {
         out
     }
 
-    /// Locations of airports (if any) carrying this IATA code — used by
-    /// the figure-10b analysis (distance from a learned hint to the
-    /// airport with the colliding code).
-    pub fn airports_with_iata(&self, code: &str) -> Vec<LocationId> {
-        self.iata
-            .get(&code.to_ascii_lowercase())
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Iterate `(IATA code, airport locations)` pairs.
     pub fn iata_codes(&self) -> impl Iterator<Item = (&str, &[LocationId])> {
         self.iata.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
@@ -215,16 +204,6 @@ impl GeoDb {
             .get(&city)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// All city ids in a country (diagnostics and tests).
-    pub fn cities_in_country(&self, cc: CountryCode) -> Vec<LocationId> {
-        self.iter()
-            .filter(|(_, l)| {
-                l.kind == hoiho_geotypes::LocationKind::City && l.country == cc.canonical()
-            })
-            .map(|(id, _)| id)
-            .collect()
     }
 
     fn push_all(

@@ -14,11 +14,11 @@ use hoiho_geotypes::Coordinates;
 /// A tiny deterministic PRNG (splitmix64); we keep it local so dictionary
 /// expansion does not depend on `rand` and is stable across rand versions.
 #[derive(Debug, Clone)]
-pub struct SplitMix64(pub u64);
+struct SplitMix64(u64);
 
 impl SplitMix64 {
     /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -27,12 +27,12 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `0..n` (n > 0).
-    pub fn below(&mut self, n: u64) -> u64 {
+    fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
     }
 
     /// Uniform f64 in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -45,7 +45,7 @@ const SYLLABLES: &[&str] = &[
 ];
 
 /// Generate a plausible town name from the PRNG.
-pub fn synth_town_name(rng: &mut SplitMix64) -> String {
+fn synth_town_name(rng: &mut SplitMix64) -> String {
     let n = 2 + rng.below(2) as usize;
     let mut name = String::new();
     for _ in 0..n {

@@ -39,20 +39,8 @@ impl GeohintType {
         GeohintType::Facility,
     ];
 
-    /// The fixed extraction width in characters, or `None` for
-    /// variable-width kinds (city names, facility strings).
-    pub fn fixed_width(&self) -> Option<usize> {
-        match self {
-            GeohintType::Iata => Some(3),
-            GeohintType::Icao => Some(4),
-            GeohintType::Locode => Some(5),
-            GeohintType::Clli => Some(6),
-            GeohintType::CityName | GeohintType::Facility => None,
-        }
-    }
-
-    /// Short lowercase label used in reports and the ITDK-style file
-    /// formats.
+    /// Short lowercase label used in reports and in the artifact file's
+    /// `regex` records.
     pub fn label(&self) -> &'static str {
         match self {
             GeohintType::Iata => "iata",
@@ -79,16 +67,6 @@ impl fmt::Display for GeohintType {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fixed_widths_match_paper() {
-        assert_eq!(GeohintType::Iata.fixed_width(), Some(3));
-        assert_eq!(GeohintType::Icao.fixed_width(), Some(4));
-        assert_eq!(GeohintType::Locode.fixed_width(), Some(5));
-        assert_eq!(GeohintType::Clli.fixed_width(), Some(6));
-        assert_eq!(GeohintType::CityName.fixed_width(), None);
-        assert_eq!(GeohintType::Facility.fixed_width(), None);
-    }
 
     #[test]
     fn label_roundtrip() {

@@ -116,13 +116,6 @@ impl CharClass {
             CharClass::Custom(_, src) => out.push_str(src),
         }
     }
-
-    /// True when every member of `self` is also a member of `other` —
-    /// used by the phase-3 *embed character classes* refinement to check a
-    /// replacement class is at least as specific.
-    pub fn subset_of(&self, other: &CharClass) -> bool {
-        (0u8..128).all(|b| !self.matches(b) || other.matches(b))
-    }
 }
 
 impl fmt::Display for CharClass {
@@ -171,16 +164,6 @@ mod tests {
         for b in 0u8..128 {
             assert!(CharClass::Any.matches(b));
         }
-    }
-
-    #[test]
-    fn subset_relation() {
-        assert!(CharClass::Alpha.subset_of(&CharClass::AlphaNum));
-        assert!(CharClass::Digit.subset_of(&CharClass::AlphaNum));
-        assert!(CharClass::AlphaNum.subset_of(&CharClass::NotDot));
-        assert!(CharClass::Alpha.subset_of(&CharClass::Any));
-        assert!(!CharClass::AlphaNum.subset_of(&CharClass::Alpha));
-        assert!(!CharClass::NotDot.subset_of(&CharClass::NotHyphen));
     }
 
     #[test]

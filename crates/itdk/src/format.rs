@@ -1,13 +1,5 @@
-//! Text formats for corpora.
-//!
-//! Two families:
-//!
-//! - **Interop** writers for the real ITDK file shapes: a `.nodes` file
-//!   (`node N1:  10.0.0.1 10.0.0.2`) and a `.dns-names` file
-//!   (`<ip> <hostname>`), so downstream tools expecting CAIDA's layout
-//!   can consume generated corpora.
-//! - A **native** single-file format (`corpus-v1`) that round-trips
-//!   everything including RTT samples and generator ground truth.
+//! The corpus text format, `corpus-v1`: one file that round-trips
+//! everything, RTT samples and generator ground truth included.
 //!
 //! In `corpus-v1`, every `vp` record comes before the first `rtt`/`trtt`
 //! record that names it, as [`write_corpus`] emits them: a sample whose
@@ -21,7 +13,7 @@ use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
 use std::fmt::Write as _;
 
-/// Error from the native-format parser.
+/// Error from the `corpus-v1` parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorpusParseError {
     /// 1-based line number.
@@ -38,74 +30,7 @@ impl std::fmt::Display for CorpusParseError {
 
 impl std::error::Error for CorpusParseError {}
 
-/// Render the ITDK-style `.nodes` file: one line per router listing its
-/// interface addresses.
-pub fn write_nodes(corpus: &Corpus) -> String {
-    let mut out = String::new();
-    for (id, r) in corpus.iter() {
-        let addrs: Vec<&str> = r.interfaces.iter().map(|i| i.addr.as_str()).collect();
-        let _ = writeln!(out, "node N{}:  {}", id.0 + 1, addrs.join(" "));
-    }
-    out
-}
-
-/// Render the ITDK-style `.dns-names` file: `<address> <hostname>` for
-/// every interface that has one.
-pub fn write_dns_names(corpus: &Corpus) -> String {
-    let mut out = String::new();
-    for (_, r) in corpus.iter() {
-        for i in &r.interfaces {
-            if let Some(h) = &i.hostname {
-                let _ = writeln!(out, "{} {}", i.addr, h);
-            }
-        }
-    }
-    out
-}
-
-/// Parse a `.nodes` file into per-router address lists.
-pub fn parse_nodes(text: &str) -> Result<Vec<Vec<String>>, CorpusParseError> {
-    let mut out = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let rest = line.strip_prefix("node ").ok_or(CorpusParseError {
-            line: ln + 1,
-            msg: "expected 'node N<id>: ...'".into(),
-        })?;
-        let (_, addrs) = rest.split_once(':').ok_or(CorpusParseError {
-            line: ln + 1,
-            msg: "missing ':'".into(),
-        })?;
-        out.push(addrs.split_whitespace().map(String::from).collect());
-    }
-    Ok(out)
-}
-
-/// Parse a `.dns-names` file into `(address, hostname)` pairs.
-pub fn parse_dns_names(text: &str) -> Result<Vec<(String, String)>, CorpusParseError> {
-    let mut out = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let (Some(addr), Some(host)) = (it.next(), it.next()) else {
-            return Err(CorpusParseError {
-                line: ln + 1,
-                msg: "expected '<addr> <hostname>'".into(),
-            });
-        };
-        out.push((addr.to_string(), host.to_string()));
-    }
-    Ok(out)
-}
-
-/// Serialize a corpus (with ground truth) to the native `corpus-v1`
-/// format.
+/// Serialize a corpus (with ground truth) to `corpus-v1`.
 pub fn write_corpus(corpus: &Corpus) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "corpus-v1 {}", corpus.label);
@@ -428,24 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn itdk_nodes_roundtrip() {
-        let c = sample();
-        let text = write_nodes(&c);
-        let nodes = parse_nodes(&text).expect("parse");
-        assert_eq!(nodes.len(), c.len());
-        assert_eq!(nodes[0].len(), c.routers[0].interfaces.len());
-    }
-
-    #[test]
-    fn itdk_dns_names_roundtrip() {
-        let c = sample();
-        let text = write_dns_names(&c);
-        let pairs = parse_dns_names(&text).expect("parse");
-        let expected: usize = c.routers.iter().map(|r| r.hostnames().count()).sum();
-        assert_eq!(pairs.len(), expected);
-    }
-
-    #[test]
     fn parse_errors_are_reported_with_lines() {
         assert!(parse_corpus("").is_err());
         assert!(parse_corpus("bogus-header\n").is_err());
@@ -567,12 +474,5 @@ mod tests {
             rest = next;
         }
         assert_eq!(checked, 111_110);
-    }
-
-    #[test]
-    fn nodes_parser_rejects_garbage() {
-        assert!(parse_nodes("nonsense line\n").is_err());
-        assert!(parse_nodes("node N1  10.0.0.1\n").is_err()); // missing ':'
-        assert_eq!(parse_nodes("# comment\n\n").unwrap().len(), 0);
     }
 }

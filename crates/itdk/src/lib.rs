@@ -6,10 +6,12 @@
 //! each with interface addresses, PTR hostnames for some interfaces, and
 //! RTT measurements from Ark vantage points. Real ITDKs give no ground
 //! truth; this crate *generates* corpora from parameterized operator
-//! models ([`spec`], [`generate`]) so that the true location of every
-//! router — and the intent behind every hostname — is known by
-//! construction, and provides ITDK-style text formats ([`format`]) plus
-//! summary statistics ([`stats`]).
+//! models ([`spec`], [`generate`](mod@generate)) so that the true
+//! location of every router — and the intent behind every hostname — is
+//! known by construction. It has one corpus text format, `corpus-v1`
+//! ([`format`](mod@format)), and summary statistics ([`stats`]).
+//! Readers for CAIDA's `.nodes`/`.dns-names` files can come back with
+//! real ITDK files and a caller.
 
 pub mod format;
 pub mod generate;

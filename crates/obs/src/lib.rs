@@ -245,15 +245,6 @@ pub trait Sink: Send + Sync {
     }
 }
 
-/// Discards everything. The default sink; exists so "no observability"
-/// and "observability to /dev/null" are the same code path.
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn event(&self, _event: &Event) {}
-}
-
 /// Human-readable live progress on stderr: prints [`Event::Progress`]
 /// lines, ignores span events, and renders a counter/timing summary at
 /// finish.
@@ -604,12 +595,6 @@ impl Registry {
     pub fn add_sink(&self, sink: Arc<dyn Sink>) {
         self.sinks.lock().expect("sinks poisoned").push(sink);
         self.set_enabled(true);
-    }
-
-    /// Drop all sinks and disable (test/benchmark support).
-    pub fn clear_sinks(&self) {
-        self.sinks.lock().expect("sinks poisoned").clear();
-        self.set_enabled(false);
     }
 
     /// The counter registered under `name`, creating it on first use.

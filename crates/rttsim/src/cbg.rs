@@ -1,33 +1,15 @@
-//! Delay-based geolocation (§3.1): constraint-based geolocation (CBG,
-//! Gueye et al. 2004/2006) and Shortest Ping (Katz-Bassett et al. 2006).
+//! The CBG feasibility test (§3.3).
 //!
-//! CBG converts each VP's measured RTT into a distance disk around the
-//! VP (speed of light in fiber) and multilaterates: the target lies in
-//! the intersection of all disks, estimated here by grid search; the
-//! centroid is the location estimate and the region width the error
-//! estimate. The paper uses exactly these speed-of-light constraints as
-//! its RTT-consistency test, and prior work (Cai 2015, Scheitle et al.
-//! 2017) used CBG-feasible regions to audit DRoP's inferences — which
-//! `repro_cbg_audit` reproduces.
+//! Constraint-based geolocation (CBG, Gueye et al. 2004/2006) converts
+//! each VP's measured RTT into a distance disk around the VP (speed of
+//! light in fiber); the target lies in the intersection of all disks.
+//! Prior work (Cai 2015, Scheitle et al. 2017) audited DRoP's inferences
+//! by testing whether each one falls inside that intersection, which
+//! `repro_cbg_audit` reproduces with [`feasible`].
 
-use crate::{RouterRtts, VpId, VpSet};
+use crate::{RouterRtts, VpSet};
 use hoiho_geotypes::rtt::max_distance_km;
-use hoiho_geotypes::{Coordinates, Rtt};
-
-/// A CBG multilateration result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CbgEstimate {
-    /// Centroid of the feasible region.
-    pub centroid: Coordinates,
-    /// Maximum distance from the centroid to any feasible point — the
-    /// error estimate ("width of the region", §3.1).
-    pub radius_km: f64,
-    /// Number of grid points found feasible (diagnostic).
-    pub feasible_points: usize,
-}
-
-/// Grid resolution in degrees for the feasibility search.
-const GRID_STEP_DEG: f64 = 0.5;
+use hoiho_geotypes::Coordinates;
 
 /// Whether a point satisfies every distance constraint.
 pub fn feasible(vps: &VpSet, samples: &RouterRtts, point: &Coordinates) -> bool {
@@ -37,130 +19,24 @@ pub fn feasible(vps: &VpSet, samples: &RouterRtts, point: &Coordinates) -> bool 
         .all(|(vp, rtt)| vps.get(*vp).coords.distance_km(point) <= max_distance_km(*rtt))
 }
 
-/// Multilaterate a target from its RTT samples. Returns `None` when the
-/// samples are empty or the constraints are contradictory (no feasible
-/// grid point — e.g. spoofed RTTs).
-pub fn cbg_estimate(vps: &VpSet, samples: &RouterRtts) -> Option<CbgEstimate> {
-    if samples.is_empty() {
-        return None;
-    }
-    // Bounding box: intersection of per-constraint boxes.
-    let mut lat_min = -90.0f64;
-    let mut lat_max = 90.0f64;
-    for (vp, rtt) in samples.samples() {
-        let c = vps.get(*vp).coords;
-        let r_deg = max_distance_km(*rtt) / 111.0;
-        lat_min = lat_min.max(c.lat() - r_deg);
-        lat_max = lat_max.min(c.lat() + r_deg);
-    }
-    if lat_min > lat_max {
-        return None;
-    }
-
-    // Longitude wraps; search the full range but skip infeasible
-    // latitudes quickly.
-    let mut sum_lat = 0.0;
-    let mut sum_x = 0.0; // longitude as unit vector to average across the wrap
-    let mut sum_y = 0.0;
-    let mut pts: Vec<Coordinates> = Vec::new();
-    let mut lat = lat_min;
-    while lat <= lat_max {
-        let mut lon = -180.0 + GRID_STEP_DEG / 2.0;
-        while lon < 180.0 {
-            let p = Coordinates::new(lat, lon);
-            if feasible(vps, samples, &p) {
-                sum_lat += lat;
-                let rad = lon.to_radians();
-                sum_x += rad.cos();
-                sum_y += rad.sin();
-                pts.push(p);
-            }
-            lon += GRID_STEP_DEG;
-        }
-        lat += GRID_STEP_DEG;
-    }
-    if pts.is_empty() {
-        return None;
-    }
-    let centroid = Coordinates::new(sum_lat / pts.len() as f64, sum_y.atan2(sum_x).to_degrees());
-    let radius_km = pts
-        .iter()
-        .map(|p| centroid.distance_km(p))
-        .fold(0.0, f64::max);
-    Some(CbgEstimate {
-        centroid,
-        radius_km,
-        feasible_points: pts.len(),
-    })
-}
-
-/// Shortest Ping: the target is colocated with the VP that measured the
-/// smallest RTT — the simple method that, per Katz-Bassett and
-/// Trammell, captures most of the benefit of delay-based geolocation.
-pub fn shortest_ping(vps: &VpSet, samples: &RouterRtts) -> Option<(VpId, Coordinates, Rtt)> {
-    let (vp, rtt) = samples.min_sample()?;
-    Some((vp, vps.get(vp).coords, rtt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::RttModel;
-    use crate::rng::StdRng;
+    use crate::VpId;
+    use hoiho_geotypes::Rtt;
 
-    fn world() -> VpSet {
+    #[test]
+    fn feasible_matches_constraint_maths() {
         let mut vps = VpSet::new();
         vps.add("dca", Coordinates::new(38.9, -77.0));
-        vps.add("ord", Coordinates::new(41.88, -87.63));
-        vps.add("atl", Coordinates::new(33.75, -84.39));
-        vps.add("jfk", Coordinates::new(40.64, -73.78));
-        vps.add("den", Coordinates::new(39.74, -104.99));
-        vps
+        let mut s = RouterRtts::new();
+        s.record(VpId(0), Rtt::from_ms(10.0)); // ≤ ~1000 km from DC
+        assert!(feasible(&vps, &s, &Coordinates::new(39.0, -77.5)));
+        assert!(!feasible(&vps, &s, &Coordinates::new(51.5, -0.1)));
     }
 
     #[test]
-    fn cbg_localises_a_measured_router() {
-        let vps = world();
-        let truth = Coordinates::new(39.04, -77.49); // Ashburn
-        let model = RttModel {
-            per_vp_response_rate: 1.0,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(404);
-        let samples = model.probe_from_all(&vps, &truth, &mut rng);
-        let est = cbg_estimate(&vps, &samples).expect("feasible");
-        let err = est.centroid.distance_km(&truth);
-        assert!(
-            err <= est.radius_km + 60.0,
-            "truth {err:.0} km from centroid, radius {:.0}",
-            est.radius_km
-        );
-        assert!(est.radius_km < 2_500.0, "radius {:.0}", est.radius_km);
-    }
-
-    #[test]
-    fn more_vps_tighten_the_region() {
-        let truth = Coordinates::new(39.04, -77.49);
-        let model = RttModel {
-            per_vp_response_rate: 1.0,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        let all = world();
-        let samples_all = model.probe_from_all(&all, &truth, &mut rng);
-        // Same dca measurement, other constraints dropped: the region
-        // from the full set must be no looser than from dca alone.
-        let mut one = VpSet::new();
-        one.add("dca", Coordinates::new(38.9, -77.0));
-        let mut samples_one = RouterRtts::new();
-        samples_one.record(VpId(0), samples_all.samples()[0].1);
-        let r_all = cbg_estimate(&all, &samples_all).unwrap().radius_km;
-        let r_one = cbg_estimate(&one, &samples_one).unwrap().radius_km;
-        assert!(r_all < r_one, "{r_all} !< {r_one}");
-    }
-
-    #[test]
-    fn contradictory_constraints_are_rejected() {
+    fn contradictory_constraints_are_infeasible_everywhere() {
         // Spoofed RTTs: 1 ms from both coasts is physically impossible.
         let mut vps = VpSet::new();
         vps.add("dca", Coordinates::new(38.9, -77.0));
@@ -168,37 +44,8 @@ mod tests {
         let mut s = RouterRtts::new();
         s.record(VpId(0), Rtt::from_ms(1.0));
         s.record(VpId(1), Rtt::from_ms(1.0));
-        assert!(cbg_estimate(&vps, &s).is_none());
-    }
-
-    #[test]
-    fn empty_samples_yield_none() {
-        assert!(cbg_estimate(&world(), &RouterRtts::new()).is_none());
-        assert!(shortest_ping(&world(), &RouterRtts::new()).is_none());
-    }
-
-    #[test]
-    fn shortest_ping_picks_nearest_vp() {
-        let vps = world();
-        let truth = Coordinates::new(39.04, -77.49); // nearest VP: dca
-        let model = RttModel {
-            per_vp_response_rate: 1.0,
-            noise_mean_ms: 0.1,
-            ..Default::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        let samples = model.probe_from_all(&vps, &truth, &mut rng);
-        let (vp, coords, _) = shortest_ping(&vps, &samples).unwrap();
-        assert_eq!(vps.get(vp).name, "dca");
-        assert!(coords.distance_km(&truth) < 100.0);
-    }
-
-    #[test]
-    fn feasible_matches_constraint_maths() {
-        let vps = world();
-        let mut s = RouterRtts::new();
-        s.record(VpId(0), Rtt::from_ms(10.0)); // ≤ ~1000 km from DC
-        assert!(feasible(&vps, &s, &Coordinates::new(39.0, -77.5)));
-        assert!(!feasible(&vps, &s, &Coordinates::new(51.5, -0.1)));
+        for point in [vps.get(VpId(0)).coords, vps.get(VpId(1)).coords] {
+            assert!(!feasible(&vps, &s, &point));
+        }
     }
 }

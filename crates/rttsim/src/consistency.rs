@@ -17,35 +17,22 @@ pub struct ConsistencyPolicy {
     /// comparison. 0 reproduces the paper's strict test; DRoP-style
     /// continent-scale constraints use a large value.
     pub slack_ms: f64,
-    /// Multiplicative slack on the best-case RTT (1.0 = none). Values
-    /// below 1.0 loosen the test (the best case must be under
-    /// `measured / factor`).
-    pub bestcase_factor: f64,
 }
 
 impl Default for ConsistencyPolicy {
     fn default() -> Self {
-        ConsistencyPolicy {
-            slack_ms: 0.0,
-            bestcase_factor: 1.0,
-        }
+        ConsistencyPolicy { slack_ms: 0.0 }
     }
 }
 
 impl ConsistencyPolicy {
     /// The strict test used by Hoiho.
-    pub const STRICT: ConsistencyPolicy = ConsistencyPolicy {
-        slack_ms: 0.0,
-        bestcase_factor: 1.0,
-    };
+    pub const STRICT: ConsistencyPolicy = ConsistencyPolicy { slack_ms: 0.0 };
 
     /// A deliberately coarse, continent-scale test approximating DRoP's
     /// traceroute-RTT-only constraints (§3.3: "their RTT measurements
     /// roughly constrained locations to within a continent").
-    pub const CONTINENT: ConsistencyPolicy = ConsistencyPolicy {
-        slack_ms: 35.0,
-        bestcase_factor: 1.0,
-    };
+    pub const CONTINENT: ConsistencyPolicy = ConsistencyPolicy { slack_ms: 35.0 };
 }
 
 /// The pure feasibility predicate: whether `candidate` is feasible for
@@ -63,15 +50,15 @@ pub fn feasibility(
     policy: &ConsistencyPolicy,
 ) -> bool {
     samples.samples().iter().all(|(vp, measured)| {
-        let best = best_case_rtt_ms(&vps.get(*vp).coords, candidate) * policy.bestcase_factor;
+        let best = best_case_rtt_ms(&vps.get(*vp).coords, candidate);
         best <= measured.as_ms() + policy.slack_ms
     })
 }
 
 /// The left-hand side of [`feasibility`]'s comparison, precomputed:
 /// one row per candidate location holding
-/// `best_case_rtt_ms(vp, location) * bestcase_factor` for every VP of
-/// one [`VpSet`], under one policy.
+/// `best_case_rtt_ms(vp, location)` for every VP of one [`VpSet`]. The
+/// policy's slack is added to the measurement at each compare.
 ///
 /// Rows are filled on first use and never change, so one table can be
 /// shared by every thread of a learn. A feasibility test is then one
@@ -113,7 +100,7 @@ impl BestCaseTable {
         let row = self.rows[loc.0 as usize].get_or_init(|| {
             self.vps
                 .iter()
-                .map(|vp| best_case_rtt_ms(vp, candidate) * self.policy.bestcase_factor)
+                .map(|vp| best_case_rtt_ms(vp, candidate))
                 .collect()
         });
         let ok = samples
@@ -242,7 +229,7 @@ mod tests {
 
     /// The table answers exactly what the pure predicate answers, for
     /// random samples and locations under both named policies and one
-    /// with a best-case factor, from cold and filled rows alike.
+    /// with its own slack, from cold and filled rows alike.
     #[test]
     fn best_case_table_matches_feasibility() {
         use crate::rng::{Rng, StdRng};
@@ -254,14 +241,11 @@ mod tests {
             vps.add(format!("vp{i}"), place());
         }
         let locations: Vec<Coordinates> = (0..300).map(|_| place()).collect();
-        let scaled = ConsistencyPolicy {
-            slack_ms: 2.0,
-            bestcase_factor: 0.8,
-        };
+        let slack = ConsistencyPolicy { slack_ms: 2.0 };
         for policy in [
             ConsistencyPolicy::STRICT,
             ConsistencyPolicy::CONTINENT,
-            scaled,
+            slack,
         ] {
             let table = BestCaseTable::new(&vps, &policy, locations.len());
             let (mut yes, mut no) = (0, 0);

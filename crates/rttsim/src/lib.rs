@@ -12,6 +12,8 @@
 //! great-circle path, plus queueing noise), [`observe`] reproduces the
 //! paper's traceroute-vs-ping observation asymmetry (figure 5), and
 //! [`fault`] injects the TCP-spoofing pathology the paper had to filter.
+//! [`consistency`] holds the paper's feasibility test, and [`cbg`] the
+//! CBG feasibility test of the §3.3 audit.
 
 pub mod cbg;
 pub mod consistency;
@@ -20,7 +22,6 @@ pub mod model;
 pub mod observe;
 pub mod rng;
 
-pub use cbg::{cbg_estimate, shortest_ping, CbgEstimate};
 pub use consistency::{rtt_consistent, ConsistencyPolicy};
 pub use model::RttModel;
 

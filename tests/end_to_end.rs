@@ -3,7 +3,7 @@
 
 use hoiho::{Geolocator, Hoiho};
 use hoiho_geodb::GeoDb;
-use hoiho_itdk::format::{parse_corpus, write_corpus, write_dns_names, write_nodes};
+use hoiho_itdk::format::{parse_corpus, write_corpus};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
 
@@ -56,26 +56,6 @@ fn learn_after_disk_roundtrip_matches_direct_learning() {
         assert_eq!(
             a.nc.as_ref().map(|n| n.regexes.len()),
             b.nc.as_ref().map(|n| n.regexes.len())
-        );
-    }
-}
-
-#[test]
-fn itdk_interop_files_are_consistent() {
-    let db = GeoDb::builtin();
-    let g = hoiho_itdk::generate(&db, &spec());
-    let nodes = write_nodes(&g.corpus);
-    let names = write_dns_names(&g.corpus);
-    let parsed_nodes = hoiho_itdk::format::parse_nodes(&nodes).expect("nodes");
-    let parsed_names = hoiho_itdk::format::parse_dns_names(&names).expect("names");
-    assert_eq!(parsed_nodes.len(), g.corpus.len());
-    // Every hostname's address appears in exactly one node.
-    let all_addrs: std::collections::HashSet<&str> =
-        parsed_nodes.iter().flatten().map(String::as_str).collect();
-    for (addr, _) in &parsed_names {
-        assert!(
-            all_addrs.contains(addr.as_str()),
-            "{addr} missing from nodes"
         );
     }
 }

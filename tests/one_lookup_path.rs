@@ -96,11 +96,23 @@ fn edge_cases_answer_the_same_through_both_front_ends() {
     let many_labels = format!("{}lhr1.gtt.net", "a.".repeat(39));
     assert_eq!(many_labels.split('.').count(), 42);
     let huge = long_host();
-    let table: [(&str, Option<&str>); 11] = [
+    // DNS's 253-byte limit: a name at it is answered, and one byte or
+    // one label more is no hostname.
+    let at_limit = format!("{}lhr12.gtt.net", "a.".repeat(120));
+    let byte_over = format!("a{at_limit}");
+    let label_over = format!("a.{at_limit}");
+    assert_eq!(
+        (at_limit.len(), byte_over.len(), label_over.len()),
+        (253, 254, 255)
+    );
+    let table: [(&str, Option<&str>); 14] = [
         // An empty label left of the suffix.
         ("x..lhr1.gtt.net", Some("London")),
         (&many_labels, Some("London")),
         (&huge, None),
+        (&at_limit, Some("London")),
+        (&byte_over, None),
+        (&label_over, None),
         // An empty label inside the suffix: no tail is registerable.
         ("r1.gtt..net", None),
         ("x..net", None),
@@ -135,9 +147,11 @@ fn long_host() -> String {
     host
 }
 
-/// Routing reads only the labels the longest PSL rule can reach, so a
-/// name with tens of thousands of labels costs about what its bytes do,
-/// through either front end.
+/// A name past DNS's 253-byte limit is refused by the length bound
+/// before routing or regex matching, so tens of thousands of labels
+/// cost next to nothing through either front end. The PSL walk's own
+/// bound is covered by psl's
+/// `walk_reads_at_most_one_label_past_the_longest_rule`.
 #[test]
 fn a_long_hostname_is_answered_quickly() {
     let (db, psl, geo, index) = gtt_front_ends();
