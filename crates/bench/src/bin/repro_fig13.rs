@@ -12,8 +12,8 @@ use hoiho::{Hoiho, Outcome};
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, Rtt};
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-use std::sync::Arc;
 
 fn main() {
     let db = GeoDb::builtin();
@@ -46,23 +46,23 @@ fn main() {
         ("gsdr-disy-2.frankfurt.de.alter.net", ams, 11.0), // (l)
     ];
 
+    let policy = ConsistencyPolicy::STRICT;
+    let rtts: Vec<RouterRtts> = rows
+        .iter()
+        .map(|&(_, vp, ms)| {
+            let mut rtts = RouterRtts::new();
+            rtts.record(vp, Rtt::from_ms(ms));
+            rtts
+        })
+        .collect();
+    let table = BestCaseTable::new(&vps, &policy, db.len(), &[]);
     let hosts: Vec<TrainHost> = rows
         .iter()
+        .zip(&rtts)
         .enumerate()
-        .map(|(i, (h, vp, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(*vp, Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
+        .map(|(i, ((h, _, _), rtts))| {
             let prefix = h.strip_suffix(".alter.net").expect("suffix");
-            let tags =
-                hoiho::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
-            TrainHost {
-                hostname: h.to_string(),
-                prefix: prefix.to_string(),
-                router: i as u32,
-                rtts,
-                tags,
-            }
+            TrainHost::new(&db, &table, h.to_string(), prefix.len(), i as u32, rtts)
         })
         .collect();
 
@@ -81,7 +81,7 @@ fn main() {
                 format!("{} [{}{}]", t.text, t.ty, ccs)
             })
             .collect();
-        println!("  {:44} {}", h.hostname, tags.join("  "));
+        println!("  {:44} {}", h.hostname(), tags.join("  "));
     }
 
     let hoiho = Hoiho::new(&db, &psl);
@@ -114,9 +114,7 @@ fn main() {
 
     // Per-hostname outcomes, like the figure's TP/FP/FN/UNK row.
     println!("\n## Per-hostname outcomes\n");
-    let hosts = set_hosts(&hoiho, &db, &vps, &rows);
-    let policy = ConsistencyPolicy::STRICT;
-    let ctx = hoiho::EvalContext::new(&db, &vps, &policy, &nc.suffix, &hosts);
+    let ctx = hoiho::EvalContext::new(&db, &vps, &policy, &nc.suffix, &set.hosts);
     let eval = hoiho::eval::eval_nc(&ctx, &nc, None);
     for ((h, _, _), (ext, outcome, _)) in rows.iter().zip(eval.per_host.iter()) {
         let what = ext
@@ -126,30 +124,4 @@ fn main() {
         println!("  {:44} {:28} {:?}", h, what, outcome);
     }
     let _ = Outcome::Tp;
-}
-
-fn set_hosts(
-    _hoiho: &Hoiho<'_>,
-    db: &GeoDb,
-    vps: &VpSet,
-    rows: &[(&str, VpId, f64)],
-) -> Vec<TrainHost> {
-    rows.iter()
-        .enumerate()
-        .map(|(i, (h, vp, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(*vp, Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
-            let prefix = h.strip_suffix(".alter.net").expect("suffix");
-            let tags =
-                hoiho::apparent::tag_prefix(db, vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
-            TrainHost {
-                hostname: h.to_string(),
-                prefix: prefix.to_string(),
-                router: i as u32,
-                rtts,
-                tags,
-            }
-        })
-        .collect()
 }

@@ -11,8 +11,8 @@ use hoiho_baselines::drop::{Drop, DropForm, DropRule};
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, Rtt};
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-use std::sync::Arc;
 
 fn main() {
     let db = GeoDb::builtin();
@@ -33,23 +33,22 @@ fn main() {
         ("gig1.cr1.prg12.threesixty.net", 13.0),
     ];
 
+    let rtts: Vec<RouterRtts> = hosts
+        .iter()
+        .map(|&(_, ms)| {
+            let mut rtts = RouterRtts::new();
+            rtts.record(VpId(lcy.0), Rtt::from_ms(ms));
+            rtts
+        })
+        .collect();
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
     let train: Vec<TrainHost> = hosts
         .iter()
+        .zip(&rtts)
         .enumerate()
-        .map(|(i, (h, ms))| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(VpId(lcy.0), Rtt::from_ms(*ms));
-            let rtts = Arc::new(rtts);
+        .map(|(i, ((h, _), rtts))| {
             let prefix = h.strip_suffix(".threesixty.net").expect("suffix");
-            let tags =
-                hoiho::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
-            TrainHost {
-                hostname: h.to_string(),
-                prefix: prefix.to_string(),
-                router: i as u32,
-                rtts,
-                tags,
-            }
+            TrainHost::new(&db, &table, h.to_string(), prefix.len(), i as u32, rtts)
         })
         .collect();
 

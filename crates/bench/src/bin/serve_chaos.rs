@@ -159,8 +159,8 @@ fn main() {
         args.seed
     ));
     std::fs::write(&path, &text).expect("write artifacts");
-    let index = LookupIndex::from_artifacts(Arc::clone(&db), Arc::clone(&psl), &text)
-        .expect("fresh artifacts parse");
+    let index =
+        LookupIndex::open(Arc::clone(&db), Arc::clone(&psl), &path).expect("fresh artifacts parse");
     eprintln!("index: {} suffixes", index.len());
 
     let cfg = ServeConfig {

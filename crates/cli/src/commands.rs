@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Options;
-use crate::{read_stdin_lines, write_file};
+use crate::{print_out, read_stdin_lines, write_file};
 use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
@@ -181,8 +181,10 @@ pub fn serve(opts: &Options) -> Result<(), String> {
     let db = Arc::new(GeoDb::builtin());
     let psl = Arc::new(PublicSuffixList::builtin());
     let path = opts.require("artifacts")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let index = LookupIndex::from_artifacts(db, psl, &text).map_err(|e| e.to_string())?;
+    // Stamped before it is read, so the reload watcher also sees a
+    // rewrite that lands between this read and its first poll.
+    let index = LookupIndex::open(db, psl, path.as_ref())
+        .map_err(|e| format!("cannot load {path}: {e}"))?;
     if index.is_empty() {
         return Err(format!("{path} holds no usable conventions"));
     }
@@ -245,15 +247,17 @@ pub fn stats(opts: &Options) -> Result<(), String> {
     let db = GeoDb::builtin();
     let corpus = load_corpus(opts, db.len())?;
     let s = CorpusStats::of(&corpus);
-    println!("label:         {}", s.label);
-    println!("routers:       {}", s.routers);
-    println!(
-        "with hostname: {} ({:.1}%)",
+    print_out(&format!(
+        "label:         {}\nrouters:       {}\nwith hostname: {} ({:.1}%)\n\
+         with RTT:      {} ({:.1}%)\nvantage pts:   {}",
+        s.label,
+        s.routers,
         s.with_hostname,
-        s.hostname_pct()
-    );
-    println!("with RTT:      {} ({:.1}%)", s.with_rtt, s.rtt_pct());
-    println!("vantage pts:   {}", s.vps);
+        s.hostname_pct(),
+        s.with_rtt,
+        s.rtt_pct(),
+        s.vps
+    ));
     Ok(())
 }
 

@@ -38,7 +38,7 @@ fn main() -> ExitCode {
         "stale" => commands::stale(&opts),
         "serve" => commands::serve(&opts),
         "version" | "--version" | "-V" => {
-            println!("hoiho {}", env!("CARGO_PKG_VERSION"));
+            print_out(concat!("hoiho ", env!("CARGO_PKG_VERSION")));
             return ExitCode::SUCCESS;
         }
         "help" | "--help" | "-h" => {
@@ -46,12 +46,12 @@ fn main() -> ExitCode {
             // subcommand's detailed help. An unknown topic stays a
             // usage error.
             let Some(topic) = opts.positional.first() else {
-                println!("{}", usage());
+                print_out(usage());
                 return ExitCode::SUCCESS;
             };
             match subcommand_help(topic) {
                 Some(text) => {
-                    println!("{text}");
+                    print_out(text);
                     return ExitCode::SUCCESS;
                 }
                 None => {
@@ -169,7 +169,9 @@ USAGE:
 
 Applies the artifacts to the corpus and reports hostnames whose
 hinted location is inconsistent with the RTT evidence of their
-router's other interfaces (stale-name detection, §6.2).
+router's other interfaces (stale-name detection, §6.2). Like
+`hoiho learn`, it ignores the RTTs of vantage points found to spoof
+probe responses (§5.1.4).
 
 FLAGS:
   --corpus FILE      corpus in the native corpus-v1 format
@@ -220,6 +222,12 @@ FLAGS:
         }
         _ => return None,
     })
+}
+
+/// Print `text` and a newline on stdout. A closed pipe (`hoiho help |
+/// head -1`) ends the output quietly, as it does for `hoiho apply`.
+pub fn print_out(text: &str) {
+    let _ = writeln!(std::io::stdout().lock(), "{text}");
 }
 
 /// Read hostnames from stdin, one per line.

@@ -155,6 +155,24 @@ fn per_subcommand_help() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown help topic"));
 }
 
+/// Help and version into a pipe nobody reads (`hoiho help | head -c 1`
+/// once `head` has exited) end quietly instead of panicking.
+#[test]
+fn help_into_a_closed_pipe_exits_cleanly() {
+    for argv in [&["help"][..], &["help", "learn"], &["version"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin())
+            .args(argv)
+            .stdout(writer)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{argv:?}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
+}
+
 #[test]
 fn version_prints_workspace_version() {
     for argv in [&["version"][..], &["--version"], &["-V"]] {

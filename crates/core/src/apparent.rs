@@ -45,19 +45,21 @@ pub fn tag_prefix(
     prefix: &str,
     policy: &ConsistencyPolicy,
 ) -> Vec<Tag> {
-    let table = BestCaseTable::new(vps, policy, db.len());
+    let table = BestCaseTable::new(vps, policy, db.len(), &[]);
     tag_prefix_with(db, rtts, prefix, &table)
 }
 
 /// [`tag_prefix`] testing feasibility through `table`, which fixes the
-/// vantage points and policy; a learn shares one across every prefix.
+/// vantage points, the policy and the VPs to ignore; a learn shares one
+/// across every prefix. A router the table does not constrain gets no
+/// tags.
 pub(crate) fn tag_prefix_with(
     db: &GeoDb,
     rtts: &RouterRtts,
     prefix: &str,
     table: &BestCaseTable,
 ) -> Vec<Tag> {
-    if rtts.is_empty() || prefix.is_empty() {
+    if !table.constrains(rtts) || prefix.is_empty() {
         return Vec::new();
     }
     let tokens = tokenize(prefix);

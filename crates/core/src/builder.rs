@@ -291,7 +291,7 @@ pub fn embed_character_classes(hosts: &[TrainHost], cand: &GeoRegex) -> Option<G
     // Collect matched texts per refinable node.
     let mut texts: Vec<Vec<String>> = vec![Vec::new(); node_group.len()];
     for h in hosts {
-        let Ok(Some(caps)) = probe.captures(&h.hostname) else {
+        let Ok(Some(caps)) = probe.captures(h.hostname()) else {
             continue;
         };
         for (k, (_, g)) in node_group.iter().enumerate() {
@@ -390,8 +390,7 @@ mod tests {
     use super::*;
     use hoiho_geodb::GeoDb;
     use hoiho_geotypes::{Coordinates, Rtt};
-    use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
+    use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
     fn world() -> (GeoDb, VpSet) {
         let db = GeoDb::builtin();
@@ -554,27 +553,30 @@ mod tests {
         let (db, vps) = world();
         // NTT-style hostnames where the trailing vocab slot (`bb`, `ce`)
         // should become [a-z]{2}.
-        let mk = |prefix: &str, rtt: f64| {
-            let mut rtts = RouterRtts::new();
-            rtts.record(VpId(1), Rtt::from_ms(rtt));
-            let rtts = Arc::new(rtts);
-            let tags =
-                crate::apparent::tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT);
-            TrainHost {
-                hostname: format!("{prefix}.gin.example.net"),
-                prefix: prefix.to_string(),
-                router: 0,
-                rtts,
-                tags,
-            }
-        };
-        let hosts = vec![
-            mk("xe-0.a02.washdc04.us.bb", 3.0),
-            mk("ae-1.r20.washdc01.us.ce", 3.5),
-            mk("ae-2.r21.asbnva02.us.bb", 3.0),
+        let rows = [
+            ("xe-0.a02.washdc04.us.bb", 3.0),
+            ("ae-1.r20.washdc01.us.ce", 3.5),
+            ("ae-2.r21.asbnva02.us.bb", 3.0),
         ];
+        let rtts: Vec<RouterRtts> = rows
+            .iter()
+            .map(|&(_, ms)| {
+                let mut rtts = RouterRtts::new();
+                rtts.record(VpId(1), Rtt::from_ms(ms));
+                rtts
+            })
+            .collect();
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+        let hosts: Vec<TrainHost> = rows
+            .iter()
+            .zip(&rtts)
+            .map(|(&(prefix, _), rtts)| {
+                let hostname = format!("{prefix}.gin.example.net");
+                TrainHost::new(&db, &table, hostname, prefix.len(), 0, rtts)
+            })
+            .collect();
         // A base regex with generic components.
-        let base = base_regexes_for_host(&hosts[0].prefix, &hosts[0].tags, "gin.example.net");
+        let base = base_regexes_for_host(hosts[0].prefix(), &hosts[0].tags, "gin.example.net");
         let generic = base
             .iter()
             .find(|r| {
@@ -586,6 +588,6 @@ mod tests {
         let pat = refined.regex.as_pattern();
         assert!(pat.contains("[a-z]{2}"), "{pat}");
         // The refined regex still matches its sources.
-        assert!(refined.regex.is_match(&hosts[0].hostname));
+        assert!(refined.regex.is_match(hosts[0].hostname()));
     }
 }

@@ -215,7 +215,7 @@ fn eval_regexes(
         let mut ext = None;
         let mut which = None;
         for (i, r) in regexes.iter().enumerate() {
-            if let Some(e) = r.extract(&host.hostname) {
+            if let Some(e) = r.extract(host.hostname()) {
                 ext = Some(e);
                 which = Some(i);
                 break;
@@ -307,8 +307,7 @@ mod tests {
     use crate::convention::{CaptureRole, Plan};
     use hoiho_geotypes::{Coordinates, GeohintType, Rtt};
     use hoiho_regex::Regex;
-    use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
+    use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
     const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
@@ -320,25 +319,20 @@ mod tests {
         (db, vps)
     }
 
-    fn host(db: &GeoDb, vps: &VpSet, hostname: &str, rtt_pairs: &[(u16, f64)]) -> TrainHost {
+    /// One router's RTTs: `(vp, ms)` pairs.
+    fn rtts(pairs: &[(u16, f64)]) -> RouterRtts {
         let mut rtts = RouterRtts::new();
-        for (vp, ms) in rtt_pairs {
+        for (vp, ms) in pairs {
             rtts.record(VpId(*vp), Rtt::from_ms(*ms));
         }
-        let rtts = Arc::new(rtts);
+        rtts
+    }
+
+    fn host<'a>(db: &GeoDb, vps: &VpSet, hostname: &str, rtts: &'a RouterRtts) -> TrainHost<'a> {
         // For tests assume suffix is the final two labels.
-        let prefix = {
-            let parts: Vec<&str> = hostname.split('.').collect();
-            parts[..parts.len() - 2].join(".")
-        };
-        let tags = crate::apparent::tag_prefix(db, vps, &rtts, &prefix, &POLICY);
-        TrainHost {
-            hostname: hostname.to_string(),
-            prefix,
-            router: 0,
-            rtts,
-            tags,
-        }
+        let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
+        let table = BestCaseTable::new(vps, &POLICY, db.len(), &[]);
+        TrainHost::new(db, &table, hostname.to_string(), prefix_len, 0, rtts)
     }
 
     /// Classify one host through a fresh single-host context.
@@ -366,8 +360,9 @@ mod tests {
     #[test]
     fn tp_when_consistent() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
-        let e = iata_regex().extract(&h.hostname);
+        let samples = rtts(&[(1, 2.0)]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &samples);
+        let e = iata_regex().extract(h.hostname());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Tp);
     }
 
@@ -375,16 +370,18 @@ mod tests {
     fn fp_when_inconsistent() {
         let (db, vps) = world();
         // 2ms from DC rules out London.
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[(0, 2.0)]);
-        let e = iata_regex().extract(&h.hostname);
+        let samples = rtts(&[(0, 2.0)]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &samples);
+        let e = iata_regex().extract(h.hostname());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Fp);
     }
 
     #[test]
     fn unk_when_not_in_dictionary() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.qqq1.example.net", &[(0, 2.0)]);
-        let e = iata_regex().extract(&h.hostname);
+        let samples = rtts(&[(0, 2.0)]);
+        let h = host(&db, &vps, "cr1.qqq1.example.net", &samples);
+        let e = iata_regex().extract(h.hostname());
         assert!(e.is_some());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Unk);
     }
@@ -394,7 +391,8 @@ mod tests {
         let (db, vps) = world();
         // Tagged (lhr feasible from London VP) but the regex shape
         // doesn't match the hostname (extra label).
-        let h = host(&db, &vps, "a.b.cr1.lhr1x.example.net", &[(1, 2.0)]);
+        let samples = rtts(&[(1, 2.0)]);
+        let h = host(&db, &vps, "a.b.cr1.lhr1x.example.net", &samples);
         assert!(h.is_tagged());
         assert_eq!(classify_one(&db, &vps, &h, None, None), Outcome::Fn);
     }
@@ -402,7 +400,8 @@ mod tests {
     #[test]
     fn ignore_when_untagged_and_unmatched() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "static-1-2.example.net", &[(0, 5.0)]);
+        let samples = rtts(&[(0, 5.0)]);
+        let h = host(&db, &vps, "static-1-2.example.net", &samples);
         assert!(!h.is_tagged());
         assert_eq!(classify_one(&db, &vps, &h, None, None), Outcome::Ignore);
     }
@@ -412,14 +411,15 @@ mod tests {
         let (db, vps) = world();
         // The hostname carries lhr + uk; a regex that extracts only lhr
         // must be penalised FN.
-        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &[(1, 2.0)]);
+        let samples = rtts(&[(1, 2.0)]);
+        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &samples);
         let r = GeoRegex {
             regex: Regex::parse(r"^.+\.([a-z]{3})\d+\.[a-z]{2}\.[a-z]{3}\.example\.net$").unwrap(),
             plan: Plan {
                 roles: vec![CaptureRole::Hint(GeohintType::Iata)],
             },
         };
-        let e = r.extract(&h.hostname);
+        let e = r.extract(h.hostname());
         assert!(e.is_some());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Fn);
     }
@@ -427,7 +427,8 @@ mod tests {
     #[test]
     fn tp_when_cc_extracted() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &[(1, 2.0)]);
+        let samples = rtts(&[(1, 2.0)]);
+        let h = host(&db, &vps, "x.mpr1.lhr15.uk.zip.example.net", &samples);
         let r = GeoRegex {
             regex: Regex::parse(r"^.+\.([a-z]{3})\d+\.([a-z]{2})\.[a-z]{3}\.example\.net$")
                 .unwrap(),
@@ -435,7 +436,7 @@ mod tests {
                 roles: vec![CaptureRole::Hint(GeohintType::Iata), CaptureRole::CcOrState],
             },
         };
-        let e = r.extract(&h.hostname);
+        let e = r.extract(h.hostname());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Tp);
     }
 
@@ -445,7 +446,8 @@ mod tests {
     #[test]
     fn tag_match_requires_same_type() {
         let (db, vps) = world();
-        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
+        let samples = rtts(&[(1, 2.0)]);
+        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &samples);
         // Replace the real tags with a single CityName tag of the same
         // text carrying a cc requirement the regex cannot satisfy.
         h.tags = vec![Tag {
@@ -457,7 +459,7 @@ mod tests {
             cc_texts: vec!["uk".into()],
             split: None,
         }];
-        let e = iata_regex().extract(&h.hostname);
+        let e = iata_regex().extract(h.hostname());
         assert_eq!(e.as_ref().unwrap().ty, GeohintType::Iata);
         // The old text-only fallback would demand "uk" and score FN;
         // strict (text, type) matching scores TP.
@@ -469,7 +471,8 @@ mod tests {
     #[test]
     fn tag_tie_breaks_to_first_span() {
         let (db, vps) = world();
-        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &[(1, 2.0)]);
+        let samples = rtts(&[(1, 2.0)]);
+        let mut h = host(&db, &vps, "cr1.lhr1.example.net", &samples);
         let locations = db.lookup_typed("lhr", GeohintType::Iata);
         h.tags = vec![
             Tag {
@@ -491,7 +494,7 @@ mod tests {
                 split: None,
             },
         ];
-        let e = iata_regex().extract(&h.hostname);
+        let e = iata_regex().extract(h.hostname());
         // The first tag's "uk" requirement wins over the later tag
         // without one, so the plain extraction is FN.
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Fn);
@@ -516,9 +519,10 @@ mod tests {
     #[test]
     fn unmeasured_router_extraction_is_tp_if_in_dict() {
         let (db, vps) = world();
-        let h = host(&db, &vps, "cr1.lhr1.example.net", &[]);
+        let samples = rtts(&[]);
+        let h = host(&db, &vps, "cr1.lhr1.example.net", &samples);
         assert!(!h.is_tagged()); // no RTTs → no tags
-        let e = iata_regex().extract(&h.hostname);
+        let e = iata_regex().extract(h.hostname());
         assert_eq!(classify_one(&db, &vps, &h, e.as_ref(), None), Outcome::Tp);
     }
 
@@ -533,7 +537,7 @@ mod tests {
             "lhr", "cdg", "fra", "ams", "iad", "qqq", "zzz", "xyz", "lon", "par",
         ];
         let ms_choices = [2.0, 8.0, 25.0, 60.0, 120.0];
-        let hosts: Vec<TrainHost> = (0..160)
+        let rows: Vec<(String, RouterRtts)> = (0..160)
             .map(|i| {
                 let hint = hints[rng.random_range(0..hints.len())];
                 let name = format!("cr{}.{hint}{}.example.net", i % 7, i % 4);
@@ -543,8 +547,12 @@ mod tests {
                         pairs.push((vp, ms_choices[rng.random_range(0..ms_choices.len())]));
                     }
                 }
-                host(&db, &vps, &name, &pairs)
+                (name, rtts(&pairs))
             })
+            .collect();
+        let hosts: Vec<TrainHost> = rows
+            .iter()
+            .map(|(name, rtts)| host(&db, &vps, name, rtts))
             .collect();
         // A learned overlay for one junk token, to exercise the delta
         // path as well.
@@ -563,10 +571,10 @@ mod tests {
             // Two passes: the second runs fully hot against the memos.
             for _pass in 0..2 {
                 for h in &hosts {
-                    let e = regex.extract(&h.hostname);
+                    let e = regex.extract(h.hostname());
                     let warm = classify_host(&shared, h, e.as_ref(), learned);
                     let cold = classify_one(&db, &vps, h, e.as_ref(), learned);
-                    assert_eq!(warm, cold, "host {}", h.hostname);
+                    assert_eq!(warm, cold, "host {}", h.hostname());
                 }
             }
         }

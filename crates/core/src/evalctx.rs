@@ -72,7 +72,7 @@ pub struct EvalContext<'a> {
     pub suffix: &'a str,
     /// The suffix's training hosts (borrowed — candidates no longer
     /// clone the suffix or hosts into throwaway conventions).
-    pub hosts: &'a [TrainHost],
+    pub hosts: &'a [TrainHost<'a>],
     interner: RefCell<Interner>,
     table: Arc<BestCaseTable>,
     decode_hits: Cell<u64>,
@@ -87,9 +87,9 @@ impl<'a> EvalContext<'a> {
         vps: &'a VpSet,
         policy: &'a ConsistencyPolicy,
         suffix: &'a str,
-        hosts: &'a [TrainHost],
+        hosts: &'a [TrainHost<'a>],
     ) -> EvalContext<'a> {
-        let table = Arc::new(BestCaseTable::new(vps, policy, db.len()));
+        let table = Arc::new(BestCaseTable::new(vps, policy, db.len(), &[]));
         EvalContext::with_table(db, suffix, hosts, table)
     }
 
@@ -98,7 +98,7 @@ impl<'a> EvalContext<'a> {
     pub fn with_table(
         db: &'a GeoDb,
         suffix: &'a str,
-        hosts: &'a [TrainHost],
+        hosts: &'a [TrainHost<'a>],
         table: Arc<BestCaseTable>,
     ) -> EvalContext<'a> {
         EvalContext {
@@ -157,7 +157,12 @@ impl<'a> EvalContext<'a> {
     /// RTT feasibility of `loc` for `host`'s router.
     pub fn feasible(&self, host: &TrainHost, loc: LocationId) -> bool {
         self.table
-            .feasibility(&host.rtts, loc, &self.db.location(loc).coords)
+            .feasibility(host.rtts, loc, &self.db.location(loc).coords)
+    }
+
+    /// Whether `host`'s router has a sample from a VP the table counts.
+    pub fn constrained(&self, host: &TrainHost) -> bool {
+        self.table.constrains(host.rtts)
     }
 
     /// Resolve interned ids back to sorted hint texts — the report

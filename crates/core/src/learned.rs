@@ -251,13 +251,13 @@ pub fn learn_hints(
 
 /// Count distinct routers RTT-consistent (TP) / inconsistent (FP) with a
 /// candidate location, through the context's feasibility memo. Routers
-/// without measurements contribute nothing.
+/// the context's table does not constrain contribute nothing.
 fn score(ctx: &EvalContext<'_>, host_idx: &[usize], loc: LocationId) -> (usize, usize) {
     let mut tp_routers = HashSet::new();
     let mut fp_routers = HashSet::new();
     for &i in host_idx {
         let h = &ctx.hosts[i];
-        if h.rtts.is_empty() {
+        if !ctx.constrained(h) {
             continue;
         }
         if ctx.feasible(h, loc) {
@@ -318,8 +318,7 @@ mod tests {
     use crate::train::TrainHost;
     use hoiho_geotypes::{Coordinates, Rtt};
     use hoiho_regex::Regex;
-    use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
+    use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
     const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
@@ -331,28 +330,37 @@ mod tests {
         (db, vps)
     }
 
-    fn host(
+    /// A `(router, hostname, vp, ms)` row: one sample per router.
+    type Row<'r> = (u32, &'r str, u16, f64);
+
+    /// The RTTs of each row.
+    fn measure(rows: &[Row]) -> Vec<RouterRtts> {
+        rows.iter()
+            .map(|&(_, _, vp, ms)| {
+                let mut rtts = RouterRtts::new();
+                rtts.record(VpId(vp), Rtt::from_ms(ms));
+                rtts
+            })
+            .collect()
+    }
+
+    /// The training hosts of `rows`, each borrowing its row's RTTs from
+    /// `rtts` (as [`measure`] built them). The suffix is the last two
+    /// labels.
+    fn hosts<'a>(
         db: &GeoDb,
         vps: &VpSet,
-        router: u32,
-        hostname: &str,
-        rtt_pairs: &[(u16, f64)],
-    ) -> TrainHost {
-        let mut rtts = RouterRtts::new();
-        for (vp, ms) in rtt_pairs {
-            rtts.record(VpId(*vp), Rtt::from_ms(*ms));
-        }
-        let rtts = Arc::new(rtts);
-        let parts: Vec<&str> = hostname.split('.').collect();
-        let prefix = parts[..parts.len() - 2].join(".");
-        let tags = crate::apparent::tag_prefix(db, vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
-        TrainHost {
-            hostname: hostname.to_string(),
-            prefix,
-            router,
-            rtts,
-            tags,
-        }
+        rows: &[Row],
+        rtts: &'a [RouterRtts],
+    ) -> Vec<TrainHost<'a>> {
+        let table = BestCaseTable::new(vps, &POLICY, db.len(), &[]);
+        rows.iter()
+            .zip(rtts)
+            .map(|(&(router, hostname, _, _), rtts)| {
+                let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
+                TrainHost::new(db, &table, hostname.to_string(), prefix_len, router, rtts)
+            })
+            .collect()
     }
 
     /// Reproduce figure 8a: he.net-style hostnames using "ash" for
@@ -371,14 +379,16 @@ mod tests {
         };
         // Four Ashburn routers (3–9 ms from College Park) plus three
         // legitimate Zurich routers so the NC itself is confident.
-        let hosts = vec![
-            host(&db, &vps, 1, "gcr.core1.ash1.example.net", &[(0, 9.0)]),
-            host(&db, &vps, 2, "ge1-2.core1.ash1.example.net", &[(0, 3.0)]),
-            host(&db, &vps, 3, "ge10-1.core2.ash1.example.net", &[(0, 3.0)]),
-            host(&db, &vps, 4, "ve401.core2.ash1.example.net", &[(0, 5.0)]),
-            host(&db, &vps, 5, "a.core1.zrh1.example.net", &[(1, 2.0)]),
-            host(&db, &vps, 6, "b.core1.zrh2.example.net", &[(1, 2.0)]),
+        let rows = [
+            (1, "gcr.core1.ash1.example.net", 0, 9.0),
+            (2, "ge1-2.core1.ash1.example.net", 0, 3.0),
+            (3, "ge10-1.core2.ash1.example.net", 0, 3.0),
+            (4, "ve401.core2.ash1.example.net", 0, 5.0),
+            (5, "a.core1.zrh1.example.net", 1, 2.0),
+            (6, "b.core1.zrh2.example.net", 1, 2.0),
         ];
+        let rtts = measure(&rows);
+        let hosts = hosts(&db, &vps, &rows, &rtts);
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
         let eval = eval_nc(&ctx, &nc, None);
         // "ash" decodes to Nashua which is ~700km away: FPs.
@@ -411,43 +421,15 @@ mod tests {
         };
         // Milan is ~220km from the Zurich VP. Include enough real CLLI
         // extractions for NC confidence.
-        let hosts = vec![
-            host(
-                &db,
-                &vps,
-                1,
-                "ae-7.r02.mlanit01.it.bb.example.net",
-                &[(1, 6.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                2,
-                "ae-3.r21.mlanit02.it.bb.example.net",
-                &[(1, 6.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                3,
-                "x.r01.zrchzh01.ch.bb.example.net",
-                &[(1, 1.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                4,
-                "x.r01.gnvege01.ch.bb.example.net",
-                &[(1, 4.0)],
-            ),
-            host(
-                &db,
-                &vps,
-                5,
-                "x.r01.mnchby01.de.bb.example.net",
-                &[(1, 4.5)],
-            ),
+        let rows = [
+            (1, "ae-7.r02.mlanit01.it.bb.example.net", 1, 6.0),
+            (2, "ae-3.r21.mlanit02.it.bb.example.net", 1, 6.0),
+            (3, "x.r01.zrchzh01.ch.bb.example.net", 1, 1.0),
+            (4, "x.r01.gnvege01.ch.bb.example.net", 1, 4.0),
+            (5, "x.r01.mnchby01.de.bb.example.net", 1, 4.5),
         ];
+        let rtts = measure(&rows);
+        let hosts = hosts(&db, &vps, &rows, &rtts);
         // The supporting hostnames use the derived dictionary CLLI
         // prefixes for Zurich/Geneva/Munich so the NC itself looks sane.
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
@@ -472,13 +454,9 @@ mod tests {
             }],
         };
         // Only one Ashburn router: below the 3-congruent-router bar.
-        let hosts = vec![host(
-            &db,
-            &vps,
-            1,
-            "gcr.core1.ash1.example.net",
-            &[(0, 5.0)],
-        )];
+        let rows = [(1, "gcr.core1.ash1.example.net", 0, 5.0)];
+        let rtts = measure(&rows);
+        let hosts = hosts(&db, &vps, &rows, &rtts);
         let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
         let eval = eval_nc(&ctx, &nc, None);
         let learned = learn_hints(&ctx, &LearnPolicy::default(), &nc, &eval);

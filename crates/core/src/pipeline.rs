@@ -6,12 +6,12 @@ use crate::eval::{eval_nc, eval_regex, EvalResult, Metrics, Outcome};
 use crate::evalctx::EvalContext;
 use crate::learned::{learn_hints, LearnPolicy, LearnedHints};
 use crate::rank::{classify_nc, select_nc, NcClass};
-use crate::train::{build_training_sets_stripped, SuffixSet};
+use crate::train::{build_training_sets_with, SuffixSet};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::consistency::BestCaseTable;
-use hoiho_rtt::{ConsistencyPolicy, VpSet};
+use hoiho_rtt::{ConsistencyPolicy, VpId, VpSet};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -115,7 +115,7 @@ pub struct LearnReport {
     /// Unmeasured routers additionally geolocated by usable NCs.
     pub routers_extrapolated: usize,
     /// Vantage points discarded as spoofing before learning.
-    pub spoofed_vps: Vec<hoiho_rtt::VpId>,
+    pub spoofed_vps: Vec<VpId>,
 }
 
 impl LearnReport {
@@ -138,6 +138,15 @@ impl LearnReport {
         }
         (good, promising, poor)
     }
+}
+
+/// The VPs whose access routers spoof probe responses (§5.1.4), found
+/// blind from the corpus's ping RTTs: at least 20 samples, spread and
+/// upper median both within 5 ms. The learner and the stale-hostname
+/// scan ignore the same VPs.
+pub(crate) fn spoofing_vps(corpus: &Corpus) -> Vec<VpId> {
+    let refs: Vec<&hoiho_rtt::RouterRtts> = corpus.routers.iter().map(|r| &r.rtts).collect();
+    hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20)
 }
 
 /// The learner: dictionary + suffix list + options.
@@ -175,9 +184,7 @@ impl<'a> Hoiho<'a> {
         // implausible across the whole campaign (spoofing middleboxes).
         let spoofed_vps = if self.opts.filter_spoofed_vps {
             let _span = hoiho_obs::span("learn.filter_vps");
-            let refs: Vec<&hoiho_rtt::RouterRtts> =
-                corpus.routers.iter().map(|r| &r.rtts).collect();
-            hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20)
+            spoofing_vps(corpus)
         } else {
             Vec::new()
         };
@@ -187,14 +194,18 @@ impl<'a> Hoiho<'a> {
                 spoofed_vps.len()
             ));
         }
-        // One best-case RTT table for the whole learn: stage 2 and every
-        // suffix's evaluation context answer feasibility probes from it.
-        let table = Arc::new(BestCaseTable::new(&corpus.vps, &POLICY, self.db.len()));
-        // Stage 2 strips the spoofed samples as it copies each training
-        // router's RTTs; nothing later reads the corpus's own RTTs.
+        // One best-case RTT table for the whole learn, ignoring the
+        // spoofed VPs: stage 2 and every suffix's evaluation context
+        // answer feasibility probes from it, over the corpus's own RTTs.
+        let table = Arc::new(BestCaseTable::new(
+            &corpus.vps,
+            &POLICY,
+            self.db.len(),
+            &spoofed_vps,
+        ));
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            build_training_sets_stripped(self.db, self.psl, corpus, &table, &spoofed_vps)
+            build_training_sets_with(self.db, self.psl, corpus, &table)
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();
@@ -281,7 +292,7 @@ impl<'a> Hoiho<'a> {
     /// Run stages 3–5 for one suffix (stage 2 tags are already on the
     /// training set).
     pub fn learn_suffix(&self, vps: &VpSet, set: &SuffixSet) -> SuffixResult {
-        let table = Arc::new(BestCaseTable::new(vps, &POLICY, self.db.len()));
+        let table = Arc::new(BestCaseTable::new(vps, &POLICY, self.db.len(), &[]));
         self.learn_suffix_with(set, &table)
     }
 
@@ -381,7 +392,7 @@ impl<'a> Hoiho<'a> {
             if !h.is_tagged() {
                 continue;
             }
-            for r in base_regexes_for_host(&h.prefix, &h.tags, ctx.suffix) {
+            for r in base_regexes_for_host(h.prefix(), &h.tags, ctx.suffix) {
                 counts.entry(r.regex.as_pattern()).or_insert((r, 0)).1 += 1;
             }
         }

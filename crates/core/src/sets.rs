@@ -109,8 +109,7 @@ mod tests {
     use hoiho_geodb::GeoDb;
     use hoiho_geotypes::{Coordinates, GeohintType, Rtt};
     use hoiho_regex::Regex;
-    use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-    use std::sync::Arc;
+    use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
     fn world() -> (GeoDb, VpSet) {
         let db = GeoDb::builtin();
@@ -119,20 +118,34 @@ mod tests {
         (db, vps)
     }
 
-    fn host(db: &GeoDb, vps: &VpSet, router: u32, hostname: &str, ms: f64) -> TrainHost {
-        let mut rtts = RouterRtts::new();
-        rtts.record(VpId(0), Rtt::from_ms(ms));
-        let rtts = Arc::new(rtts);
-        let parts: Vec<&str> = hostname.split('.').collect();
-        let prefix = parts[..parts.len() - 2].join(".");
-        let tags = crate::apparent::tag_prefix(db, vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
-        TrainHost {
-            hostname: hostname.into(),
-            prefix,
-            router,
-            rtts,
-            tags,
-        }
+    /// The RTTs of each `(router, hostname, ms)` row: `ms` from VP 0.
+    fn measure(rows: &[(u32, &str, f64)]) -> Vec<RouterRtts> {
+        rows.iter()
+            .map(|&(_, _, ms)| {
+                let mut rtts = RouterRtts::new();
+                rtts.record(VpId(0), Rtt::from_ms(ms));
+                rtts
+            })
+            .collect()
+    }
+
+    /// The training hosts of `rows`, each borrowing its row's RTTs from
+    /// `rtts` (as [`measure`] built them). The suffix is the last two
+    /// labels.
+    fn hosts<'a>(
+        db: &GeoDb,
+        vps: &VpSet,
+        rows: &[(u32, &str, f64)],
+        rtts: &'a [RouterRtts],
+    ) -> Vec<TrainHost<'a>> {
+        let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+        rows.iter()
+            .zip(rtts)
+            .map(|(&(router, hostname, _), rtts)| {
+                let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
+                TrainHost::new(db, &table, hostname.into(), prefix_len, router, rtts)
+            })
+            .collect()
     }
 
     /// Two naming forms within one suffix (IATA and city); phase 4 must
@@ -140,20 +153,20 @@ mod tests {
     #[test]
     fn combines_two_forms() {
         let (db, vps) = world();
-        // IATA-form hosts (European cities feasible from a London VP).
-        let mut hosts = vec![
-            host(&db, &vps, 1, "a.cr1.lhr1.example.net", 2.0),
-            host(&db, &vps, 2, "b.cr1.cdg2.example.net", 5.0),
-            host(&db, &vps, 3, "c.cr2.fra1.example.net", 9.0),
-            host(&db, &vps, 4, "d.cr2.ams3.example.net", 6.0),
+        let rows = [
+            // IATA-form hosts (European cities feasible from a London VP).
+            (1, "a.cr1.lhr1.example.net", 2.0),
+            (2, "b.cr1.cdg2.example.net", 5.0),
+            (3, "c.cr2.fra1.example.net", 9.0),
+            (4, "d.cr2.ams3.example.net", 6.0),
+            // City-form hosts.
+            (5, "e.gw1.brussels.example.net", 6.0),
+            (6, "f.gw2.dresden.example.net", 14.0),
+            (7, "g.gw1.prague.example.net", 13.0),
+            (8, "h.gw3.madrid.example.net", 14.0),
         ];
-        // City-form hosts.
-        hosts.extend([
-            host(&db, &vps, 5, "e.gw1.brussels.example.net", 6.0),
-            host(&db, &vps, 6, "f.gw2.dresden.example.net", 14.0),
-            host(&db, &vps, 7, "g.gw1.prague.example.net", 13.0),
-            host(&db, &vps, 8, "h.gw3.madrid.example.net", 14.0),
-        ]);
+        let rtts = measure(&rows);
+        let hosts = hosts(&db, &vps, &rows, &rtts);
         let iata = GeoRegex {
             regex: Regex::parse(r"^[^\.]+\.cr\d+\.([a-z]{3})\d+\.example\.net$").unwrap(),
             plan: Plan {
@@ -234,12 +247,14 @@ mod tests {
     #[test]
     fn rejects_low_diversity_member() {
         let (db, vps) = world();
-        let hosts = vec![
-            host(&db, &vps, 1, "a.cr1.lhr1.example.net", 2.0),
-            host(&db, &vps, 2, "b.cr1.cdg2.example.net", 5.0),
-            host(&db, &vps, 3, "c.cr2.fra1.example.net", 9.0),
-            host(&db, &vps, 4, "d.gw1.brussels.example.net", 6.0),
+        let rows = [
+            (1, "a.cr1.lhr1.example.net", 2.0),
+            (2, "b.cr1.cdg2.example.net", 5.0),
+            (3, "c.cr2.fra1.example.net", 9.0),
+            (4, "d.gw1.brussels.example.net", 6.0),
         ];
+        let rtts = measure(&rows);
+        let hosts = hosts(&db, &vps, &rows, &rtts);
         let iata = GeoRegex {
             regex: Regex::parse(r"^[^\.]+\.cr\d+\.([a-z]{3})\d+\.example\.net$").unwrap(),
             plan: Plan {

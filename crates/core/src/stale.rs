@@ -13,6 +13,7 @@
 //!    agree on a different, RTT-consistent location.
 
 use crate::apply::Geolocator;
+use crate::pipeline::spoofing_vps;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::{Corpus, RouterId};
 use hoiho_psl::PublicSuffixList;
@@ -38,7 +39,9 @@ pub struct StaleFinding {
 /// flagged when its inferred location is RTT-infeasible while at least
 /// one sibling hostname on the same router resolves to a feasible
 /// location (or the router has no other geolocated hostname but the
-/// contradiction is unambiguous).
+/// contradiction is unambiguous). The samples of the spoofing VPs the
+/// learner ignores are ignored here too, so a router measured only by
+/// them is not audited.
 pub fn detect_stale(
     db: &GeoDb,
     psl: &PublicSuffixList,
@@ -47,9 +50,9 @@ pub fn detect_stale(
     policy: &ConsistencyPolicy,
 ) -> Vec<StaleFinding> {
     let mut out = Vec::new();
-    let table = BestCaseTable::new(&corpus.vps, policy, db.len());
+    let table = BestCaseTable::new(&corpus.vps, policy, db.len(), &spoofing_vps(corpus));
     for (id, router) in corpus.iter() {
-        if router.rtts.is_empty() {
+        if !table.constrains(&router.rtts) {
             continue;
         }
         // Geolocate every hostname of this router.

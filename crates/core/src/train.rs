@@ -5,27 +5,62 @@ use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::consistency::BestCaseTable;
-use hoiho_rtt::fault::strip_vps;
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId};
+use hoiho_rtt::{ConsistencyPolicy, RouterRtts};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// One hostname with its stage-2 tags and the RTT samples of its router.
+/// One hostname with its stage-2 tags and the RTT samples of its router,
+/// borrowed from the corpus (or whatever else owns them).
 #[derive(Debug, Clone)]
-pub struct TrainHost {
-    /// Full hostname.
-    pub hostname: String,
-    /// The part before the registerable suffix.
-    pub prefix: String,
+pub struct TrainHost<'a> {
+    /// Full hostname; private, so `prefix_len` stays a cut of it.
+    hostname: String,
+    /// Length of [`TrainHost::prefix`] within `hostname`.
+    prefix_len: usize,
     /// Index of the router in the source corpus.
     pub router: u32,
     /// Minimum ping RTTs of the router (shared across its hostnames).
-    pub rtts: Arc<RouterRtts>,
+    /// The samples of VPs the learn ignores are still here; the
+    /// [`BestCaseTable`] that tests them skips them.
+    pub rtts: &'a RouterRtts,
     /// Apparent geohints (stage 2).
     pub tags: Vec<Tag>,
 }
 
-impl TrainHost {
+impl<'a> TrainHost<'a> {
+    /// A training host for `hostname`, whose first `prefix_len` bytes are
+    /// the part before its registerable suffix, tagged by stage 2 with
+    /// the interpretations `table` finds feasible for `rtts`.
+    ///
+    /// # Panics
+    /// Panics when `prefix_len` is not a char boundary of `hostname`.
+    pub fn new(
+        db: &GeoDb,
+        table: &BestCaseTable,
+        hostname: String,
+        prefix_len: usize,
+        router: u32,
+        rtts: &'a RouterRtts,
+    ) -> TrainHost<'a> {
+        let tags = tag_prefix_with(db, rtts, &hostname[..prefix_len], table);
+        TrainHost {
+            hostname,
+            prefix_len,
+            router,
+            rtts,
+            tags,
+        }
+    }
+
+    /// The full hostname.
+    pub fn hostname(&self) -> &str {
+        &self.hostname
+    }
+
+    /// The part of the hostname before the registerable suffix.
+    pub fn prefix(&self) -> &str {
+        &self.hostname[..self.prefix_len]
+    }
+
     /// Whether stage 2 tagged an apparent geohint.
     pub fn is_tagged(&self) -> bool {
         !self.tags.is_empty()
@@ -34,14 +69,14 @@ impl TrainHost {
 
 /// All hostnames of one suffix.
 #[derive(Debug, Clone)]
-pub struct SuffixSet {
+pub struct SuffixSet<'a> {
     /// The registerable suffix.
     pub suffix: String,
     /// Training hostnames.
-    pub hosts: Vec<TrainHost>,
+    pub hosts: Vec<TrainHost<'a>>,
 }
 
-impl SuffixSet {
+impl SuffixSet<'_> {
     /// Number of tagged hostnames.
     pub fn tagged(&self) -> usize {
         self.hosts.iter().filter(|h| h.is_tagged()).count()
@@ -50,54 +85,43 @@ impl SuffixSet {
 
 /// Group a corpus into per-suffix training sets, running stage 2 tagging
 /// on every hostname. Returns sets sorted by descending size.
-pub fn build_training_sets(
+pub fn build_training_sets<'c>(
     db: &GeoDb,
     psl: &PublicSuffixList,
-    corpus: &Corpus,
+    corpus: &'c Corpus,
     policy: &ConsistencyPolicy,
-) -> Vec<SuffixSet> {
-    let table = BestCaseTable::new(&corpus.vps, policy, db.len());
-    build_training_sets_stripped(db, psl, corpus, &table, &[])
+) -> Vec<SuffixSet<'c>> {
+    let table = BestCaseTable::new(&corpus.vps, policy, db.len(), &[]);
+    build_training_sets_with(db, psl, corpus, &table)
 }
 
-/// [`build_training_sets`] with the samples of the `spoofed` VPs removed
-/// from every training router's ping RTTs (§5.1.4), testing feasibility
-/// through `table` (built for the corpus's VPs and the learn's policy).
-/// Only routers that contribute a hostname get an RTT copy, and
-/// stripping happens at that copy, so the corpus itself is never cloned.
-pub(crate) fn build_training_sets_stripped(
+/// [`build_training_sets`] testing feasibility through `table`, built for
+/// the corpus's VPs, the learn's policy and the VPs it ignores. Each
+/// host borrows its router's RTTs from the corpus.
+pub(crate) fn build_training_sets_with<'c>(
     db: &GeoDb,
     psl: &PublicSuffixList,
-    corpus: &Corpus,
+    corpus: &'c Corpus,
     table: &BestCaseTable,
-    spoofed: &[VpId],
-) -> Vec<SuffixSet> {
-    let mut by_suffix: HashMap<String, Vec<TrainHost>> = HashMap::new();
+) -> Vec<SuffixSet<'c>> {
+    let mut by_suffix: HashMap<String, Vec<TrainHost<'c>>> = HashMap::new();
     for (id, r) in corpus.iter() {
-        let mut rtts: Option<Arc<RouterRtts>> = None;
         for h in r.hostnames() {
             let Some((prefix, suffix)) = psl.split_at_suffix(h) else {
                 continue;
             };
-            let rtts = rtts.get_or_insert_with(|| {
-                Arc::new(if spoofed.is_empty() {
-                    r.rtts.clone()
-                } else {
-                    strip_vps(&r.rtts, spoofed)
-                })
-            });
-            let prefix = prefix.to_ascii_lowercase();
-            let tags = tag_prefix_with(db, rtts, &prefix, table);
-            by_suffix.entry(suffix).or_default().push(TrainHost {
-                hostname: h.to_ascii_lowercase(),
-                prefix,
-                router: id.0,
-                rtts: Arc::clone(rtts),
-                tags,
-            });
+            let host = TrainHost::new(
+                db,
+                table,
+                h.to_ascii_lowercase(),
+                prefix.len(),
+                id.0,
+                &r.rtts,
+            );
+            by_suffix.entry(suffix).or_default().push(host);
         }
     }
-    let mut sets: Vec<SuffixSet> = by_suffix
+    let mut sets: Vec<SuffixSet<'c>> = by_suffix
         .into_iter()
         .map(|(suffix, hosts)| SuffixSet { suffix, hosts })
         .collect();
@@ -152,8 +176,8 @@ mod tests {
         // Prefixes must not contain the suffix.
         for s in &sets {
             for h in &s.hosts {
-                assert!(!h.prefix.ends_with(&s.suffix));
-                assert_eq!(h.hostname, format!("{}.{}", h.prefix, s.suffix));
+                assert!(!h.prefix().ends_with(&s.suffix));
+                assert_eq!(h.hostname(), format!("{}.{}", h.prefix(), s.suffix));
             }
         }
     }

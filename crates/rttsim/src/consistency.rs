@@ -6,7 +6,7 @@
 //! the theoretical best-case RTT is smaller than the measured RTT for
 //! all VPs, then the measured RTT is RTT-consistent."*
 
-use crate::{RouterRtts, VpSet};
+use crate::{RouterRtts, VpId, VpSet};
 use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates, LocationId};
 use std::sync::OnceLock;
 
@@ -60,6 +60,14 @@ pub fn feasibility(
 /// `best_case_rtt_ms(vp, location)` for every VP of one [`VpSet`]. The
 /// policy's slack is added to the measurement at each compare.
 ///
+/// The table is also the one place that decides which samples count.
+/// The VPs it is built to ignore (the spoofing VPs of §5.1.4) hold
+/// `f64::NEG_INFINITY` in every row, so their samples pass every
+/// compare: a probe answers what [`feasibility`] answers over
+/// [`strip_vps`](crate::fault::strip_vps)`(samples, ignored)`, with no
+/// stripped copy made. [`BestCaseTable::constrains`] answers whether
+/// anything is left.
+///
 /// Rows are filled on first use and never change, so one table can be
 /// shared by every thread of a learn. A feasibility test is then one
 /// compare per sample instead of one great-circle distance per sample,
@@ -68,25 +76,43 @@ pub fn feasibility(
 #[derive(Debug)]
 pub struct BestCaseTable {
     vps: Vec<Coordinates>,
+    ignored: Vec<bool>,
     policy: ConsistencyPolicy,
     rows: Vec<OnceLock<Box<[f64]>>>,
 }
 
 impl BestCaseTable {
     /// An empty table for `vps` under `policy`, with room for location
-    /// ids `0..locations`.
-    pub fn new(vps: &VpSet, policy: &ConsistencyPolicy, locations: usize) -> BestCaseTable {
+    /// ids `0..locations`, that ignores every sample taken by a VP in
+    /// `ignored` (pass `&[]` to count them all).
+    pub fn new(
+        vps: &VpSet,
+        policy: &ConsistencyPolicy,
+        locations: usize,
+        ignored: &[VpId],
+    ) -> BestCaseTable {
         BestCaseTable {
             vps: vps.iter().map(|(_, vp)| vp.coords).collect(),
+            ignored: vps.iter().map(|(id, _)| ignored.contains(&id)).collect(),
             policy: *policy,
             rows: (0..locations).map(|_| OnceLock::new()).collect(),
         }
     }
 
+    /// Whether any of a router's samples comes from a VP the table does
+    /// not ignore: a router it does not constrain is feasible anywhere.
+    pub fn constrains(&self, samples: &RouterRtts) -> bool {
+        samples
+            .samples()
+            .iter()
+            .any(|(vp, _)| self.ignored.get(vp.0 as usize) != Some(&true))
+    }
+
     /// [`feasibility`] of location `loc`, whose coordinates are
-    /// `candidate`, for a router's samples. The coordinates are read only
-    /// when `loc`'s row is first filled. Counts the answer toward
-    /// `rtt.consistency.{accept,reject}`, as [`rtt_consistent`] does.
+    /// `candidate`, for a router's samples, skipping the ignored VPs'.
+    /// The coordinates are read only when `loc`'s row is first filled.
+    /// Counts the answer toward `rtt.consistency.{accept,reject}`, as
+    /// [`rtt_consistent`] does.
     ///
     /// # Panics
     /// Panics when `loc` is outside the table or a sample names a VP
@@ -100,7 +126,14 @@ impl BestCaseTable {
         let row = self.rows[loc.0 as usize].get_or_init(|| {
             self.vps
                 .iter()
-                .map(|vp| best_case_rtt_ms(vp, candidate))
+                .zip(&self.ignored)
+                .map(|(vp, &ignored)| {
+                    if ignored {
+                        f64::NEG_INFINITY
+                    } else {
+                        best_case_rtt_ms(vp, candidate)
+                    }
+                })
                 .collect()
         });
         let ok = samples
@@ -227,11 +260,15 @@ mod tests {
         ));
     }
 
-    /// The table answers exactly what the pure predicate answers, for
-    /// random samples and locations under both named policies and one
-    /// with its own slack, from cold and filled rows alike.
+    /// The table answers exactly what the pure predicate answers over
+    /// the samples left once its ignored VPs are stripped, for random
+    /// samples, locations and ignored subsets, under both named policies
+    /// and one with its own slack, from cold and filled rows alike; and
+    /// it constrains a router exactly when that stripped copy is
+    /// non-empty.
     #[test]
     fn best_case_table_matches_feasibility() {
+        use crate::fault::strip_vps;
         use crate::rng::{Rng, StdRng};
         let mut rng = StdRng::seed_from_u64(0xB357);
         let mut uniform = |lo: f64, hi: f64| lo + (hi - lo) * rng.random::<f64>();
@@ -247,25 +284,42 @@ mod tests {
             ConsistencyPolicy::CONTINENT,
             slack,
         ] {
-            let table = BestCaseTable::new(&vps, &policy, locations.len());
-            let (mut yes, mut no) = (0, 0);
-            for _ in 0..3000 {
-                let mut s = RouterRtts::new();
-                for _ in 0..rng.random_range(0..6usize) {
-                    let vp = crate::VpId(rng.random_range(0..vps.len()) as u16);
-                    s.record(vp, Rtt::from_ms(300.0 * rng.random::<f64>()));
+            for round in 0..3 {
+                // No VP ignored first, then random subsets of them.
+                let ignored: Vec<crate::VpId> = vps
+                    .iter()
+                    .map(|(id, _)| id)
+                    .filter(|_| round > 0 && rng.random_range(0..4u32) == 0)
+                    .collect();
+                let table = BestCaseTable::new(&vps, &policy, locations.len(), &ignored);
+                let (mut yes, mut no, mut unconstrained) = (0, 0, 0);
+                for _ in 0..3000 {
+                    let mut s = RouterRtts::new();
+                    for _ in 0..rng.random_range(0..6usize) {
+                        let vp = crate::VpId(rng.random_range(0..vps.len()) as u16);
+                        s.record(vp, Rtt::from_ms(300.0 * rng.random::<f64>()));
+                    }
+                    let stripped = strip_vps(&s, &ignored);
+                    let i = rng.random_range(0..locations.len());
+                    let want = feasibility(&vps, &stripped, &locations[i], &policy);
+                    let got = table.feasibility(&s, LocationId(i as u32), &locations[i]);
+                    assert_eq!(
+                        got,
+                        want,
+                        "location {i}, samples {:?}, ignored {ignored:?}",
+                        s.samples()
+                    );
+                    assert_eq!(table.constrains(&s), !stripped.is_empty());
+                    unconstrained += usize::from(!table.constrains(&s));
+                    if want {
+                        yes += 1;
+                    } else {
+                        no += 1;
+                    }
                 }
-                let i = rng.random_range(0..locations.len());
-                let want = feasibility(&vps, &s, &locations[i], &policy);
-                let got = table.feasibility(&s, LocationId(i as u32), &locations[i]);
-                assert_eq!(got, want, "location {i}, samples {:?}", s.samples());
-                if want {
-                    yes += 1;
-                } else {
-                    no += 1;
-                }
+                assert!(yes > 100 && no > 100, "both answers exercised: {yes}/{no}");
+                assert!(unconstrained > 100, "unconstrained routers exercised");
             }
-            assert!(yes > 100 && no > 100, "both answers exercised: {yes}/{no}");
         }
     }
 }

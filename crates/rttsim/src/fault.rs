@@ -83,7 +83,10 @@ pub fn detect_spoofing_vps_blind(
 }
 
 /// Remove every sample taken by the given VPs from a measurement —
-/// what the paper did manually for its seven spoofing VPs.
+/// what the paper did manually for its seven spoofing VPs. The learner
+/// makes no such copy: its [`BestCaseTable`](crate::consistency::BestCaseTable)
+/// ignores the flagged VPs' samples in place and answers as if they had
+/// been removed here.
 pub fn strip_vps(samples: &RouterRtts, bad: &[VpId]) -> RouterRtts {
     // Filtering keeps the input's VP order, so the result stays sorted.
     let mut out = RouterRtts {

@@ -9,14 +9,30 @@
 //! [`SharedIndex`] with the epoch counter bumped; in-flight requests
 //! keep the `Arc` they already loaded, so a swap can never fail a
 //! request.
+//!
+//! An index read from a file remembers the file's `(mtime, len)` as it
+//! was just *before* the read. The reload watcher starts from that
+//! stamp, so a rewrite that lands after the read, before the watcher
+//! first runs, is still seen and served.
 
 use hoiho::apply::GeoInference;
 use hoiho::artifact::{parse_artifacts, ArtifactError};
 use hoiho::Geolocator;
 use hoiho_geodb::GeoDb;
 use hoiho_psl::PublicSuffixList;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
+use std::time::SystemTime;
+
+/// A file's `(mtime, len)`, or `None` when it cannot be read.
+pub(crate) type Stamp = Option<(SystemTime, u64)>;
+
+/// The current [`Stamp`] of the file at `path`.
+pub(crate) fn stamp(path: &Path) -> Stamp {
+    let m = std::fs::metadata(path).ok()?;
+    Some((m.modified().ok()?, m.len()))
+}
 
 /// An immutable snapshot of one artifact file together with the
 /// dictionary and suffix list needed to answer queries.
@@ -24,6 +40,9 @@ pub struct LookupIndex {
     db: Arc<GeoDb>,
     psl: Arc<PublicSuffixList>,
     geo: Geolocator,
+    /// The source file's stamp, taken before it was read; `None` for an
+    /// index built from text in memory.
+    pub(crate) stamp: Stamp,
 }
 
 impl LookupIndex {
@@ -36,13 +55,35 @@ impl LookupIndex {
         text: &str,
     ) -> Result<LookupIndex, ArtifactError> {
         let geo = parse_artifacts(text, &db)?;
-        Ok(LookupIndex { db, psl, geo })
+        Ok(LookupIndex {
+            db,
+            psl,
+            geo,
+            stamp: None,
+        })
     }
 
-    /// Parse `text` into a fresh index over the same dictionary and
-    /// suffix list (hot reload).
-    pub fn reload(&self, text: &str) -> Result<LookupIndex, ArtifactError> {
-        LookupIndex::from_artifacts(Arc::clone(&self.db), Arc::clone(&self.psl), text)
+    /// Stamp the artifact file at `path`, then read and parse it. The
+    /// index keeps the stamp, so a reload watcher started over it sees
+    /// every rewrite that lands after the stamp was taken. A read error
+    /// is returned as it is; a parse error as
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData).
+    pub fn open(
+        db: Arc<GeoDb>,
+        psl: Arc<PublicSuffixList>,
+        path: &Path,
+    ) -> std::io::Result<LookupIndex> {
+        let stamp = stamp(path);
+        let text = std::fs::read_to_string(path)?;
+        let index = LookupIndex::from_artifacts(db, psl, &text)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        Ok(LookupIndex { stamp, ..index })
+    }
+
+    /// [`LookupIndex::open`] over the same dictionary and suffix list
+    /// (hot reload).
+    pub fn reload(&self, path: &Path) -> std::io::Result<LookupIndex> {
+        LookupIndex::open(Arc::clone(&self.db), Arc::clone(&self.psl), path)
     }
 
     /// Number of suffixes covered.

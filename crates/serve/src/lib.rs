@@ -42,8 +42,7 @@
 //!
 //! let db = Arc::new(hoiho_geodb::GeoDb::builtin());
 //! let psl = Arc::new(hoiho_psl::PublicSuffixList::builtin());
-//! let text = std::fs::read_to_string("artifacts.txt").unwrap();
-//! let index = LookupIndex::from_artifacts(db, psl, &text).unwrap();
+//! let index = LookupIndex::open(db, psl, "artifacts.txt".as_ref()).unwrap();
 //! let server = Server::start(
 //!     Arc::new(SharedIndex::new(index)),
 //!     &ServeConfig::default(),

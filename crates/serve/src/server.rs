@@ -10,8 +10,9 @@
 //! - **N workers** — pop connections, speak either protocol until the
 //!   peer closes, a limit fires, or a drain begins. One lowercase
 //!   scratch buffer per worker keeps the lookup path allocation-free.
-//! - **watcher** (optional) — polls the artifact file's `(mtime, len)`;
-//!   on change parses off to the side and epoch-swaps the shared index.
+//! - **watcher** (optional) — polls the artifact file's `(mtime, len)`
+//!   against the stamp the serving index was read under; on change
+//!   parses off to the side and epoch-swaps the shared index.
 //!   A corrupt file increments `serve.reload.err` and keeps the old
 //!   index serving.
 //!
@@ -40,7 +41,7 @@
 //! workers finish the request in hand, and `Server::wait` joins
 //! everything.
 
-use crate::index::{LookupIndex, SharedIndex};
+use crate::index::{stamp, LookupIndex, SharedIndex};
 use crate::limits::{ConnLimits, ConnReader, ReadOutcome};
 use crate::proto::{self, Request};
 use std::collections::VecDeque;
@@ -624,12 +625,12 @@ fn handle_http(
     record_request(start);
 }
 
+/// Poll the artifact file and swap in a fresh index whenever its stamp
+/// differs from the one the serving index was read under. An index
+/// built from text in memory has no stamp, so the file is loaded on
+/// the first poll.
 fn watcher_loop(shared: &Shared, cfg: &ReloadConfig) {
-    let stamp = |p: &PathBuf| -> Option<(std::time::SystemTime, u64)> {
-        let m = std::fs::metadata(p).ok()?;
-        Some((m.modified().ok()?, m.len()))
-    };
-    let mut last = stamp(&cfg.path);
+    let mut last = shared.index.load().stamp;
     loop {
         // Sleep in small steps so a drain is not held up by the poll
         // period.
@@ -646,30 +647,22 @@ fn watcher_loop(shared: &Shared, cfg: &ReloadConfig) {
         if now.is_none() || now == last {
             continue;
         }
-        last = now;
-        match std::fs::read_to_string(&cfg.path) {
-            Ok(text) => match shared.index.load().reload(&text) {
-                Ok(index) => {
-                    let suffixes = index.len();
-                    let epoch = shared.index.swap(index);
-                    hoiho_obs::counter!("serve.reload.ok").inc();
-                    hoiho_obs::progress(format!(
-                        "reloaded {} (epoch {epoch}, {suffixes} suffixes)",
-                        cfg.path.display()
-                    ));
-                }
-                Err(e) => {
-                    hoiho_obs::counter!("serve.reload.err").inc();
-                    eprintln!(
-                        "serve: reload of {} failed, keeping old index: {e}",
-                        cfg.path.display()
-                    );
-                }
-            },
+        match shared.index.load().reload(&cfg.path) {
+            Ok(index) => {
+                last = index.stamp;
+                let suffixes = index.len();
+                let epoch = shared.index.swap(index);
+                hoiho_obs::counter!("serve.reload.ok").inc();
+                hoiho_obs::progress(format!(
+                    "reloaded {} (epoch {epoch}, {suffixes} suffixes)",
+                    cfg.path.display()
+                ));
+            }
             Err(e) => {
+                last = now;
                 hoiho_obs::counter!("serve.reload.err").inc();
                 eprintln!(
-                    "serve: cannot read {} for reload, keeping old index: {e}",
+                    "serve: reload of {} failed, keeping old index: {e}",
                     cfg.path.display()
                 );
             }

@@ -7,7 +7,7 @@ use hoiho_psl::PublicSuffixList;
 use hoiho_serve::{ConnLimits, LookupIndex, ReloadConfig, ServeConfig, Server, SharedIndex};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -26,6 +26,34 @@ fn index_for(suffixes: &[&str]) -> LookupIndex {
     let db = Arc::new(GeoDb::builtin());
     let psl = Arc::new(PublicSuffixList::builtin());
     LookupIndex::from_artifacts(db, psl, &artifacts(suffixes)).expect("artifacts parse")
+}
+
+/// Write `suffixes`' artifacts to `path` and open them the way `hoiho
+/// serve` does: stamped, then read.
+fn open_file(path: &Path, suffixes: &[&str]) -> LookupIndex {
+    std::fs::write(path, artifacts(suffixes)).unwrap();
+    let db = Arc::new(GeoDb::builtin());
+    let psl = Arc::new(PublicSuffixList::builtin());
+    LookupIndex::open(db, psl, path).expect("artifacts load")
+}
+
+fn reload_cfg(path: &Path) -> ServeConfig {
+    ServeConfig {
+        reload: Some(ReloadConfig {
+            path: path.to_path_buf(),
+            every: Duration::from_millis(50),
+        }),
+        ..ServeConfig::default()
+    }
+}
+
+/// Wait until the server's index reaches `epoch`.
+fn await_epoch(server: &Server, epoch: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.index().epoch() < epoch {
+        assert!(Instant::now() < deadline, "reload never happened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 fn start(cfg: &ServeConfig, suffixes: &[&str]) -> Server {
@@ -183,15 +211,9 @@ fn overload_sheds_with_503() {
 #[test]
 fn hot_reload_swaps_epoch_and_survives_corruption() {
     let path = tmp("reload-artifacts.txt");
-    std::fs::write(&path, artifacts(&["gtt.net"])).unwrap();
-    let cfg = ServeConfig {
-        reload: Some(ReloadConfig {
-            path: path.clone(),
-            every: Duration::from_millis(50),
-        }),
-        ..ServeConfig::default()
-    };
-    let server = start(&cfg, &["gtt.net"]);
+    let index = open_file(&path, &["gtt.net"]);
+    let server =
+        Server::start(Arc::new(SharedIndex::new(index)), &reload_cfg(&path)).expect("bind");
     let mut conn = connect(&server);
 
     // Not served yet: zayo.com is not in epoch 1.
@@ -200,11 +222,7 @@ fn hot_reload_swaps_epoch_and_survives_corruption() {
 
     // Rewrite the artifact file; the watcher must swap it in.
     std::fs::write(&path, artifacts(&["gtt.net", "zayo.com"])).unwrap();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.index().epoch() < 2 {
-        assert!(Instant::now() < deadline, "reload never happened");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    await_epoch(&server, 2);
     let r = roundtrip(&mut conn, r#"{"lookup":"ae1.lhr2.zayo.com"}"#);
     assert!(r.contains(r#""ok":true"#), "{r}");
 
@@ -224,6 +242,27 @@ fn hot_reload_swaps_epoch_and_survives_corruption() {
     let r = roundtrip(&mut conn, r#"{"lookup":"ae1.lhr2.zayo.com"}"#);
     assert!(r.contains(r#""ok":true"#), "old index keeps serving: {r}");
 
+    drop(conn);
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A rewrite between reading the initial index and starting the
+/// watcher is not lost: the watcher starts from the stamp taken before
+/// the read, not from the file as it finds it.
+#[test]
+fn rewrite_before_the_watcher_starts_is_reloaded() {
+    let path = tmp("early-rewrite-artifacts.txt");
+    let index = open_file(&path, &["gtt.net"]);
+    // A different length, so the stamp differs whatever the mtime
+    // granularity.
+    std::fs::write(&path, artifacts(&["gtt.net", "zayo.com"])).unwrap();
+    let server =
+        Server::start(Arc::new(SharedIndex::new(index)), &reload_cfg(&path)).expect("bind");
+    await_epoch(&server, 2);
+    let mut conn = connect(&server);
+    let r = roundtrip(&mut conn, r#"{"lookup":"ae1.lhr2.zayo.com"}"#);
+    assert!(r.contains(r#""ok":true"#), "{r}");
     drop(conn);
     server.shutdown();
     std::fs::remove_file(&path).ok();

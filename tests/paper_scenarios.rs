@@ -7,8 +7,8 @@ use hoiho::Hoiho;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, GeohintType, Rtt};
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
-use std::sync::Arc;
 
 fn world() -> (GeoDb, PublicSuffixList, VpSet) {
     let db = GeoDb::builtin();
@@ -20,31 +20,39 @@ fn world() -> (GeoDb, PublicSuffixList, VpSet) {
     (db, psl, vps)
 }
 
-fn host(
+/// A `(router, hostname, vp, ms)` row: one sample per router.
+type Row<'r> = (u32, &'r str, u16, f64);
+
+/// The RTTs of each row.
+fn measure(rows: &[Row]) -> Vec<RouterRtts> {
+    rows.iter()
+        .map(|&(_, _, vp, ms)| {
+            let mut rtts = RouterRtts::new();
+            rtts.record(VpId(vp), Rtt::from_ms(ms));
+            rtts
+        })
+        .collect()
+}
+
+/// The training hosts of `rows` under `suffix`, each borrowing its
+/// row's RTTs from `rtts` (as [`measure`] built them).
+fn hosts<'a>(
     db: &GeoDb,
     vps: &VpSet,
-    router: u32,
-    hostname: &str,
     suffix: &str,
-    rtt: &[(u16, f64)],
-) -> TrainHost {
-    let mut rtts = RouterRtts::new();
-    for (vp, ms) in rtt {
-        rtts.record(VpId(*vp), Rtt::from_ms(*ms));
-    }
-    let rtts = Arc::new(rtts);
-    let prefix = hostname
-        .strip_suffix(&format!(".{suffix}"))
-        .expect("suffix matches")
-        .to_string();
-    let tags = tag_prefix(db, vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
-    TrainHost {
-        hostname: hostname.to_string(),
-        prefix,
-        router,
-        rtts,
-        tags,
-    }
+    rows: &[Row],
+    rtts: &'a [RouterRtts],
+) -> Vec<TrainHost<'a>> {
+    let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+    rows.iter()
+        .zip(rtts)
+        .map(|(&(router, hostname, _, _), rtts)| {
+            let prefix = hostname
+                .strip_suffix(&format!(".{suffix}"))
+                .expect("suffix matches");
+            TrainHost::new(db, &table, hostname.to_string(), prefix.len(), router, rtts)
+        })
+        .collect()
 }
 
 /// Figure 1: six different operator conventions all place routers in
@@ -54,18 +62,16 @@ fn host(
 fn figure1_ashburn_conventions() {
     let (db, psl, vps) = world();
     // he.net-style with the colliding custom "ash" plus support cities.
-    let hosts: Vec<TrainHost> = vec![
-        ("100ge1-2.core1.ash1.example.net", 0u16, 3.0),
-        ("100ge10-1.core2.ash1.example.net", 0, 3.0),
-        ("ve401.core2.ash2.example.net", 0, 5.0),
-        ("ge0-1.core1.lhr1.example.net", 1, 2.0),
-        ("ge0-2.core3.zrh1.example.net", 2, 2.0),
-        ("ge0-3.core1.fra2.example.net", 2, 5.0),
-    ]
-    .into_iter()
-    .enumerate()
-    .map(|(i, (h, vp, ms))| host(&db, &vps, i as u32, h, "example.net", &[(vp, ms)]))
-    .collect();
+    let rows = [
+        (0, "100ge1-2.core1.ash1.example.net", 0, 3.0),
+        (1, "100ge10-1.core2.ash1.example.net", 0, 3.0),
+        (2, "ve401.core2.ash2.example.net", 0, 5.0),
+        (3, "ge0-1.core1.lhr1.example.net", 1, 2.0),
+        (4, "ge0-2.core3.zrh1.example.net", 2, 2.0),
+        (5, "ge0-3.core1.fra2.example.net", 2, 5.0),
+    ];
+    let rtts = measure(&rows);
+    let hosts = hosts(&db, &vps, "example.net", &rows, &rtts);
 
     let hoiho = Hoiho::new(&db, &psl);
     let result = hoiho.learn_suffix(
@@ -90,17 +96,18 @@ fn figure1_ashburn_conventions() {
 #[test]
 fn figure3a_stale_hostname_tolerated() {
     let (db, psl, vps) = world();
-    let mk = |i: u32, h: &str, ms: f64| host(&db, &vps, i, h, "bb.example.com", &[(0, ms)]);
-    let hosts = vec![
-        mk(1, "xe-0-0.iad1-bcr1.bb.example.com", 3.0),
-        mk(1, "xe-0-1.iad1-bcr1.bb.example.com", 3.0),
-        mk(1, "xe-0-2.iad1-bcr1.bb.example.com", 3.0),
+    let rows = [
+        (1, "xe-0-0.iad1-bcr1.bb.example.com", 0, 3.0),
+        (1, "xe-0-1.iad1-bcr1.bb.example.com", 0, 3.0),
+        (1, "xe-0-2.iad1-bcr1.bb.example.com", 0, 3.0),
         // Stale: the router is in Ashburn (3ms from DC) but the name
         // says Las Vegas.
-        mk(1, "xe-0-3.las1-bcr2.bb.example.com", 3.0),
-        mk(2, "xe-1-0.bwi1-bcr1.bb.example.com", 2.0),
-        mk(3, "xe-2-0.ric2-bcr1.bb.example.com", 4.0),
+        (1, "xe-0-3.las1-bcr2.bb.example.com", 0, 3.0),
+        (2, "xe-1-0.bwi1-bcr1.bb.example.com", 0, 2.0),
+        (3, "xe-2-0.ric2-bcr1.bb.example.com", 0, 4.0),
     ];
+    let rtts = measure(&rows);
+    let hosts = hosts(&db, &vps, "bb.example.com", &rows, &rtts);
     let hoiho = Hoiho::new(&db, &psl);
     let result = hoiho.learn_suffix(
         &vps,
@@ -142,16 +149,16 @@ fn figure6_tagging_shapes() {
 #[test]
 fn figure8b_invented_clli_via_pipeline() {
     let (db, psl, vps) = world();
-    let mk =
-        |i: u32, h: &str, vp: u16, ms: f64| host(&db, &vps, i, h, "gin.example.net", &[(vp, ms)]);
-    let hosts = vec![
-        mk(1, "ae-7.r02.mlanit01.it.bb.gin.example.net", 2, 6.0),
-        mk(2, "ae-3.r21.mlanit02.it.bb.gin.example.net", 2, 6.0),
-        mk(3, "x0.r01.zrchzh01.ch.bb.gin.example.net", 2, 1.0),
-        mk(4, "x1.r01.gnvege01.ch.bb.gin.example.net", 2, 4.0),
-        mk(5, "x2.r01.mnchby01.de.bb.gin.example.net", 2, 4.5),
-        mk(6, "x3.r02.londen02.gb.bb.gin.example.net", 1, 1.5),
+    let rows = [
+        (1, "ae-7.r02.mlanit01.it.bb.gin.example.net", 2, 6.0),
+        (2, "ae-3.r21.mlanit02.it.bb.gin.example.net", 2, 6.0),
+        (3, "x0.r01.zrchzh01.ch.bb.gin.example.net", 2, 1.0),
+        (4, "x1.r01.gnvege01.ch.bb.gin.example.net", 2, 4.0),
+        (5, "x2.r01.mnchby01.de.bb.gin.example.net", 2, 4.5),
+        (6, "x3.r02.londen02.gb.bb.gin.example.net", 1, 1.5),
     ];
+    let rtts = measure(&rows);
+    let hosts = hosts(&db, &vps, "gin.example.net", &rows, &rtts);
     let hoiho = Hoiho::new(&db, &psl);
     let result = hoiho.learn_suffix(
         &vps,
@@ -175,16 +182,17 @@ fn figure8b_invented_clli_via_pipeline() {
 #[test]
 fn chance_collisions_do_not_fool_learner() {
     let (db, psl, vps) = world();
-    let mk = |i: u32, h: &str, ms: f64| host(&db, &vps, i, h, "noise.example.org", &[(0, ms)]);
     // "eth"/"gig" are IATA codes (Eilat, Rio) but these routers are all
     // near Washington DC: the hints are never RTT-consistent.
-    let hosts = vec![
-        mk(1, "eth0.cust100.noise.example.org", 2.0),
-        mk(2, "eth1.cust101.noise.example.org", 3.0),
-        mk(3, "gig1-2.cust102.noise.example.org", 2.5),
-        mk(4, "gig2-2.cust103.noise.example.org", 1.5),
-        mk(5, "eth2.cust104.noise.example.org", 2.2),
+    let rows = [
+        (1, "eth0.cust100.noise.example.org", 0, 2.0),
+        (2, "eth1.cust101.noise.example.org", 0, 3.0),
+        (3, "gig1-2.cust102.noise.example.org", 0, 2.5),
+        (4, "gig2-2.cust103.noise.example.org", 0, 1.5),
+        (5, "eth2.cust104.noise.example.org", 0, 2.2),
     ];
+    let rtts = measure(&rows);
+    let hosts = hosts(&db, &vps, "noise.example.org", &rows, &rtts);
     let hoiho = Hoiho::new(&db, &psl);
     let result = hoiho.learn_suffix(
         &vps,

@@ -3,13 +3,15 @@
 //! pipeline automates the filter, and this test measures its effect
 //! end to end.
 
-use hoiho::{Hoiho, HoihoOptions};
+use hoiho::artifact::write_artifacts;
+use hoiho::stale::detect_stale;
+use hoiho::{Geolocator, Hoiho, HoihoOptions};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::fault::inject_spoofing;
+use hoiho_rtt::fault::{inject_spoofing, strip_vps};
 use hoiho_rtt::rng::StdRng;
-use hoiho_rtt::VpId;
+use hoiho_rtt::{ConsistencyPolicy, VpId};
 
 fn poisoned_corpus(db: &GeoDb) -> hoiho_itdk::Corpus {
     let spec = CorpusSpec {
@@ -47,15 +49,7 @@ fn filter_recovers_learning_from_spoofed_campaign() {
     let psl = PublicSuffixList::builtin();
     let corpus = poisoned_corpus(&db);
 
-    let unfiltered = Hoiho::with_options(
-        &db,
-        &psl,
-        HoihoOptions {
-            filter_spoofed_vps: false,
-            ..Default::default()
-        },
-    )
-    .learn_corpus(&corpus);
+    let unfiltered = unfiltered(&db, &psl).learn_corpus(&corpus);
     let filtered = Hoiho::new(&db, &psl).learn_corpus(&corpus); // filter on by default
 
     // The filter identifies exactly the poisoned VPs.
@@ -73,6 +67,60 @@ fn filter_recovers_learning_from_spoofed_campaign() {
         unfiltered.routers_geolocated
     );
     assert!(filtered.usable().count() >= unfiltered.usable().count());
+}
+
+fn unfiltered<'a>(db: &'a GeoDb, psl: &'a PublicSuffixList) -> Hoiho<'a> {
+    Hoiho::with_options(
+        db,
+        psl,
+        HoihoOptions {
+            filter_spoofed_vps: false,
+            ..Default::default()
+        },
+    )
+}
+
+/// Ignoring the flagged VPs' samples is the same as learning a corpus
+/// from which they were stripped: the artifacts are byte-identical.
+#[test]
+fn ignoring_spoofed_vps_equals_stripping_them() {
+    let db = GeoDb::builtin();
+    let psl = PublicSuffixList::builtin();
+    let corpus = poisoned_corpus(&db);
+    let filtered = Hoiho::new(&db, &psl).learn_corpus(&corpus);
+    assert!(!filtered.spoofed_vps.is_empty());
+
+    let mut stripped = corpus.clone();
+    for r in &mut stripped.routers {
+        r.rtts = strip_vps(&r.rtts, &filtered.spoofed_vps);
+    }
+    let plain = unfiltered(&db, &psl).learn_corpus(&stripped);
+
+    let artifact = |report| write_artifacts(&Geolocator::from_report(report), &db);
+    assert!(filtered.usable().count() > 0);
+    assert_eq!(artifact(&filtered), artifact(&plain));
+    assert_eq!(filtered.routers_with_apparent, plain.routers_with_apparent);
+}
+
+/// The stale-hostname scan ignores the VPs the learner ignores: on the
+/// poisoned campaign it flags as few hostnames as on a clean one (the
+/// bound `clean_corpus_yields_few_flags` holds), where counting the
+/// spoofed 1–2 ms samples would make nearly every hint infeasible.
+#[test]
+fn stale_scan_ignores_spoofed_vps() {
+    let db = GeoDb::builtin();
+    let psl = PublicSuffixList::builtin();
+    let corpus = poisoned_corpus(&db);
+    let report = Hoiho::new(&db, &psl).learn_corpus(&corpus);
+    let geo = Geolocator::from_report(&report);
+    let findings = detect_stale(&db, &psl, &geo, &corpus, &ConsistencyPolicy::STRICT);
+    let located: usize = corpus.routers.iter().map(|r| r.hostnames().count()).sum();
+    assert!(
+        findings.len() * 50 < located.max(1),
+        "{} flags over {} hostnames",
+        findings.len(),
+        located
+    );
 }
 
 #[test]
@@ -97,15 +145,7 @@ fn filter_is_inert_on_clean_measurements() {
     };
     let corpus = hoiho_itdk::generate(&db, &spec).corpus;
     let on = Hoiho::new(&db, &psl).learn_corpus(&corpus);
-    let off = Hoiho::with_options(
-        &db,
-        &psl,
-        HoihoOptions {
-            filter_spoofed_vps: false,
-            ..Default::default()
-        },
-    )
-    .learn_corpus(&corpus);
+    let off = unfiltered(&db, &psl).learn_corpus(&corpus);
     assert!(on.spoofed_vps.is_empty(), "no false flags on clean data");
     assert_eq!(on.routers_geolocated, off.routers_geolocated);
 }
