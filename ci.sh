@@ -21,8 +21,7 @@
 # under chaos to 5x their p99 in a calm window of the same run.
 #
 # Knobs: CI_BENCH_TOL (bench regression tolerance, percent, default 25),
-# CI_CHAOS_SECS (chaos soak length, default 10), CI_NO_CURL=1 (force the
-# serve_probe fallback even when curl is installed).
+# CI_CHAOS_SECS (chaos soak length, default 10).
 #
 # Everything runs with --offline — the workspace has no external
 # dependencies, so no network (or crates.io index) is required.
@@ -95,18 +94,12 @@ if want smoke; then
     echo "==> stage smoke"
     # Boot `hoiho serve` on an ephemeral port (the --port-file handshake
     # tells us which), exercise both protocols, then shut down cleanly
-    # and require exit 0 (graceful drain). HTTP probes go through curl
-    # when present and fall back to the serve_probe binary (same
-    # contract: body on stdout, exit 0 only on 2xx) when not;
-    # CI_NO_CURL=1 forces the fallback path.
-    if [ "${CI_NO_CURL:-0}" != 1 ] && command -v curl >/dev/null 2>&1; then
-        fetch() { curl -fsS "http://127.0.0.1:$PORT$1"; }
-        post() { curl -fsS -X POST "http://127.0.0.1:$PORT$1"; }
-    else
-        echo "    (curl unavailable or disabled; probing with serve_probe)"
-        fetch() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "GET $1"; }
-        post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
-    fi
+    # and require exit 0 (graceful drain). Every probe, HTTP and line
+    # protocol alike, goes through the serve_probe binary (for HTTP: body
+    # on stdout, exit 0 only on 2xx), so the path is the same on every
+    # host.
+    fetch() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "GET $1"; }
+    post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
     ./target/release/hoiho generate --routers 1500 --seed 11 --out "$WORK/corpus.txt"
     ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" \
         --out "$WORK/artifacts.txt" --metrics "$WORK/metrics1.jsonl"

@@ -17,11 +17,12 @@ use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::{consistency::rtt_consistent, ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// The hint shape a DRoP rule expects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DropForm {
     /// 3-letter token → IATA.
     Iata,
@@ -95,6 +96,10 @@ fn strip_one_digit(label: &str) -> Option<&str> {
 impl Drop {
     /// Learn one rule per suffix from a corpus.
     pub fn train(db: &GeoDb, psl: &PublicSuffixList, corpus: &Corpus) -> Drop {
+        // The coarse continent-scale feasibility DRoP's traceroute RTTs
+        // give.
+        let coarse =
+            BestCaseTable::new(&corpus.vps, &ConsistencyPolicy::CONTINENT, db.coords(), &[]);
         // Candidate tallies per (suffix, rule): (hits, consistent).
         let mut tallies: HashMap<(String, DropRule), (usize, usize)> = HashMap::new();
         for (_, router) in corpus.iter() {
@@ -129,7 +134,7 @@ impl Drop {
                         };
                         let consistent = locs
                             .iter()
-                            .any(|&l| coarse_ok(db, &corpus.vps, &router.traceroute_rtts, l));
+                            .any(|&l| coarse.feasibility(&router.traceroute_rtts, l));
                         let t = tallies.entry((suffix.clone(), rule)).or_insert((0, 0));
                         t.0 += 1;
                         if consistent {
@@ -140,14 +145,17 @@ impl Drop {
             }
         }
         // Per suffix: the rule with most hits that clears the majority
-        // bar.
+        // bar; equal hits go to the rule nearest the suffix, then the
+        // smaller form and label count, whatever order the tallies
+        // iterate in.
+        let rank = |r: &DropRule, hits| (hits, Reverse((r.from_end, r.form, r.labels)));
         let mut best: HashMap<String, (DropRule, usize)> = HashMap::new();
         for ((suffix, rule), (hits, consistent)) in tallies {
             if hits < 3 || consistent * 2 <= hits {
                 continue;
             }
             match best.get(&suffix) {
-                Some((_, h)) if *h >= hits => {}
+                Some((r, h)) if rank(r, *h) >= rank(&rule, hits) => {}
                 _ => {
                     best.insert(suffix, (rule, hits));
                 }
@@ -211,16 +219,6 @@ impl Drop {
     }
 }
 
-/// The coarse continent-scale feasibility DRoP's traceroute RTTs give.
-fn coarse_ok(db: &GeoDb, vps: &VpSet, rtts: &RouterRtts, loc: LocationId) -> bool {
-    rtt_consistent(
-        vps,
-        rtts,
-        &db.location(loc).coords,
-        &ConsistencyPolicy::CONTINENT,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +264,37 @@ mod tests {
         let g = generated();
         let model = Drop::train(&db, &psl, &g.corpus);
         assert!(!model.is_empty(), "DRoP should learn some rules");
+    }
+
+    #[test]
+    fn equal_hits_pick_one_rule() {
+        // `lhr1` and `ams2` both decode as IATA codes on every hostname,
+        // and with no traceroute RTTs both rules are consistent: a tie.
+        let db = GeoDb::builtin();
+        let psl = PublicSuffixList::builtin();
+        let router = hoiho_itdk::Router {
+            location: hoiho_geotypes::LocationId(0),
+            interfaces: vec![hoiho_itdk::Interface {
+                addr: "192.0.2.1".into(),
+                hostname: Some("lhr1.ams2.example.net".into()),
+                truth: None,
+            }],
+            rtts: Default::default(),
+            traceroute_rtts: Default::default(),
+        };
+        let corpus = Corpus {
+            routers: vec![router; 4],
+            ..Default::default()
+        };
+        for _ in 0..32 {
+            let model = Drop::train(&db, &psl, &corpus);
+            let want = DropRule {
+                labels: 2,
+                from_end: 0,
+                form: DropForm::Iata,
+            };
+            assert_eq!(model.rule("example.net"), Some(&want));
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@ use hoiho_geodb::GeoDb;
 use hoiho_geotypes::LocationId;
 use hoiho_itdk::Router;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::cbg::feasible;
+use hoiho_rtt::consistency::BestCaseTable;
+use hoiho_rtt::ConsistencyPolicy;
 
 fn main() {
     let db = GeoDb::builtin();
@@ -28,6 +29,8 @@ fn main() {
     let hloc_model = Hloc::new();
     let undns_model = Undns::curate(&db, &g.operators, 0.55, 0.01, 2014);
 
+    // CBG's test is the strict RTT test over every VP's samples.
+    let cbg = BestCaseTable::new(&g.corpus.vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     let audit = |name: &str, f: &mut dyn FnMut(&str, &Router) -> Option<LocationId>| {
         let mut answered = 0usize;
         let mut infeasible = 0usize;
@@ -38,7 +41,7 @@ fn main() {
             for h in r.hostnames() {
                 if let Some(loc) = f(h, r) {
                     answered += 1;
-                    if !feasible(&g.corpus.vps, &r.rtts, &db.location(loc).coords) {
+                    if !cbg.feasibility(&r.rtts, loc) {
                         infeasible += 1;
                     }
                 }

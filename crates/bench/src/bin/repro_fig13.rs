@@ -55,7 +55,7 @@ fn main() {
             rtts
         })
         .collect();
-    let table = BestCaseTable::new(&vps, &policy, db.len(), &[]);
+    let table = BestCaseTable::new(&vps, &policy, db.coords(), &[]);
     let hosts: Vec<TrainHost> = rows
         .iter()
         .zip(&rtts)
@@ -114,7 +114,7 @@ fn main() {
 
     // Per-hostname outcomes, like the figure's TP/FP/FN/UNK row.
     println!("\n## Per-hostname outcomes\n");
-    let ctx = hoiho::EvalContext::new(&db, &vps, &policy, &nc.suffix, &set.hosts);
+    let ctx = hoiho::EvalContext::new(&db, &nc.suffix, &set.hosts, &table);
     let eval = hoiho::eval::eval_nc(&ctx, &nc, None);
     for ((h, _, _), (ext, outcome, _)) in rows.iter().zip(eval.per_host.iter()) {
         let what = ext

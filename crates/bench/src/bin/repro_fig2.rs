@@ -41,7 +41,7 @@ fn main() {
             rtts
         })
         .collect();
-    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     let train: Vec<TrainHost> = hosts
         .iter()
         .zip(&rtts)

@@ -10,7 +10,6 @@ use hoiho_itdk::format::{parse_corpus, write_corpus};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::stats::CorpusStats;
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::ConsistencyPolicy;
 use hoiho_serve::{ConnLimits, LookupIndex, ReloadConfig, ServeConfig, Server, SharedIndex};
 use std::io::Write as _;
 use std::sync::Arc;
@@ -270,7 +269,7 @@ pub fn stale(opts: &Options) -> Result<(), String> {
     let path = opts.require("artifacts")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let geo = parse_artifacts(&text, &db).map_err(|e| e.to_string())?;
-    let findings = detect_stale(&db, &psl, &geo, &corpus, &ConsistencyPolicy::STRICT);
+    let findings = detect_stale(&db, &psl, &geo, &corpus);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     for f in &findings {

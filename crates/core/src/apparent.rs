@@ -10,7 +10,7 @@
 use crate::tokenize::{tokenize, Token, TokenKind};
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, RouterRtts};
 use std::collections::BTreeMap;
 
 /// An apparent geohint tagged on a hostname.
@@ -34,31 +34,15 @@ pub struct Tag {
     pub split: Option<(usize, usize)>,
 }
 
-/// Tag the apparent geohints of one hostname prefix.
+/// Tag the apparent geohints of one hostname prefix, testing
+/// feasibility through `table`, which fixes the vantage points, the
+/// policy, the candidate locations (the dictionary's, in id order) and
+/// the VPs to ignore; a learn shares one across every prefix.
 ///
-/// Routers without RTT samples produce no tags: without constraints the
-/// method cannot distinguish a geohint from a coincidence.
-pub fn tag_prefix(
-    db: &GeoDb,
-    vps: &VpSet,
-    rtts: &RouterRtts,
-    prefix: &str,
-    policy: &ConsistencyPolicy,
-) -> Vec<Tag> {
-    let table = BestCaseTable::new(vps, policy, db.len(), &[]);
-    tag_prefix_with(db, rtts, prefix, &table)
-}
-
-/// [`tag_prefix`] testing feasibility through `table`, which fixes the
-/// vantage points, the policy and the VPs to ignore; a learn shares one
-/// across every prefix. A router the table does not constrain gets no
-/// tags.
-pub(crate) fn tag_prefix_with(
-    db: &GeoDb,
-    rtts: &RouterRtts,
-    prefix: &str,
-    table: &BestCaseTable,
-) -> Vec<Tag> {
+/// A router the table does not constrain produces no tags: without
+/// constraints the method cannot distinguish a geohint from a
+/// coincidence.
+pub fn tag_prefix(db: &GeoDb, rtts: &RouterRtts, prefix: &str, table: &BestCaseTable) -> Vec<Tag> {
     if !table.constrains(rtts) || prefix.is_empty() {
         return Vec::new();
     }
@@ -72,7 +56,7 @@ pub(crate) fn tag_prefix_with(
         }
         let mut cands = db.lookup(t.text);
         cands.extend(db.lookup_clli_head(t.text));
-        push_consistent(db, rtts, table, &mut tags, t, None, cands);
+        push_consistent(rtts, table, &mut tags, t, None, cands);
 
         // Split CLLI: a 4-letter token whose next alphabetic neighbour
         // (across digits/punctuation, within the same label) is a
@@ -81,7 +65,7 @@ pub(crate) fn tag_prefix_with(
             if let Some(two) = next_alpha_in_label(&tokens, i) {
                 if two.text.len() == 2 {
                     let cands = db.lookup_clli_split(t.text, two.text);
-                    push_consistent(db, rtts, table, &mut tags, t, Some(two), cands);
+                    push_consistent(rtts, table, &mut tags, t, Some(two), cands);
                 }
             }
         }
@@ -98,7 +82,7 @@ pub(crate) fn tag_prefix_with(
             let locs = db.lookup_typed(label, GeohintType::Facility);
             let consistent: Vec<LocationId> = locs
                 .into_iter()
-                .filter(|id| table.feasibility(rtts, *id, &db.location(*id).coords))
+                .filter(|id| table.feasibility(rtts, *id))
                 .collect();
             if !consistent.is_empty() {
                 tags.push(Tag {
@@ -150,7 +134,6 @@ pub(crate) fn tag_prefix_with(
 /// interpretation among `cands`, in `GeohintType` order so tags with
 /// equal spans come out the same way every time.
 fn push_consistent(
-    db: &GeoDb,
     rtts: &RouterRtts,
     table: &BestCaseTable,
     tags: &mut Vec<Tag>,
@@ -160,7 +143,7 @@ fn push_consistent(
 ) {
     let mut by_type: BTreeMap<GeohintType, Vec<LocationId>> = BTreeMap::new();
     for c in cands {
-        if table.feasibility(rtts, c.location, &db.location(c.location).coords) {
+        if table.feasibility(rtts, c.location) {
             by_type.entry(c.hint_type).or_default().push(c.location);
         }
     }
@@ -218,7 +201,7 @@ fn label_is_exactly(prefix: &str, t: &Token<'_>) -> bool {
 mod tests {
     use super::*;
     use hoiho_geotypes::{Coordinates, Rtt};
-    use hoiho_rtt::VpId;
+    use hoiho_rtt::{ConsistencyPolicy, VpId, VpSet};
 
     struct World {
         db: GeoDb,
@@ -245,7 +228,8 @@ mod tests {
     }
 
     fn tags_for(w: &World, rtt: &RouterRtts, prefix: &str) -> Vec<Tag> {
-        tag_prefix(&w.db, &w.vps, rtt, prefix, &ConsistencyPolicy::STRICT)
+        let table = BestCaseTable::new(&w.vps, &ConsistencyPolicy::STRICT, w.db.coords(), &[]);
+        tag_prefix(&w.db, rtt, prefix, &table)
     }
 
     #[test]
@@ -369,7 +353,8 @@ mod tests {
         let db = GeoDb::builtin();
         let r = rtts(&[(0, 400.0)]);
         let order = || -> Vec<GeohintType> {
-            tag_prefix(&db, &vps, &r, "cr1.london1", &ConsistencyPolicy::STRICT)
+            let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+            tag_prefix(&db, &r, "cr1.london1", &table)
                 .iter()
                 .map(|t| t.ty)
                 .collect()

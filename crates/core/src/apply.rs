@@ -171,11 +171,13 @@ impl Geolocator {
         self.lookup(db, psl, hostname, &mut String::new())
     }
 
-    /// The one lookup path: trim `hostname` and lowercase it into
-    /// `scratch`, route it with the borrowing `registerable_suffix_of`
-    /// (the learner's key, found by the same bounded PSL walk), and
-    /// apply the owning [`SuffixGeo`]. A name longer than DNS's 253
-    /// bytes after trimming is no hostname and has no answer; the bound
+    /// The one lookup path: trim `hostname` of whitespace and of the
+    /// trailing dots of a fully qualified name (`dig -x` prints them;
+    /// stage 2 learns without them), lowercase it into `scratch`, route
+    /// it with the borrowing `registerable_suffix_of` (the learner's key,
+    /// found by the same bounded PSL walk), and apply the owning
+    /// [`SuffixGeo`]. A name longer than DNS's 253 bytes after trimming
+    /// is no hostname and has no answer; the bound
     /// also keeps each learned regex's backtracking as short as
     /// `hoiho_regex::exec::DEFAULT_STEP_BUDGET` assumes.
     pub fn lookup(
@@ -188,7 +190,7 @@ impl Geolocator {
         if hoiho_obs::enabled() {
             hoiho_obs::counter!("apply.lookups").inc();
         }
-        let hostname = hostname.trim();
+        let hostname = hostname.trim().trim_end_matches('.');
         if hostname.len() > MAX_HOSTNAME_LEN {
             return None;
         }

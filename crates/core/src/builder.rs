@@ -405,7 +405,8 @@ mod tests {
         for (vp, ms) in rtt_pairs {
             rtts.record(VpId(*vp), Rtt::from_ms(*ms));
         }
-        crate::apparent::tag_prefix(db, vps, &rtts, prefix, &ConsistencyPolicy::STRICT)
+        let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+        crate::apparent::tag_prefix(db, &rtts, prefix, &table)
     }
 
     #[test]
@@ -566,7 +567,7 @@ mod tests {
                 rtts
             })
             .collect();
-        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
         let hosts: Vec<TrainHost> = rows
             .iter()
             .zip(&rtts)

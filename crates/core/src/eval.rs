@@ -331,7 +331,7 @@ mod tests {
     fn host<'a>(db: &GeoDb, vps: &VpSet, hostname: &str, rtts: &'a RouterRtts) -> TrainHost<'a> {
         // For tests assume suffix is the final two labels.
         let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
-        let table = BestCaseTable::new(vps, &POLICY, db.len(), &[]);
+        let table = BestCaseTable::new(vps, &POLICY, db.coords(), &[]);
         TrainHost::new(db, &table, hostname.to_string(), prefix_len, 0, rtts)
     }
 
@@ -344,7 +344,8 @@ mod tests {
         learned: Option<&LearnedHints>,
     ) -> Outcome {
         let hosts = std::slice::from_ref(h);
-        let ctx = EvalContext::new(db, vps, &POLICY, "example.net", hosts);
+        let table = BestCaseTable::new(vps, &POLICY, db.coords(), &[]);
+        let ctx = EvalContext::new(db, "example.net", hosts, &table);
         classify_host(&ctx, h, e, learned)
     }
 
@@ -566,7 +567,8 @@ mod tests {
             existing_tp: 0,
         }]);
         let regex = iata_regex();
-        let shared = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &POLICY, db.coords(), &[]);
+        let shared = EvalContext::new(&db, "example.net", &hosts, &table);
         for learned in [None, Some(&learned)] {
             // Two passes: the second runs fully hot against the memos.
             for _pass in 0..2 {

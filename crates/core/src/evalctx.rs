@@ -32,10 +32,9 @@
 use crate::train::TrainHost;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, VpSet};
+use hoiho_rtt::consistency::BestCaseTable;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Dense id of an interned `(hint text, type)` pair, private to one
 /// [`EvalContext`]. Ids are assigned in first-use order, which is the
@@ -74,32 +73,21 @@ pub struct EvalContext<'a> {
     /// clone the suffix or hosts into throwaway conventions).
     pub hosts: &'a [TrainHost<'a>],
     interner: RefCell<Interner>,
-    table: Arc<BestCaseTable>,
+    table: &'a BestCaseTable,
     decode_hits: Cell<u64>,
     decode_misses: Cell<u64>,
 }
 
 impl<'a> EvalContext<'a> {
-    /// A fresh context over one suffix's hosts, with its own best-case
-    /// table.
+    /// A fresh context over one suffix's hosts whose feasibility probes
+    /// are answered from `table`, which fixes the vantage points, the
+    /// policy and the candidate locations (the dictionary's, in id
+    /// order); a learn shares one across every suffix.
     pub fn new(
         db: &'a GeoDb,
-        vps: &'a VpSet,
-        policy: &'a ConsistencyPolicy,
         suffix: &'a str,
         hosts: &'a [TrainHost<'a>],
-    ) -> EvalContext<'a> {
-        let table = Arc::new(BestCaseTable::new(vps, policy, db.len(), &[]));
-        EvalContext::with_table(db, suffix, hosts, table)
-    }
-
-    /// A fresh context whose feasibility probes are answered from a
-    /// shared `table`, which fixes the vantage points and policy.
-    pub fn with_table(
-        db: &'a GeoDb,
-        suffix: &'a str,
-        hosts: &'a [TrainHost<'a>],
-        table: Arc<BestCaseTable>,
+        table: &'a BestCaseTable,
     ) -> EvalContext<'a> {
         EvalContext {
             db,
@@ -156,8 +144,7 @@ impl<'a> EvalContext<'a> {
 
     /// RTT feasibility of `loc` for `host`'s router.
     pub fn feasible(&self, host: &TrainHost, loc: LocationId) -> bool {
-        self.table
-            .feasibility(host.rtts, loc, &self.db.location(loc).coords)
+        self.table.feasibility(host.rtts, loc)
     }
 
     /// Whether `host`'s router has a sample from a VP the table counts.
@@ -195,21 +182,22 @@ impl Drop for EvalContext<'_> {
 mod tests {
     use super::*;
     use hoiho_geotypes::Coordinates;
+    use hoiho_rtt::{ConsistencyPolicy, VpSet};
 
-    fn world() -> (GeoDb, VpSet) {
+    fn world() -> (GeoDb, BestCaseTable) {
         let db = GeoDb::builtin();
         let mut vps = VpSet::new();
         vps.add("dca-us", Coordinates::new(38.9, -77.0));
         vps.add("lcy-gb", Coordinates::new(51.5, 0.05));
-        (db, vps)
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+        (db, table)
     }
 
     #[test]
     fn intern_is_stable_and_memoizes_decode() {
-        let (db, vps) = world();
-        let policy = ConsistencyPolicy::STRICT;
+        let (db, table) = world();
         let hosts: Vec<TrainHost> = Vec::new();
-        let ctx = EvalContext::new(&db, &vps, &policy, "example.net", &hosts);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let a = ctx.intern("lhr", GeohintType::Iata);
         let b = ctx.intern("lhr", GeohintType::Iata);
         assert_eq!(a, b);
@@ -225,10 +213,9 @@ mod tests {
 
     #[test]
     fn resolve_hints_dedups_by_text() {
-        let (db, vps) = world();
-        let policy = ConsistencyPolicy::STRICT;
+        let (db, table) = world();
         let hosts: Vec<TrainHost> = Vec::new();
-        let ctx = EvalContext::new(&db, &vps, &policy, "example.net", &hosts);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let a = ctx.intern("lhr", GeohintType::Iata);
         let b = ctx.intern("fra", GeohintType::Iata);
         let c = ctx.intern("lhr", GeohintType::CityName);

@@ -353,7 +353,7 @@ mod tests {
         rows: &[Row],
         rtts: &'a [RouterRtts],
     ) -> Vec<TrainHost<'a>> {
-        let table = BestCaseTable::new(vps, &POLICY, db.len(), &[]);
+        let table = BestCaseTable::new(vps, &POLICY, db.coords(), &[]);
         rows.iter()
             .zip(rtts)
             .map(|(&(router, hostname, _, _), rtts)| {
@@ -389,7 +389,8 @@ mod tests {
         ];
         let rtts = measure(&rows);
         let hosts = hosts(&db, &vps, &rows, &rtts);
-        let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &POLICY, db.coords(), &[]);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let eval = eval_nc(&ctx, &nc, None);
         // "ash" decodes to Nashua which is ~700km away: FPs.
         assert!(eval.metrics.fp >= 3, "fp = {}", eval.metrics.fp);
@@ -432,7 +433,8 @@ mod tests {
         let hosts = hosts(&db, &vps, &rows, &rtts);
         // The supporting hostnames use the derived dictionary CLLI
         // prefixes for Zurich/Geneva/Munich so the NC itself looks sane.
-        let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &POLICY, db.coords(), &[]);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let eval = eval_nc(&ctx, &nc, None);
         let learned = learn_hints(&ctx, &LearnPolicy::default(), &nc, &eval);
         let loc = learned
@@ -457,7 +459,8 @@ mod tests {
         let rows = [(1, "gcr.core1.ash1.example.net", 0, 5.0)];
         let rtts = measure(&rows);
         let hosts = hosts(&db, &vps, &rows, &rtts);
-        let ctx = EvalContext::new(&db, &vps, &POLICY, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &POLICY, db.coords(), &[]);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let eval = eval_nc(&ctx, &nc, None);
         let learned = learn_hints(&ctx, &LearnPolicy::default(), &nc, &eval);
         assert!(learned.get("ash", GeohintType::Iata).is_none());

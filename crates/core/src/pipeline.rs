@@ -13,7 +13,6 @@ use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, VpId, VpSet};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Cap on deduplicated phase-1 candidates per suffix.
 const MAX_CANDIDATES: usize = 300;
@@ -22,7 +21,7 @@ const REFINE_TOP: usize = 40;
 /// Minimum tagged hostnames for a suffix to be worth learning.
 pub const MIN_TAGGED: usize = 3;
 /// RTT feasibility policy (STRICT reproduces the paper).
-const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
+pub(crate) const POLICY: ConsistencyPolicy = ConsistencyPolicy::STRICT;
 
 /// Tunables of the learner.
 #[derive(Debug, Clone)]
@@ -197,12 +196,7 @@ impl<'a> Hoiho<'a> {
         // One best-case RTT table for the whole learn, ignoring the
         // spoofed VPs: stage 2 and every suffix's evaluation context
         // answer feasibility probes from it, over the corpus's own RTTs.
-        let table = Arc::new(BestCaseTable::new(
-            &corpus.vps,
-            &POLICY,
-            self.db.len(),
-            &spoofed_vps,
-        ));
+        let table = BestCaseTable::new(&corpus.vps, &POLICY, self.db.coords(), &spoofed_vps);
         let sets = {
             let _span = hoiho_obs::span("learn.train");
             build_training_sets_with(self.db, self.psl, corpus, &table)
@@ -243,7 +237,7 @@ impl<'a> Hoiho<'a> {
     /// pulling from one shared counter, at every thread count: suffixes
     /// are independent and results are returned in `sets` order, so they
     /// do not depend on the thread count.
-    fn learn_all(&self, sets: &[SuffixSet], table: &Arc<BestCaseTable>) -> Vec<SuffixResult> {
+    fn learn_all(&self, sets: &[SuffixSet], table: &BestCaseTable) -> Vec<SuffixResult> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let threads = self.opts.resolved_threads().min(sets.len());
         let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
@@ -292,13 +286,13 @@ impl<'a> Hoiho<'a> {
     /// Run stages 3–5 for one suffix (stage 2 tags are already on the
     /// training set).
     pub fn learn_suffix(&self, vps: &VpSet, set: &SuffixSet) -> SuffixResult {
-        let table = Arc::new(BestCaseTable::new(vps, &POLICY, self.db.len(), &[]));
+        let table = BestCaseTable::new(vps, &POLICY, self.db.coords(), &[]);
         self.learn_suffix_with(set, &table)
     }
 
     /// [`Hoiho::learn_suffix`] answering feasibility probes from a
     /// best-case table shared across suffixes.
-    fn learn_suffix_with(&self, set: &SuffixSet, table: &Arc<BestCaseTable>) -> SuffixResult {
+    fn learn_suffix_with(&self, set: &SuffixSet, table: &BestCaseTable) -> SuffixResult {
         let hosts = &set.hosts;
         let tagged = set.tagged();
         let empty = |class| SuffixResult {
@@ -319,7 +313,7 @@ impl<'a> Hoiho<'a> {
         let _suffix_span = hoiho_obs::span_detail("learn.suffix", set.suffix.clone());
         // One evaluation context for the whole suffix: every candidate
         // below shares its decode memo and the learn's best-case table.
-        let ctx = EvalContext::with_table(self.db, &set.suffix, hosts, Arc::clone(table));
+        let ctx = EvalContext::new(self.db, &set.suffix, hosts, table);
 
         let ranked = self.rank_candidates(&ctx);
         if ranked.is_empty() {

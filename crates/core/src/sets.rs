@@ -138,7 +138,7 @@ mod tests {
         rows: &[(u32, &str, f64)],
         rtts: &'a [RouterRtts],
     ) -> Vec<TrainHost<'a>> {
-        let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+        let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
         rows.iter()
             .zip(rtts)
             .map(|(&(router, hostname, _), rtts)| {
@@ -179,8 +179,8 @@ mod tests {
                 roles: vec![CaptureRole::Hint(GeohintType::CityName)],
             },
         };
-        let policy = ConsistencyPolicy::STRICT;
-        let ctx = EvalContext::new(&db, &vps, &policy, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let ranked: Vec<(GeoRegex, EvalResult)> = [iata, city]
             .into_iter()
             .map(|r| {
@@ -212,9 +212,10 @@ mod tests {
         let hoiho = Hoiho::new(&db, &psl);
         let policy = hoiho_rtt::ConsistencyPolicy::STRICT;
         let sets = crate::train::build_training_sets(&db, &psl, &g.corpus, &policy);
+        let table = BestCaseTable::new(&g.corpus.vps, &policy, db.coords(), &[]);
         let mut tried = 0;
         for set in sets.iter().filter(|s| s.tagged() >= 3).take(12) {
-            let ctx = EvalContext::new(&db, &g.corpus.vps, &policy, &set.suffix, &set.hosts);
+            let ctx = EvalContext::new(&db, &set.suffix, &set.hosts, &table);
             let ranked = hoiho.rank_candidates(&ctx);
             let top = ranked.len().min(5);
             let mut combos: Vec<Vec<usize>> = Vec::new();
@@ -268,8 +269,8 @@ mod tests {
                 roles: vec![CaptureRole::Hint(GeohintType::CityName)],
             },
         };
-        let policy = ConsistencyPolicy::STRICT;
-        let ctx = EvalContext::new(&db, &vps, &policy, "example.net", &hosts);
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+        let ctx = EvalContext::new(&db, "example.net", &hosts, &table);
         let ranked: Vec<(GeoRegex, EvalResult)> = [iata, city]
             .into_iter()
             .map(|r| {

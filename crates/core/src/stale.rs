@@ -13,11 +13,11 @@
 //!    agree on a different, RTT-consistent location.
 
 use crate::apply::Geolocator;
-use crate::pipeline::spoofing_vps;
+use crate::pipeline::{spoofing_vps, POLICY};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::{Corpus, RouterId};
 use hoiho_psl::PublicSuffixList;
-use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy};
+use hoiho_rtt::consistency::BestCaseTable;
 use std::collections::HashMap;
 
 /// One flagged hostname.
@@ -39,18 +39,17 @@ pub struct StaleFinding {
 /// flagged when its inferred location is RTT-infeasible while at least
 /// one sibling hostname on the same router resolves to a feasible
 /// location (or the router has no other geolocated hostname but the
-/// contradiction is unambiguous). The samples of the spoofing VPs the
-/// learner ignores are ignored here too, so a router measured only by
-/// them is not audited.
+/// contradiction is unambiguous). Feasibility is the learner's test:
+/// its policy, and the samples of the spoofing VPs it ignores are
+/// ignored here too, so a router measured only by them is not audited.
 pub fn detect_stale(
     db: &GeoDb,
     psl: &PublicSuffixList,
     geo: &Geolocator,
     corpus: &Corpus,
-    policy: &ConsistencyPolicy,
 ) -> Vec<StaleFinding> {
     let mut out = Vec::new();
-    let table = BestCaseTable::new(&corpus.vps, policy, db.len(), &spoofing_vps(corpus));
+    let table = BestCaseTable::new(&corpus.vps, &POLICY, db.coords(), &spoofing_vps(corpus));
     for (id, router) in corpus.iter() {
         if !table.constrains(&router.rtts) {
             continue;
@@ -59,11 +58,7 @@ pub fn detect_stale(
         let mut located: Vec<(String, hoiho_geotypes::LocationId, bool)> = Vec::new();
         for h in router.hostnames() {
             if let Some(inf) = geo.geolocate(db, psl, h) {
-                let ok = table.feasibility(
-                    &router.rtts,
-                    inf.location,
-                    &db.location(inf.location).coords,
-                );
+                let ok = table.feasibility(&router.rtts, inf.location);
                 located.push((h.to_string(), inf.location, ok));
             }
         }
@@ -190,7 +185,7 @@ mod tests {
         let g = hoiho_itdk::generate(&db, &spec);
         let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         let geo = Geolocator::from_report(&report);
-        let findings = detect_stale(&db, &psl, &geo, &g.corpus, &ConsistencyPolicy::STRICT);
+        let findings = detect_stale(&db, &psl, &geo, &g.corpus);
         assert!(!findings.is_empty(), "expected stale findings");
         let score = score_against_truth(&g.corpus, &findings);
         assert!(
@@ -231,7 +226,7 @@ mod tests {
         let g = hoiho_itdk::generate(&db, &spec);
         let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         let geo = Geolocator::from_report(&report);
-        let findings = detect_stale(&db, &psl, &geo, &g.corpus, &ConsistencyPolicy::STRICT);
+        let findings = detect_stale(&db, &psl, &geo, &g.corpus);
         let located: usize = g.corpus.routers.iter().map(|r| r.hostnames().count()).sum();
         assert!(
             findings.len() * 50 < located.max(1),

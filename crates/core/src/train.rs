@@ -1,6 +1,6 @@
 //! Per-suffix training sets assembled from a corpus.
 
-use crate::apparent::{tag_prefix_with, Tag};
+use crate::apparent::{tag_prefix, Tag};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
@@ -41,7 +41,7 @@ impl<'a> TrainHost<'a> {
         router: u32,
         rtts: &'a RouterRtts,
     ) -> TrainHost<'a> {
-        let tags = tag_prefix_with(db, rtts, &hostname[..prefix_len], table);
+        let tags = tag_prefix(db, rtts, &hostname[..prefix_len], table);
         TrainHost {
             hostname,
             prefix_len,
@@ -91,7 +91,7 @@ pub fn build_training_sets<'c>(
     corpus: &'c Corpus,
     policy: &ConsistencyPolicy,
 ) -> Vec<SuffixSet<'c>> {
-    let table = BestCaseTable::new(&corpus.vps, policy, db.len(), &[]);
+    let table = BestCaseTable::new(&corpus.vps, policy, db.coords(), &[]);
     build_training_sets_with(db, psl, corpus, &table)
 }
 
@@ -110,10 +110,12 @@ pub(crate) fn build_training_sets_with<'c>(
             let Some((prefix, suffix)) = psl.split_at_suffix(h) else {
                 continue;
             };
+            // The name as lookups see it: a fully qualified name's
+            // trailing dots dropped, as the split already drops them.
             let host = TrainHost::new(
                 db,
                 table,
-                h.to_ascii_lowercase(),
+                h.trim_end_matches('.').to_ascii_lowercase(),
                 prefix.len(),
                 id.0,
                 &r.rtts,

@@ -6,7 +6,7 @@
 use hoiho::apparent::tag_prefix;
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, Rtt};
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
+use hoiho_rtt::{consistency::BestCaseTable, ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
 #[test]
 fn standalone_tagging_counts_its_probes() {
@@ -22,13 +22,8 @@ fn standalone_tagging_counts_its_probes() {
     let obs = hoiho_obs::global();
     obs.set_enabled(true);
     obs.reset();
-    let tags = tag_prefix(
-        &db,
-        &vps,
-        &rtts,
-        "zayo-ntt.mpr1.lhr15.uk",
-        &ConsistencyPolicy::STRICT,
-    );
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
+    let tags = tag_prefix(&db, &rtts, "zayo-ntt.mpr1.lhr15.uk", &table);
     let counters = obs.snapshot().counters;
     assert!(tags.iter().any(|t| t.text == "lhr"), "{tags:?}");
     let accepts = counters.get("rtt.consistency.accept").copied();

@@ -29,7 +29,7 @@ pub mod synth;
 pub use abbrev::{is_abbreviation, AbbrevOptions};
 pub use builder::GeoDbBuilder;
 
-use hoiho_geotypes::{GeohintType, Location, LocationId};
+use hoiho_geotypes::{Coordinates, GeohintType, Location, LocationId};
 use std::collections::{HashMap, HashSet};
 
 /// One dictionary hit: a token interpreted as a geohint of some type.
@@ -89,6 +89,12 @@ impl GeoDb {
             .iter()
             .enumerate()
             .map(|(i, l)| (LocationId(i as u32), l))
+    }
+
+    /// Every location's coordinates, in id order: the candidates of a
+    /// best-case RTT table over this dictionary.
+    pub fn coords(&self) -> impl Iterator<Item = Coordinates> + '_ {
+        self.locations.iter().map(|l| l.coords)
     }
 
     /// All interpretations of `token` as a geohint, across every

@@ -18,8 +18,10 @@
 //! The engine has two entry points: a [`parse`](Regex::parse) front end for
 //! regexes written as strings, and a public [`ast`] so the learner can
 //! compose regexes structurally and render them back to portable strings.
-//! A differential test suite (in the crate's `tests/`) checks agreement with
-//! the `regex` crate on the emitted dialect.
+//! The crate's `tests/` check the engine against two independent oracles
+//! on the emitted dialect: a naive exponential backtracker written from
+//! the grammar (`differential.rs`), and the flattened-program matcher the
+//! AST walker replaced (`walker_equivalence.rs`).
 //!
 //! Matching walks the AST in place, with no compiled program, by
 //! backtracking with a step budget: hostnames are short

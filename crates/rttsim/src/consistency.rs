@@ -5,6 +5,12 @@
 //! location according to the speed of light in a fiber optic cable. If
 //! the theoretical best-case RTT is smaller than the measured RTT for
 //! all VPs, then the measured RTT is RTT-consistent."*
+//!
+//! The same test, read as distance against
+//! [`max_distance_km`](hoiho_geotypes::rtt::max_distance_km), is the
+//! constraint-based geolocation (CBG) feasibility test the §3.3 audit
+//! applies: a point is feasible when it lies inside every VP's disk.
+//! [`BestCaseTable`] answers both.
 
 use crate::{RouterRtts, VpId, VpSet};
 use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates, LocationId};
@@ -35,67 +41,54 @@ impl ConsistencyPolicy {
     pub const CONTINENT: ConsistencyPolicy = ConsistencyPolicy { slack_ms: 35.0 };
 }
 
-/// The pure feasibility predicate: whether `candidate` is feasible for
-/// a router given all of its RTT samples. A router with no samples is
-/// vacuously consistent (the paper can only tag hints on routers with
-/// constraints; callers decide how to treat the unconstrained case).
+/// The feasibility test over a fixed set of candidate locations.
 ///
-/// This is a pure function of `(samples, candidate, policy)` with no
-/// observability side effects. The learner asks a [`BestCaseTable`]
-/// instead, which answers exactly what this function would.
-pub fn feasibility(
-    vps: &VpSet,
-    samples: &RouterRtts,
-    candidate: &Coordinates,
-    policy: &ConsistencyPolicy,
-) -> bool {
-    samples.samples().iter().all(|(vp, measured)| {
-        let best = best_case_rtt_ms(&vps.get(*vp).coords, candidate);
-        best <= measured.as_ms() + policy.slack_ms
-    })
-}
-
-/// The left-hand side of [`feasibility`]'s comparison, precomputed:
-/// one row per candidate location holding
-/// `best_case_rtt_ms(vp, location)` for every VP of one [`VpSet`]. The
-/// policy's slack is added to the measurement at each compare.
+/// Location `loc` is feasible for a router when, for every sample the
+/// table counts, `best_case_rtt_ms(vp, loc) <= measured + slack_ms`. A
+/// router with no counted samples is vacuously feasible everywhere;
+/// callers ask [`BestCaseTable::constrains`] when that case matters.
+///
+/// The left-hand side is precomputed: one row per candidate location
+/// holding the best case from every VP of one [`VpSet`], so a probe is
+/// one compare per sample instead of one great-circle distance per
+/// sample. The table owns the candidates' coordinates, so a probe names
+/// only the location id.
 ///
 /// The table is also the one place that decides which samples count.
 /// The VPs it is built to ignore (the spoofing VPs of §5.1.4) hold
 /// `f64::NEG_INFINITY` in every row, so their samples pass every
-/// compare: a probe answers what [`feasibility`] answers over
-/// [`strip_vps`](crate::fault::strip_vps)`(samples, ignored)`, with no
-/// stripped copy made. [`BestCaseTable::constrains`] answers whether
-/// anything is left.
+/// compare: a probe answers as if
+/// [`strip_vps`](crate::fault::strip_vps)`(samples, ignored)` had
+/// removed them, with no stripped copy made.
 ///
 /// Rows are filled on first use and never change, so one table can be
-/// shared by every thread of a learn. A feasibility test is then one
-/// compare per sample instead of one great-circle distance per sample,
-/// and because the row holds exactly the expression [`feasibility`]
-/// computes, the answers are bit-identical.
+/// shared by every thread of a learn.
 #[derive(Debug)]
 pub struct BestCaseTable {
     vps: Vec<Coordinates>,
     ignored: Vec<bool>,
     policy: ConsistencyPolicy,
-    rows: Vec<OnceLock<Box<[f64]>>>,
+    rows: Vec<(Coordinates, OnceLock<Box<[f64]>>)>,
 }
 
 impl BestCaseTable {
-    /// An empty table for `vps` under `policy`, with room for location
-    /// ids `0..locations`, that ignores every sample taken by a VP in
-    /// `ignored` (pass `&[]` to count them all).
+    /// An empty table for `vps` under `policy` whose location id `i` is
+    /// the `i`-th of `locations`, and that ignores every sample taken by
+    /// a VP in `ignored` (pass `&[]` to count them all).
     pub fn new(
         vps: &VpSet,
         policy: &ConsistencyPolicy,
-        locations: usize,
+        locations: impl IntoIterator<Item = Coordinates>,
         ignored: &[VpId],
     ) -> BestCaseTable {
         BestCaseTable {
             vps: vps.iter().map(|(_, vp)| vp.coords).collect(),
             ignored: vps.iter().map(|(id, _)| ignored.contains(&id)).collect(),
             policy: *policy,
-            rows: (0..locations).map(|_| OnceLock::new()).collect(),
+            rows: locations
+                .into_iter()
+                .map(|c| (c, OnceLock::new()))
+                .collect(),
         }
     }
 
@@ -108,22 +101,18 @@ impl BestCaseTable {
             .any(|(vp, _)| self.ignored.get(vp.0 as usize) != Some(&true))
     }
 
-    /// [`feasibility`] of location `loc`, whose coordinates are
-    /// `candidate`, for a router's samples, skipping the ignored VPs'.
-    /// The coordinates are read only when `loc`'s row is first filled.
-    /// Counts the answer toward `rtt.consistency.{accept,reject}`, as
-    /// [`rtt_consistent`] does.
+    /// Whether location `loc` is feasible for a router's samples,
+    /// skipping the ignored VPs'. Counts the answer toward
+    /// `rtt.consistency.{accept,reject}`; the test runs in the innermost
+    /// learner loops, so even a cached atomic add is only paid when
+    /// observability is on.
     ///
     /// # Panics
     /// Panics when `loc` is outside the table or a sample names a VP
     /// outside the table's set.
-    pub fn feasibility(
-        &self,
-        samples: &RouterRtts,
-        loc: LocationId,
-        candidate: &Coordinates,
-    ) -> bool {
-        let row = self.rows[loc.0 as usize].get_or_init(|| {
+    pub fn feasibility(&self, samples: &RouterRtts, loc: LocationId) -> bool {
+        let (candidate, row) = &self.rows[loc.0 as usize];
+        let row = row.get_or_init(|| {
             self.vps
                 .iter()
                 .zip(&self.ignored)
@@ -140,42 +129,46 @@ impl BestCaseTable {
             .samples()
             .iter()
             .all(|(vp, measured)| row[vp.0 as usize] <= measured.as_ms() + self.policy.slack_ms);
-        count(ok);
-        ok
-    }
-}
-
-/// [`feasibility`] plus accept/reject observability counters, for
-/// callers without a [`BestCaseTable`].
-pub fn rtt_consistent(
-    vps: &VpSet,
-    samples: &RouterRtts,
-    candidate: &Coordinates,
-    policy: &ConsistencyPolicy,
-) -> bool {
-    let ok = feasibility(vps, samples, candidate, policy);
-    count(ok);
-    ok
-}
-
-/// Count one feasibility answer toward `rtt.consistency.{accept,reject}`.
-/// The predicate runs in the innermost learner loops, so even a cached
-/// atomic add is only paid when observability is on.
-fn count(ok: bool) {
-    if hoiho_obs::enabled() {
-        if ok {
-            hoiho_obs::counter!("rtt.consistency.accept").inc();
-        } else {
-            hoiho_obs::counter!("rtt.consistency.reject").inc();
+        if hoiho_obs::enabled() {
+            if ok {
+                hoiho_obs::counter!("rtt.consistency.accept").inc();
+            } else {
+                hoiho_obs::counter!("rtt.consistency.reject").inc();
+            }
         }
+        ok
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VpSet;
+    use hoiho_geotypes::rtt::max_distance_km;
     use hoiho_geotypes::Rtt;
+
+    /// The paper's predicate written out directly, with no table: the
+    /// oracle [`BestCaseTable::feasibility`] is checked against.
+    fn feasibility(
+        vps: &VpSet,
+        samples: &RouterRtts,
+        candidate: &Coordinates,
+        policy: &ConsistencyPolicy,
+    ) -> bool {
+        samples.samples().iter().all(|(vp, measured)| {
+            let best = best_case_rtt_ms(&vps.get(*vp).coords, candidate);
+            best <= measured.as_ms() + policy.slack_ms
+        })
+    }
+
+    /// One probe of a table over the single location `candidate`.
+    fn consistent(
+        vps: &VpSet,
+        samples: &RouterRtts,
+        candidate: Coordinates,
+        policy: &ConsistencyPolicy,
+    ) -> bool {
+        BestCaseTable::new(vps, policy, [candidate], &[]).feasibility(samples, LocationId(0))
+    }
 
     fn world() -> (VpSet, Coordinates, Coordinates) {
         let mut vps = VpSet::new();
@@ -189,13 +182,8 @@ mod tests {
     fn nearby_hint_is_consistent_with_small_rtt() {
         let (vps, ashburn, _) = world();
         let mut s = RouterRtts::new();
-        s.record(crate::VpId(0), Rtt::from_ms(3.0));
-        assert!(rtt_consistent(
-            &vps,
-            &s,
-            &ashburn,
-            &ConsistencyPolicy::STRICT
-        ));
+        s.record(VpId(0), Rtt::from_ms(3.0));
+        assert!(consistent(&vps, &s, ashburn, &ConsistencyPolicy::STRICT));
     }
 
     #[test]
@@ -204,13 +192,8 @@ mod tests {
         // Vegas; here 3ms rules out London.
         let (vps, _, london) = world();
         let mut s = RouterRtts::new();
-        s.record(crate::VpId(0), Rtt::from_ms(3.0));
-        assert!(!rtt_consistent(
-            &vps,
-            &s,
-            &london,
-            &ConsistencyPolicy::STRICT
-        ));
+        s.record(VpId(0), Rtt::from_ms(3.0));
+        assert!(!consistent(&vps, &s, london, &ConsistencyPolicy::STRICT));
     }
 
     #[test]
@@ -218,23 +201,18 @@ mod tests {
         let (mut vps, ashburn, _) = world();
         let ams = vps.add("ams-nl", Coordinates::new(52.4, 4.9));
         let mut s = RouterRtts::new();
-        s.record(crate::VpId(0), Rtt::from_ms(500.0)); // loose
+        s.record(VpId(0), Rtt::from_ms(500.0)); // loose
         s.record(ams, Rtt::from_ms(2.0)); // impossible from Amsterdam
-        assert!(!rtt_consistent(
-            &vps,
-            &s,
-            &ashburn,
-            &ConsistencyPolicy::STRICT
-        ));
+        assert!(!consistent(&vps, &s, ashburn, &ConsistencyPolicy::STRICT));
     }
 
     #[test]
     fn no_samples_is_vacuously_consistent() {
         let (vps, ashburn, _) = world();
-        assert!(rtt_consistent(
+        assert!(consistent(
             &vps,
             &RouterRtts::new(),
-            &ashburn,
+            ashburn,
             &ConsistencyPolicy::STRICT
         ));
     }
@@ -245,19 +223,41 @@ mod tests {
         let mut s = RouterRtts::new();
         // 45ms from DC: strictly rules out London (best case ~59ms) but
         // the continent-scale policy lets it through.
-        s.record(crate::VpId(0), Rtt::from_ms(45.0));
-        assert!(!rtt_consistent(
-            &vps,
-            &s,
-            &london,
-            &ConsistencyPolicy::STRICT
-        ));
-        assert!(rtt_consistent(
-            &vps,
-            &s,
-            &london,
-            &ConsistencyPolicy::CONTINENT
-        ));
+        s.record(VpId(0), Rtt::from_ms(45.0));
+        assert!(!consistent(&vps, &s, london, &ConsistencyPolicy::STRICT));
+        assert!(consistent(&vps, &s, london, &ConsistencyPolicy::CONTINENT));
+    }
+
+    /// The strict test is CBG's: a point is feasible exactly when it is
+    /// within `max_distance_km(rtt)` of the VP.
+    #[test]
+    fn feasible_matches_constraint_maths() {
+        let (vps, ashburn, london) = world();
+        let mut s = RouterRtts::new();
+        s.record(VpId(0), Rtt::from_ms(10.0)); // ≤ ~1000 km from DC
+        let dca = vps.get(VpId(0)).coords;
+        for (point, want) in [(ashburn, true), (london, false)] {
+            let within = dca.distance_km(&point) <= max_distance_km(Rtt::from_ms(10.0));
+            assert_eq!(within, want);
+            assert_eq!(
+                consistent(&vps, &s, point, &ConsistencyPolicy::STRICT),
+                want
+            );
+        }
+    }
+
+    #[test]
+    fn contradictory_constraints_are_infeasible_everywhere() {
+        // Spoofed RTTs: 1 ms from both coasts is physically impossible.
+        let mut vps = VpSet::new();
+        vps.add("dca", Coordinates::new(38.9, -77.0));
+        vps.add("sfo", Coordinates::new(37.77, -122.42));
+        let mut s = RouterRtts::new();
+        s.record(VpId(0), Rtt::from_ms(1.0));
+        s.record(VpId(1), Rtt::from_ms(1.0));
+        for (_, vp) in vps.iter() {
+            assert!(!consistent(&vps, &s, vp.coords, &ConsistencyPolicy::STRICT));
+        }
     }
 
     /// The table answers exactly what the pure predicate answers over
@@ -286,23 +286,23 @@ mod tests {
         ] {
             for round in 0..3 {
                 // No VP ignored first, then random subsets of them.
-                let ignored: Vec<crate::VpId> = vps
+                let ignored: Vec<VpId> = vps
                     .iter()
                     .map(|(id, _)| id)
                     .filter(|_| round > 0 && rng.random_range(0..4u32) == 0)
                     .collect();
-                let table = BestCaseTable::new(&vps, &policy, locations.len(), &ignored);
+                let table = BestCaseTable::new(&vps, &policy, locations.iter().copied(), &ignored);
                 let (mut yes, mut no, mut unconstrained) = (0, 0, 0);
                 for _ in 0..3000 {
                     let mut s = RouterRtts::new();
                     for _ in 0..rng.random_range(0..6usize) {
-                        let vp = crate::VpId(rng.random_range(0..vps.len()) as u16);
+                        let vp = VpId(rng.random_range(0..vps.len()) as u16);
                         s.record(vp, Rtt::from_ms(300.0 * rng.random::<f64>()));
                     }
                     let stripped = strip_vps(&s, &ignored);
                     let i = rng.random_range(0..locations.len());
                     let want = feasibility(&vps, &stripped, &locations[i], &policy);
-                    let got = table.feasibility(&s, LocationId(i as u32), &locations[i]);
+                    let got = table.feasibility(&s, LocationId(i as u32));
                     assert_eq!(
                         got,
                         want,

@@ -12,17 +12,16 @@
 //! great-circle path, plus queueing noise), [`observe`] reproduces the
 //! paper's traceroute-vs-ping observation asymmetry (figure 5), and
 //! [`fault`] injects the TCP-spoofing pathology the paper had to filter.
-//! [`consistency`] holds the paper's feasibility test, and [`cbg`] the
-//! CBG feasibility test of the §3.3 audit.
+//! [`consistency`] holds the paper's feasibility test, which is also the
+//! CBG test of the §3.3 audit.
 
-pub mod cbg;
 pub mod consistency;
 pub mod fault;
 pub mod model;
 pub mod observe;
 pub mod rng;
 
-pub use consistency::{rtt_consistent, ConsistencyPolicy};
+pub use consistency::ConsistencyPolicy;
 pub use model::RttModel;
 
 use hoiho_geotypes::{Coordinates, Rtt};

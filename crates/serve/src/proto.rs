@@ -257,14 +257,15 @@ pub struct HttpRequest {
     pub query: String,
 }
 
+/// The HTTP methods whose request lines the server recognises.
+const HTTP_METHODS: [&str; 6] = ["GET", "POST", "HEAD", "PUT", "DELETE", "OPTIONS"];
+
 /// Whether a first line looks like an HTTP request line (method token,
 /// path, `HTTP/` version marker).
 pub fn looks_like_http(line: &str) -> bool {
     let mut f = line.split(' ');
-    matches!(
-        f.next(),
-        Some("GET" | "POST" | "HEAD" | "PUT" | "DELETE" | "OPTIONS")
-    ) && f.next().is_some_and(|p| p.starts_with('/'))
+    f.next().is_some_and(|m| HTTP_METHODS.contains(&m))
+        && f.next().is_some_and(|p| p.starts_with('/'))
         && f.next().is_some_and(|v| v.starts_with("HTTP/"))
 }
 
@@ -273,9 +274,9 @@ pub fn looks_like_http(line: &str) -> bool {
 /// followed by a space. Used to pick the error dialect when the full
 /// line never arrived.
 pub fn looks_like_http_prefix(partial: &str) -> bool {
-    ["GET ", "POST ", "HEAD ", "PUT ", "DELETE ", "OPTIONS "]
+    HTTP_METHODS
         .iter()
-        .any(|m| partial.starts_with(m))
+        .any(|m| partial.strip_prefix(m).is_some_and(|r| r.starts_with(' ')))
 }
 
 /// A full HTTP error response whose body is the line-protocol error

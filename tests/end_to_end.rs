@@ -159,3 +159,38 @@ fn published_artifacts_reproduce_geolocation_behaviour() {
     }
     assert!(compared > 200, "compared only {compared} hostnames");
 }
+
+/// A fully qualified hostname (trailing dot, as `dig -x` prints it)
+/// teaches exactly what the bare name does: the artifact is the same
+/// byte for byte, and it answers the dotted names too.
+#[test]
+fn trailing_dots_learn_the_same_artifact() {
+    use hoiho::artifact::write_artifacts;
+    let db = GeoDb::builtin();
+    let psl = PublicSuffixList::builtin();
+    let g = hoiho_itdk::generate(&db, &spec());
+    let mut dotted = g.corpus.clone();
+    for r in &mut dotted.routers {
+        for name in r.interfaces.iter_mut().filter_map(|i| i.hostname.as_mut()) {
+            name.push('.');
+        }
+    }
+    let hoiho = Hoiho::new(&db, &psl);
+    let bare = Geolocator::from_report(&hoiho.learn_corpus(&g.corpus));
+    let fqdn = Geolocator::from_report(&hoiho.learn_corpus(&dotted));
+    assert!(bare.iter().next().is_some(), "nothing learned");
+    assert_eq!(write_artifacts(&fqdn, &db), write_artifacts(&bare, &db));
+    let (mut hits, mut checked) = (0, 0);
+    for r in &g.corpus.routers {
+        for name in r.hostnames() {
+            let want = bare.geolocate(&db, &psl, name).map(|i| i.location);
+            let got = bare
+                .geolocate(&db, &psl, &format!("{name}."))
+                .map(|i| i.location);
+            assert_eq!(got, want, "{name}.");
+            hits += usize::from(want.is_some());
+            checked += 1;
+        }
+    }
+    assert!(hits * 10 > checked, "{hits} of {checked} names answered");
+}

@@ -105,12 +105,15 @@ fn edge_cases_answer_the_same_through_both_front_ends() {
         (at_limit.len(), byte_over.len(), label_over.len()),
         (253, 254, 255)
     );
-    let table: [(&str, Option<&str>); 14] = [
+    let fqdn_at_limit = format!("{at_limit}.");
+    let table: [(&str, Option<&str>); 15] = [
         // An empty label left of the suffix.
         ("x..lhr1.gtt.net", Some("London")),
         (&many_labels, Some("London")),
         (&huge, None),
         (&at_limit, Some("London")),
+        // The bound counts the name without its trailing dot.
+        (&fqdn_at_limit, Some("London")),
         (&byte_over, None),
         (&label_over, None),
         // An empty label inside the suffix: no tail is registerable.
@@ -118,8 +121,8 @@ fn edge_cases_answer_the_same_through_both_front_ends() {
         ("x..net", None),
         (" x.lhr1.gtt.net ", Some("London")),
         (".x.lhr1.gtt.net", Some("London")),
-        // Routes to gtt.net, but the learned regex ends at `net`.
-        ("x.lhr1.gtt.net.", None),
+        // A fully qualified name: the trailing dot is dropped.
+        ("x.lhr1.gtt.net.", Some("London")),
         ("X.LHR1.GTT.NET", Some("London")),
         ("", None),
         ("com", None),

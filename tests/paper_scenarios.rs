@@ -43,7 +43,7 @@ fn hosts<'a>(
     rows: &[Row],
     rtts: &'a [RouterRtts],
 ) -> Vec<TrainHost<'a>> {
-    let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.len(), &[]);
+    let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     rows.iter()
         .zip(rtts)
         .map(|(&(router, hostname, _, _), rtts)| {
@@ -127,10 +127,11 @@ fn figure3a_stale_hostname_tolerated() {
 #[test]
 fn figure6_tagging_shapes() {
     let (db, _psl, vps) = world();
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     let tag_types = |prefix: &str, vp: u16, ms: f64| -> Vec<GeohintType> {
         let mut rtts = RouterRtts::new();
         rtts.record(VpId(vp), Rtt::from_ms(ms));
-        tag_prefix(&db, &vps, &rtts, prefix, &ConsistencyPolicy::STRICT)
+        tag_prefix(&db, &rtts, prefix, &table)
             .into_iter()
             .map(|t| t.ty)
             .collect()

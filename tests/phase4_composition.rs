@@ -13,6 +13,7 @@ use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::ConsistencyPolicy;
 
 /// Check every NC phase 4 forms on `corpus`; returns (NCs checked,
@@ -21,9 +22,10 @@ fn check_corpus(db: &GeoDb, psl: &PublicSuffixList, corpus: &Corpus) -> (usize, 
     let hoiho = Hoiho::new(db, psl);
     let policy = ConsistencyPolicy::STRICT;
     let sets = build_training_sets(db, psl, corpus, &policy);
+    let table = BestCaseTable::new(&corpus.vps, &policy, db.coords(), &[]);
     let (mut checked, mut grown) = (0, 0);
     for set in sets.iter().filter(|s| s.tagged() >= MIN_TAGGED) {
-        let ctx = EvalContext::new(db, &corpus.vps, &policy, &set.suffix, &set.hosts);
+        let ctx = EvalContext::new(db, &set.suffix, &set.hosts, &table);
         let ranked = hoiho.rank_candidates(&ctx);
         for (nc, composed) in build_sets(&ctx, &ranked) {
             let fresh = eval_nc(&ctx, &nc, None);

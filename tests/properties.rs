@@ -4,8 +4,10 @@
 
 use hoiho::apparent::tag_prefix;
 use hoiho_geodb::GeoDb;
-use hoiho_geotypes::{Coordinates, Rtt};
+use hoiho_geotypes::rtt::max_distance_km;
+use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_psl::PublicSuffixList;
+use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::rng::{Rng, StdRng};
 use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpId, VpSet};
 
@@ -40,6 +42,7 @@ fn hostname_prefix(rng: &mut StdRng) -> String {
 fn tagging_is_total_and_spans_are_valid() {
     let db = GeoDb::builtin();
     let vps = vpset();
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     let mut rng = StdRng::seed_from_u64(0x7A61);
     for _ in 0..128 {
         let prefix = hostname_prefix(&mut rng);
@@ -47,7 +50,7 @@ fn tagging_is_total_and_spans_are_valid() {
         let vp = rng.random_range(0..3u16);
         let mut rtts = RouterRtts::new();
         rtts.record(VpId(vp), Rtt::from_ms(rtt_ms));
-        let tags = tag_prefix(&db, &vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
+        let tags = tag_prefix(&db, &rtts, &prefix, &table);
         for t in &tags {
             assert!(t.start < t.end, "{prefix}: empty span");
             assert!(t.end <= prefix.len(), "{prefix}: span out of range");
@@ -60,15 +63,15 @@ fn tagging_is_total_and_spans_are_valid() {
                     t.text
                 );
             }
-            // Tagged locations were RTT-feasible.
+            // Tagged locations were RTT-feasible: within the measuring
+            // VP's speed-of-light radius.
+            let radius = max_distance_km(Rtt::from_ms(rtt_ms));
             for loc in &t.locations {
-                let c = db.location(*loc).coords;
-                assert!(hoiho_rtt::rtt_consistent(
-                    &vps,
-                    &rtts,
-                    &c,
-                    &ConsistencyPolicy::STRICT
-                ));
+                let d = vps
+                    .get(VpId(vp))
+                    .coords
+                    .distance_km(&db.location(*loc).coords);
+                assert!(d <= radius, "{prefix}: {} is {d} km out", t.text);
             }
         }
     }
@@ -99,6 +102,7 @@ fn base_regexes_match_their_source() {
     const CODES: &[&str] = &["lhr", "sea", "ams", "fra", "prg"];
     let db = GeoDb::builtin();
     let vps = vpset();
+    let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
     let mut rng = StdRng::seed_from_u64(0xBA5E);
     for _ in 0..128 {
         let role = format!(
@@ -112,7 +116,7 @@ fn base_regexes_match_their_source() {
         let mut rtts = RouterRtts::new();
         // Loose constraint: everything feasible, so the hint is tagged.
         rtts.record(VpId(0), Rtt::from_ms(500.0));
-        let tags = tag_prefix(&db, &vps, &rtts, &prefix, &ConsistencyPolicy::STRICT);
+        let tags = tag_prefix(&db, &rtts, &prefix, &table);
         assert!(!tags.is_empty(), "nothing tagged in {prefix}");
         let hostname = format!("{prefix}.example.net");
         let regexes = hoiho::builder::base_regexes_for_host(&prefix, &tags, "example.net");
@@ -145,10 +149,10 @@ fn consistency_monotone_in_rtt() {
         small.record(VpId(0), Rtt::from_ms(ms));
         let mut large = RouterRtts::new();
         large.record(VpId(0), Rtt::from_ms(ms + extra));
-        let policy = ConsistencyPolicy::STRICT;
-        if hoiho_rtt::rtt_consistent(&vps, &small, &cand, &policy) {
+        let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, [cand], &[]);
+        if table.feasibility(&small, LocationId(0)) {
             assert!(
-                hoiho_rtt::rtt_consistent(&vps, &large, &cand, &policy),
+                table.feasibility(&large, LocationId(0)),
                 "({lat},{lon}) feasible at {ms}ms but not {}ms",
                 ms + extra
             );

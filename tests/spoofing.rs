@@ -11,7 +11,7 @@ use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::fault::{inject_spoofing, strip_vps};
 use hoiho_rtt::rng::StdRng;
-use hoiho_rtt::{ConsistencyPolicy, VpId};
+use hoiho_rtt::VpId;
 
 fn poisoned_corpus(db: &GeoDb) -> hoiho_itdk::Corpus {
     let spec = CorpusSpec {
@@ -113,7 +113,7 @@ fn stale_scan_ignores_spoofed_vps() {
     let corpus = poisoned_corpus(&db);
     let report = Hoiho::new(&db, &psl).learn_corpus(&corpus);
     let geo = Geolocator::from_report(&report);
-    let findings = detect_stale(&db, &psl, &geo, &corpus, &ConsistencyPolicy::STRICT);
+    let findings = detect_stale(&db, &psl, &geo, &corpus);
     let located: usize = corpus.routers.iter().map(|r| r.hostnames().count()).sum();
     assert!(
         findings.len() * 50 < located.max(1),
