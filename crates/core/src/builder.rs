@@ -20,7 +20,7 @@ use hoiho_regex::{Ast, CharClass, Quant, Regex};
 
 /// Phase 1: base regexes for every tag of one hostname.
 pub fn base_regexes_for_host(prefix: &str, tags: &[Tag], suffix: &str) -> Vec<GeoRegex> {
-    let mut out = Vec::new();
+    let mut out: Vec<GeoRegex> = Vec::new();
     let toks = tokenize(prefix);
     let labs = labels(prefix);
     for tag in tags {
@@ -110,18 +110,21 @@ pub fn base_regexes_for_host(prefix: &str, tags: &[Tag], suffix: &str) -> Vec<Ge
                 }
                 items.push(Ast::lit(format!(".{suffix}")));
                 let regex = Regex::from_ast(Ast::seq(items));
-                out.push(GeoRegex {
-                    regex,
-                    plan: Plan {
-                        roles: roles.clone(),
-                    },
-                });
+                // Dedup by pattern text; a host yields a handful.
+                if out
+                    .iter()
+                    .all(|r| r.regex.as_pattern() != regex.as_pattern())
+                {
+                    out.push(GeoRegex {
+                        regex,
+                        plan: Plan {
+                            roles: roles.clone(),
+                        },
+                    });
+                }
             }
         }
     }
-    // Dedup by pattern text.
-    let mut seen = std::collections::HashSet::new();
-    out.retain(|r| seen.insert(r.regex.as_pattern()));
     if hoiho_obs::enabled() {
         hoiho_obs::counter!("builder.base_regexes").add(out.len() as u64);
     }
@@ -205,10 +208,10 @@ fn render_hint_label(
 
 /// Phase 2: merge pairs that differ only by a `\d+` node into a `\d*`
 /// regex. Returns newly created regexes.
-pub fn merge_digit_optional(cands: &[GeoRegex]) -> Vec<GeoRegex> {
+pub fn merge_digit_optional(cands: &[&GeoRegex]) -> Vec<GeoRegex> {
     use std::collections::HashMap;
     // Pattern text → candidate indices (plans must also agree).
-    let mut by_pattern: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut by_pattern: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, c) in cands.iter().enumerate() {
         by_pattern.entry(c.regex.as_pattern()).or_default().push(i);
     }
@@ -225,8 +228,8 @@ pub fn merge_digit_optional(cands: &[GeoRegex]) -> Vec<GeoRegex> {
             // The same regex without this \d+.
             let mut without = items.clone();
             without.remove(i);
-            let without_pat = Regex::from_ast(Ast::seq(without)).as_pattern();
-            let Some(peers) = by_pattern.get(&without_pat) else {
+            let without = Regex::from_ast(Ast::seq(without));
+            let Some(peers) = by_pattern.get(without.as_pattern()) else {
                 continue;
             };
             if !peers.iter().any(|&j| cands[j].plan == c.plan) {
@@ -236,7 +239,7 @@ pub fn merge_digit_optional(cands: &[GeoRegex]) -> Vec<GeoRegex> {
             let mut merged = items.clone();
             merged[i] = Ast::class(CharClass::Digit, Quant::STAR);
             let regex = Regex::from_ast(Ast::seq(merged));
-            if emitted.insert(regex.as_pattern()) {
+            if emitted.insert(regex.as_pattern().to_owned()) {
                 out.push(GeoRegex {
                     regex,
                     plan: c.plan.clone(),
@@ -415,7 +418,7 @@ mod tests {
         let prefix = "zayo-ntt.mpr1.lhr15.uk.zip";
         let tags = tagged(&db, &vps, prefix, &[(0, 2.0)]);
         let regexes = base_regexes_for_host(prefix, &tags, "zayo.com");
-        let pats: Vec<String> = regexes.iter().map(|r| r.regex.as_pattern()).collect();
+        let pats: Vec<&str> = regexes.iter().map(|r| r.regex.as_pattern()).collect();
         // The `.+` leading variant with literal tail matches figure 7a
         // in structure (phase 3 would tighten `zip` from the generic
         // variant; the literal variant has it directly).
@@ -494,7 +497,7 @@ mod tests {
         let t2 = tagged(&db, &vps, p2, &[(0, 18.0)]);
         let mut cands = base_regexes_for_host(p1, &t1, "alter.net");
         cands.extend(base_regexes_for_host(p2, &t2, "alter.net"));
-        let merged = merge_digit_optional(&cands);
+        let merged = merge_digit_optional(&cands.iter().collect::<Vec<_>>());
         assert!(
             merged.iter().any(|r| r.regex.as_pattern().contains(r"\d*")),
             "expected a \\d* merge among {:#?}",

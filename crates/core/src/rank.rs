@@ -1,6 +1,5 @@
 //! Stage 5: ranking and classifying naming conventions (§5.5).
 
-use crate::convention::NamingConvention;
 use crate::eval::{EvalResult, Metrics};
 use std::fmt;
 
@@ -45,11 +44,12 @@ pub fn classify_nc(metrics: &Metrics) -> NcClass {
     }
 }
 
-/// Select the best NC: highest ATP, but prefer an NC with *fewer
+/// Select the best of the candidate sets phase 4 built (member indices
+/// with their evaluation): highest ATP, but prefer a set with *fewer
 /// regexes* when it loses no more than three TPs (§5.5).
 pub fn select_nc(
-    mut candidates: Vec<(NamingConvention, EvalResult)>,
-) -> Option<(NamingConvention, EvalResult)> {
+    mut candidates: Vec<(Vec<usize>, EvalResult)>,
+) -> Option<(Vec<usize>, EvalResult)> {
     if candidates.is_empty() {
         return None;
     }
@@ -57,12 +57,12 @@ pub fn select_nc(
         b.1.metrics
             .atp()
             .cmp(&a.1.metrics.atp())
-            .then_with(|| a.0.regexes.len().cmp(&b.0.regexes.len()))
+            .then_with(|| a.0.len().cmp(&b.0.len()))
     });
     let best_tp = candidates[0].1.metrics.tp;
     let mut pick = 0usize;
-    for (i, (nc, eval)) in candidates.iter().enumerate().skip(1) {
-        if nc.regexes.len() < candidates[pick].0.regexes.len() && eval.metrics.tp + 3 >= best_tp {
+    for (i, (members, eval)) in candidates.iter().enumerate().skip(1) {
+        if members.len() < candidates[pick].0.len() && eval.metrics.tp + 3 >= best_tp {
             pick = i;
         }
     }
@@ -72,10 +72,7 @@ pub fn select_nc(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convention::{CaptureRole, GeoRegex, Plan};
     use crate::evalctx::HintId;
-    use hoiho_geotypes::GeohintType;
-    use hoiho_regex::Regex;
 
     fn metrics(tp: usize, fp: usize, fn_: usize, unk: usize, uniq: usize) -> Metrics {
         Metrics {
@@ -100,17 +97,9 @@ mod tests {
         assert!(!NcClass::Poor.usable());
     }
 
-    fn nc_with(n: usize) -> NamingConvention {
-        let r = GeoRegex {
-            regex: Regex::parse(r"^([a-z]{3})\.x\.net$").unwrap(),
-            plan: Plan {
-                roles: vec![CaptureRole::Hint(GeohintType::Iata)],
-            },
-        };
-        NamingConvention {
-            suffix: "x.net".into(),
-            regexes: vec![r; n],
-        }
+    /// A set of `n` members.
+    fn members(n: usize) -> Vec<usize> {
+        (0..n).collect()
     }
 
     fn eval_with(m: Metrics) -> EvalResult {
@@ -123,8 +112,8 @@ mod tests {
     #[test]
     fn select_prefers_atp() {
         let picked = select_nc(vec![
-            (nc_with(1), eval_with(metrics(10, 5, 0, 0, 1))),
-            (nc_with(1), eval_with(metrics(20, 0, 0, 0, 1))),
+            (members(1), eval_with(metrics(10, 5, 0, 0, 1))),
+            (members(1), eval_with(metrics(20, 0, 0, 0, 1))),
         ])
         .unwrap();
         assert_eq!(picked.1.metrics.tp, 20);
@@ -134,18 +123,18 @@ mod tests {
     fn select_prefers_fewer_regexes_when_close() {
         // 3 regexes, 20 TP vs 1 regex, 18 TP → within 3 TPs, pick small.
         let picked = select_nc(vec![
-            (nc_with(3), eval_with(metrics(20, 0, 0, 0, 1))),
-            (nc_with(1), eval_with(metrics(18, 0, 0, 0, 1))),
+            (members(3), eval_with(metrics(20, 0, 0, 0, 1))),
+            (members(1), eval_with(metrics(18, 0, 0, 0, 1))),
         ])
         .unwrap();
-        assert_eq!(picked.0.regexes.len(), 1);
+        assert_eq!(picked.0.len(), 1);
         // ...but not when the gap is bigger.
         let picked = select_nc(vec![
-            (nc_with(3), eval_with(metrics(20, 0, 0, 0, 1))),
-            (nc_with(1), eval_with(metrics(10, 0, 0, 0, 1))),
+            (members(3), eval_with(metrics(20, 0, 0, 0, 1))),
+            (members(1), eval_with(metrics(10, 0, 0, 0, 1))),
         ])
         .unwrap();
-        assert_eq!(picked.0.regexes.len(), 3);
+        assert_eq!(picked.0.len(), 3);
     }
 
     #[test]

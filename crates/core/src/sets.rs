@@ -5,11 +5,13 @@
 //! every member regex keeps at least three unique geohints, and PPV does
 //! not drop more than 10 points below the starting regex's.
 //!
-//! A grown set is never re-matched: its evaluation is composed from the
-//! members' single-regex evaluations (the crate-private
-//! `eval::compose_nc`), which equals evaluating the set afresh.
+//! A set is the indices of its members in the ranked candidate list, so
+//! growing one clones no regex. It is never re-matched either: its
+//! evaluation is composed from the members' single-regex evaluations
+//! (the crate-private `eval::compose_nc`), which equals evaluating the
+//! set afresh.
 
-use crate::convention::{GeoRegex, NamingConvention};
+use crate::convention::GeoRegex;
 use crate::eval::{compose_nc, EvalResult, Outcome};
 use crate::evalctx::EvalContext;
 use std::collections::HashSet;
@@ -21,51 +23,38 @@ pub const MAX_COMBINE: usize = 24;
 /// Minimum unique geohints each member regex must contribute.
 pub const MIN_UNIQUE_PER_REGEX: usize = 3;
 
-/// Build candidate NCs from ranked single regexes. `ranked` must be
-/// sorted by descending ATP, and each evaluation must be its regex's
-/// [`eval_regex`](crate::eval::eval_regex) over `ctx` with no learned
-/// hints. Returns all singles plus improved combinations, each with its
-/// evaluation.
+/// Build candidate sets from ranked single regexes. `ranked` must be
+/// sorted by descending ATP with unique patterns, and each evaluation
+/// must be its regex's [`eval_regex`](crate::eval::eval_regex) over `ctx`
+/// with no learned hints. Returns every single plus each improved
+/// combination, as member indices into `ranked` (in set order) with the
+/// set's evaluation.
 pub fn build_sets(
     ctx: &EvalContext<'_>,
     ranked: &[(GeoRegex, EvalResult)],
-) -> Vec<(NamingConvention, EvalResult)> {
-    let mut out: Vec<(NamingConvention, EvalResult)> = ranked
+) -> Vec<(Vec<usize>, EvalResult)> {
+    let top = &ranked[..ranked.len().min(MAX_COMBINE)];
+    let mut out: Vec<(Vec<usize>, EvalResult)> = top
         .iter()
-        .take(MAX_COMBINE)
-        .map(|(r, e)| {
-            (
-                NamingConvention {
-                    suffix: ctx.suffix.to_string(),
-                    regexes: vec![r.clone()],
-                },
-                e.clone(),
-            )
-        })
+        .enumerate()
+        .map(|(i, (_, e))| (vec![i], e.clone()))
         .collect();
-    if out.is_empty() {
+    let Some(first) = out.first() else {
         return out;
-    }
+    };
 
     // Greedy expansion from the top-ranked regex.
-    let start_ppv = out[0].1.metrics.ppv();
-    let mut current = out[0].clone();
-    // Indices into `ranked` of the current set's regexes, in set order.
-    let mut members = vec![0];
+    let start_ppv = first.1.metrics.ppv();
+    let mut current = first.clone();
     let mut grew = true;
     while grew {
         grew = false;
-        for (i, (cand, _)) in ranked.iter().enumerate().take(MAX_COMBINE) {
-            if current
-                .0
-                .regexes
-                .iter()
-                .any(|r| r.regex.as_pattern() == cand.regex.as_pattern())
-            {
+        for i in 0..top.len() {
+            if current.0.contains(&i) {
                 continue;
             }
             let singles: Vec<&EvalResult> =
-                members.iter().chain([&i]).map(|&m| &ranked[m].1).collect();
+                current.0.iter().chain([&i]).map(|&m| &top[m].1).collect();
             let eval = compose_nc(ctx, &singles);
             if eval.metrics.atp() <= current.1.metrics.atp() {
                 continue;
@@ -76,10 +65,8 @@ pub fn build_sets(
             if !members_have_unique_hints(singles.len(), &eval) {
                 continue;
             }
-            let mut nc = current.0.clone();
-            nc.regexes.push(cand.clone());
-            members.push(i);
-            current = (nc, eval);
+            current.0.push(i);
+            current.1 = eval;
             out.push(current.clone());
             grew = true;
             break;
@@ -103,7 +90,7 @@ fn members_have_unique_hints(members: usize, eval: &EvalResult) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convention::{CaptureRole, Plan};
+    use crate::convention::{CaptureRole, NamingConvention, Plan};
     use crate::eval::eval_regex;
     use crate::train::TrainHost;
     use hoiho_geodb::GeoDb;
@@ -193,7 +180,7 @@ mod tests {
             .iter()
             .max_by_key(|(_, e)| e.metrics.atp())
             .expect("candidates");
-        assert_eq!(best.0.regexes.len(), 2, "both forms combined");
+        assert_eq!(best.0, [0, 1], "both forms combined");
         assert_eq!(best.1.metrics.tp, 8);
         assert_eq!(best.1.metrics.fn_, 0);
     }
@@ -279,8 +266,8 @@ mod tests {
             })
             .collect();
         let sets = build_sets(&ctx, &ranked);
-        for (nc, _) in &sets {
-            assert_eq!(nc.regexes.len(), 1, "no combination should form");
+        for (members, _) in &sets {
+            assert_eq!(members.len(), 1, "no combination should form");
         }
     }
 }

@@ -350,11 +350,11 @@ pub fn parse(pattern: &str) -> Result<crate::Regex, ParseError> {
     if p.pos != p.src.len() {
         return p.err("trailing input after '$'");
     }
-    Ok(crate::Regex {
-        ast: Ast::seq(items),
+    Ok(crate::Regex::new(
+        Ast::seq(items),
         anchored_start,
         anchored_end,
-    })
+    ))
 }
 
 #[cfg(test)]

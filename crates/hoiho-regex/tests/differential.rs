@@ -360,7 +360,7 @@ fn roundtrip_parse_render() {
         let p = gen_pattern(&mut rng);
         let re = Hoiho::parse(&p).unwrap();
         let rendered = re.as_pattern();
-        let re2 = Hoiho::parse(&rendered).unwrap();
+        let re2 = Hoiho::parse(rendered).unwrap();
         assert_eq!(re, re2);
     }
 }

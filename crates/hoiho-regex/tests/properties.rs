@@ -130,7 +130,7 @@ fn render_is_fixed_point() {
         pattern.push('$');
         if let Ok(re) = Regex::parse(&pattern) {
             let rendered = re.as_pattern();
-            let re2 = Regex::parse(&rendered).unwrap();
+            let re2 = Regex::parse(rendered).unwrap();
             assert_eq!(rendered, re2.as_pattern());
         }
     }

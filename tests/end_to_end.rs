@@ -73,7 +73,7 @@ fn learned_regexes_are_portable_pattern_strings() {
     for r in report.usable() {
         for rx in &r.nc.as_ref().expect("usable NCs exist").regexes {
             let pat = rx.regex.as_pattern();
-            let reparsed = hoiho_regex::Regex::parse(&pat).expect("round-trips");
+            let reparsed = hoiho_regex::Regex::parse(pat).expect("round-trips");
             assert_eq!(reparsed.as_pattern(), pat);
             checked += 1;
         }
@@ -109,7 +109,7 @@ fn deterministic_end_to_end() {
     let a = Hoiho::new(&db, &psl).learn_corpus(&hoiho_itdk::generate(&db, &spec()).corpus);
     let b = Hoiho::new(&db, &psl).learn_corpus(&hoiho_itdk::generate(&db, &spec()).corpus);
     assert_eq!(a.routers_geolocated, b.routers_geolocated);
-    let ncs_a: Vec<String> = a
+    let ncs_a: Vec<&str> = a
         .usable()
         .flat_map(|r| {
             r.nc.as_ref()
@@ -120,7 +120,7 @@ fn deterministic_end_to_end() {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let ncs_b: Vec<String> = b
+    let ncs_b: Vec<&str> = b
         .usable()
         .flat_map(|r| {
             r.nc.as_ref()

@@ -8,7 +8,7 @@ use hoiho::eval::eval_nc;
 use hoiho::pipeline::MIN_TAGGED;
 use hoiho::sets::build_sets;
 use hoiho::train::build_training_sets;
-use hoiho::{EvalContext, Hoiho};
+use hoiho::{EvalContext, Hoiho, NamingConvention};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::Corpus;
@@ -27,7 +27,11 @@ fn check_corpus(db: &GeoDb, psl: &PublicSuffixList, corpus: &Corpus) -> (usize, 
     for set in sets.iter().filter(|s| s.tagged() >= MIN_TAGGED) {
         let ctx = EvalContext::new(db, &set.suffix, &set.hosts, &table);
         let ranked = hoiho.rank_candidates(&ctx);
-        for (nc, composed) in build_sets(&ctx, &ranked) {
+        for (members, composed) in build_sets(&ctx, &ranked) {
+            let nc = NamingConvention {
+                suffix: set.suffix.clone(),
+                regexes: members.iter().map(|&i| ranked[i].0.clone()).collect(),
+            };
             let fresh = eval_nc(&ctx, &nc, None);
             assert_eq!(composed.metrics, fresh.metrics, "{nc}");
             assert_eq!(composed.per_host, fresh.per_host, "{nc}");
