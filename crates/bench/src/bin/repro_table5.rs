@@ -9,7 +9,7 @@
 use hoiho::Hoiho;
 use hoiho_bench::Table;
 
-use hoiho_geotypes::GeohintType;
+use hoiho_geotypes::{Coordinates, GeohintType};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
 use std::collections::HashMap;
@@ -29,8 +29,9 @@ fn main() {
     eprintln!("learning ground-truth corpus…");
     let gt_report = Hoiho::new(&gt_db, &psl).learn_corpus(&gt.corpus);
 
-    // (token, location display) → suffix count.
-    let mut freq: HashMap<(String, String), usize> = HashMap::new();
+    // (token, location display) → suffix count, and the location's
+    // coordinates in the dictionary it was learned over.
+    let mut freq: HashMap<(String, String), (usize, Coordinates)> = HashMap::new();
     let mut iata_regexes = 0usize;
     let mut iata_regexes_with_custom = 0usize;
     let labelled: Vec<(&hoiho_geodb::GeoDb, &hoiho::LearnReport)> =
@@ -53,15 +54,16 @@ fn main() {
             }
             for h in &r.learned.hints {
                 if h.ty == GeohintType::Iata && h.token.len() == 3 {
-                    *freq
-                        .entry((h.token.clone(), db.location(h.location).display_name()))
-                        .or_default() += 1;
+                    let loc = db.location(h.location);
+                    freq.entry((h.token.clone(), loc.display_name()))
+                        .or_insert((0, loc.coords))
+                        .0 += 1;
                 }
             }
         }
     }
-    let mut rows: Vec<((String, String), usize)> = freq.into_iter().collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
+    let mut rows: Vec<((String, String), (usize, Coordinates))> = freq.into_iter().collect();
+    rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0 .0.cmp(&b.0 .0)));
 
     println!("\n# Table 5 — most frequently learned three-letter geohints\n");
     let mut t = Table::new(vec![
@@ -72,22 +74,14 @@ fn main() {
         "airport distance (km)",
     ]);
     let db = hoiho_geodb::GeoDb::builtin();
-    for ((token, loc_name), n) in rows.iter().take(12) {
+    for ((token, loc_name), (n, learned)) in rows.iter().take(12) {
         let airports = db.lookup_typed(token, GeohintType::Iata);
         let collision = if airports.is_empty() { "-" } else { "⊗" };
+        // Distance from the learned location to the nearest colliding
+        // airport.
         let dist = airports
             .iter()
-            .map(|&a| {
-                // Distance from the learned location (first match by
-                // name) to the colliding airport.
-                let learned = db
-                    .iter()
-                    .find(|(_, l)| l.display_name() == *loc_name)
-                    .map(|(_, l)| l.coords);
-                learned
-                    .map(|c| db.location(a).coords.distance_km(&c))
-                    .unwrap_or(f64::NAN)
-            })
+            .map(|&a| db.location(a).coords.distance_km(learned))
             .fold(f64::INFINITY, f64::min);
         t.row(vec![
             token.clone(),
