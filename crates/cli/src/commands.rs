@@ -142,7 +142,7 @@ pub fn apply(opts: &Options) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let geo = parse_artifacts(&text, &db).map_err(|e| e.to_string())?;
     let hostnames = if opts.positional.is_empty() {
-        read_stdin_lines()
+        read_stdin_lines()?
     } else {
         opts.positional.clone()
     };

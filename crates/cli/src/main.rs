@@ -11,7 +11,7 @@
 //!
 //! All subcommands use the built-in reference dictionary.
 
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::process::ExitCode;
 
 mod args;
@@ -230,15 +230,21 @@ pub fn print_out(text: &str) {
     let _ = writeln!(std::io::stdout().lock(), "{text}");
 }
 
-/// Read hostnames from stdin, one per line.
-pub fn read_stdin_lines() -> Vec<String> {
+/// Read hostnames from stdin, one per line, trimmed and skipping blank
+/// lines. Bytes that are not UTF-8 are decoded lossily, as `serve`'s
+/// `POST /batch` does, so a bad line does not end the input.
+pub fn read_stdin_lines() -> Result<Vec<String>, String> {
+    let mut bytes = Vec::new();
     std::io::stdin()
         .lock()
+        .read_to_end(&mut bytes)
+        .map_err(|e| format!("cannot read stdin: {e}"))?;
+    Ok(String::from_utf8_lossy(&bytes)
         .lines()
-        .map_while(Result::ok)
-        .map(|l| l.trim().to_string())
+        .map(str::trim)
         .filter(|l| !l.is_empty())
-        .collect()
+        .map(str::to_string)
+        .collect())
 }
 
 /// Write a file, mapping errors to strings.

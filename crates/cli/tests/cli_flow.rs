@@ -426,3 +426,44 @@ fn learn_with_metrics_and_progress() {
     std::fs::remove_file(&artifacts).ok();
     std::fs::remove_file(&metrics).ok();
 }
+
+/// A line of stdin that is not UTF-8 is decoded lossily and answered
+/// like any other; it does not end the input.
+#[test]
+fn apply_reads_past_a_non_utf8_stdin_line() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let artifacts = tmp("utf8-artifacts.txt");
+    std::fs::write(
+        &artifacts,
+        "hoiho-artifacts-v1\nsuffix gtt.net good\nregex iata ^[^\\.]+\\.([a-z]{3})\\d+\\.gtt\\.net$\n",
+    )
+    .expect("write artifacts");
+    let mut input = Vec::new();
+    for i in 0..401 {
+        if i == 5 {
+            input.extend_from_slice(b"\xff\xfe\n");
+        } else {
+            writeln!(input, "x{i}.lhr1.gtt.net").unwrap();
+        }
+    }
+    let mut child = Command::new(bin())
+        .args(["apply", "--artifacts", &artifacts])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("run apply");
+    child.stdin.take().unwrap().write_all(&input).unwrap();
+    let out = child.wait_with_output().expect("apply output");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 output");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 401, "{stdout}");
+    assert_eq!(lines[5], "\u{fffd}\u{fffd}\t-");
+    assert!(
+        lines[400].starts_with("x400.lhr1.gtt.net\tLondon"),
+        "{}",
+        lines[400]
+    );
+    std::fs::remove_file(&artifacts).ok();
+}
