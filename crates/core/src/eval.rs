@@ -52,8 +52,7 @@ pub struct Metrics {
     /// Unknown extractions.
     pub unk: usize,
     /// Distinct TP hints, as canonical interned ids (deduped by hint
-    /// text). Resolved back to strings only at the report boundary via
-    /// [`EvalContext::resolve_hints`].
+    /// text).
     pub unique_hints: HashSet<HintId>,
 }
 

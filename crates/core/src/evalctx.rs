@@ -34,7 +34,7 @@ use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{GeohintType, LocationId};
 use hoiho_rtt::consistency::BestCaseTable;
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Dense id of an interned `(hint text, type)` pair, private to one
 /// [`EvalContext`]. Ids are assigned in first-use order, which is the
@@ -45,7 +45,6 @@ pub struct HintId(pub u32);
 
 /// One interned hint with its precomputed base decode.
 struct HintEntry {
-    text: String,
     /// First id interned with the same text under *any* type. Metrics
     /// dedup unique hints by text alone (as the paper does), so they
     /// store this canonical id rather than the per-type one.
@@ -118,11 +117,7 @@ impl<'a> EvalContext<'a> {
             .entry(text.to_string())
             .or_default()
             .push((ty, id));
-        i.entries.push(HintEntry {
-            text: text.to_string(),
-            canon,
-            base,
-        });
+        i.entries.push(HintEntry { canon, base });
         id
     }
 
@@ -151,19 +146,6 @@ impl<'a> EvalContext<'a> {
     pub fn constrained(&self, host: &TrainHost) -> bool {
         self.table.constrains(host.rtts)
     }
-
-    /// Resolve interned ids back to sorted hint texts — the report
-    /// boundary, where humans want strings again.
-    pub fn resolve_hints(&self, ids: &HashSet<HintId>) -> Vec<String> {
-        let i = self.interner.borrow();
-        let mut texts: Vec<String> = ids
-            .iter()
-            .map(|id| i.entries[id.0 as usize].text.clone())
-            .collect();
-        texts.sort();
-        texts.dedup();
-        texts
-    }
 }
 
 impl Drop for EvalContext<'_> {
@@ -183,6 +165,7 @@ mod tests {
     use super::*;
     use hoiho_geotypes::Coordinates;
     use hoiho_rtt::{ConsistencyPolicy, VpSet};
+    use std::collections::HashSet;
 
     fn world() -> (GeoDb, BestCaseTable) {
         let db = GeoDb::builtin();
@@ -211,6 +194,8 @@ mod tests {
         assert_eq!(ctx.canonical(a), a);
     }
 
+    /// Canonical ids dedup hints by text across types, as unique-hint
+    /// counts do.
     #[test]
     fn resolve_hints_dedups_by_text() {
         let (db, table) = world();
@@ -223,6 +208,5 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(ids.len(), 2);
-        assert_eq!(ctx.resolve_hints(&ids), vec!["fra", "lhr"]);
     }
 }

@@ -191,19 +191,6 @@ impl Histogram {
             c.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Bucket `(upper_bound, count)` pairs; the final entry uses
-    /// `u64::MAX` as its bound (overflow bucket).
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                (bound, c.load(Ordering::Relaxed))
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
