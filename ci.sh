@@ -108,6 +108,16 @@ if want smoke; then
     ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" \
         --out "$WORK/artifacts2.txt" --metrics "$WORK/metrics2.jsonl"
     cmp "$WORK/artifacts.txt" "$WORK/artifacts2.txt"
+    # Line endings do not change what is learned: the same corpus with
+    # CRLF endings, and without its final newline, learns the same
+    # artifact.
+    sed 's/$/\r/' "$WORK/corpus.txt" >"$WORK/corpus-crlf.txt"
+    head -c -1 "$WORK/corpus.txt" >"$WORK/corpus-noeol.txt"
+    for v in crlf noeol; do
+        ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus-$v.txt" \
+            --out "$WORK/artifacts-$v.txt"
+        cmp "$WORK/artifacts.txt" "$WORK/artifacts-$v.txt"
+    done
     grep '"type":"counter"' "$WORK/metrics1.jsonl" | sort >"$WORK/counters1.txt"
     grep '"type":"counter"' "$WORK/metrics2.jsonl" | sort >"$WORK/counters2.txt"
     [ -s "$WORK/counters1.txt" ] || { echo "smoke: learn wrote no counters"; exit 1; }

@@ -6,12 +6,12 @@ use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
 use hoiho_geodb::GeoDb;
-use hoiho_itdk::format::{parse_corpus, write_corpus};
+use hoiho_itdk::format::{parse_corpus_from, write_corpus};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::stats::CorpusStats;
 use hoiho_psl::PublicSuffixList;
 use hoiho_serve::{ConnLimits, LookupIndex, ReloadConfig, ServeConfig, Server, SharedIndex};
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,8 +55,10 @@ impl Drop for ObsGuard {
 
 fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
     let path = opts.require("corpus")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let corpus = parse_corpus(&text).map_err(|e| e.to_string())?;
+    // Streamed: the file's text is never held whole.
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let corpus =
+        parse_corpus_from(BufReader::with_capacity(1 << 16, file)).map_err(|e| e.to_string())?;
     // Sanity: the corpus references dictionary ids; a corpus generated
     // against a larger dictionary cannot be interpreted by this one.
     for r in &corpus.routers {

@@ -467,3 +467,28 @@ fn apply_reads_past_a_non_utf8_stdin_line() {
     );
     std::fs::remove_file(&artifacts).ok();
 }
+
+/// A corpus byte that is not UTF-8 is a parse error that names its line.
+#[test]
+fn non_utf8_corpus_byte_names_its_line() {
+    let corpus = tmp("non-utf8-corpus.txt");
+    let mut text = b"corpus-v1 x\nvp a 1.0 2.0\n".to_vec();
+    for i in 0..6 {
+        text.extend_from_slice(
+            format!("node N{i} loc=1\niface 10.0.0.{i}\nrtt 0:1000\n").as_bytes(),
+        );
+    }
+    text.extend_from_slice(b"node N6 loc=1\niface 10.0.0.6 a\xffb.example.net\n");
+    std::fs::write(&corpus, text).expect("write corpus");
+    let out = Command::new(bin())
+        .args(["stats", "--corpus", &corpus])
+        .output()
+        .expect("run stats");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("corpus parse error at line 22: "),
+        "{stderr}"
+    );
+    std::fs::remove_file(&corpus).ok();
+}

@@ -18,23 +18,27 @@ pub const C_FIBER_KM_PER_MS: f64 = C_VACUUM_KM_PER_MS * 2.0 / 3.0;
 
 /// A round-trip time in milliseconds.
 ///
-/// Stored as microseconds internally so the type is `Ord`/`Eq` and safe to
-/// use as a map key or in sorted structures; construction from `f64`
-/// milliseconds saturates at zero.
+/// Stored as a `u32` count of microseconds, so the type is `Ord`/`Eq`
+/// and safe to use as a map key or in sorted structures, and an RTT
+/// sample fits in 4 bytes: at most `u32::MAX` µs, about 71 minutes.
+/// Construction from `f64` milliseconds saturates at zero and at that
+/// maximum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Rtt(u64);
+pub struct Rtt(u32);
 
 impl Rtt {
     /// Zero RTT (useful as an identity for `min` folds).
     pub const ZERO: Rtt = Rtt(0);
 
-    /// Construct from milliseconds; negative inputs clamp to zero.
+    /// Construct from milliseconds; negative inputs clamp to zero and
+    /// inputs past `u32::MAX` µs to that maximum.
     pub fn from_ms(ms: f64) -> Self {
-        Rtt((ms.max(0.0) * 1000.0).round() as u64)
+        // A float-to-integer `as` cast saturates.
+        Rtt((ms.max(0.0) * 1000.0).round() as u32)
     }
 
     /// Construct from whole microseconds.
-    pub fn from_us(us: u64) -> Self {
+    pub fn from_us(us: u32) -> Self {
         Rtt(us)
     }
 
@@ -44,7 +48,7 @@ impl Rtt {
     }
 
     /// Value in whole microseconds.
-    pub fn as_us(&self) -> u64 {
+    pub fn as_us(&self) -> u32 {
         self.0
     }
 }
@@ -100,6 +104,13 @@ mod tests {
     #[test]
     fn rtt_negative_clamps() {
         assert_eq!(Rtt::from_ms(-3.0), Rtt::ZERO);
+    }
+
+    #[test]
+    fn rtt_saturates_at_u32_max_us() {
+        assert_eq!(Rtt::from_ms(1e12).as_us(), u32::MAX);
+        assert_eq!(Rtt::from_ms(f64::INFINITY).as_us(), u32::MAX);
+        assert_eq!(Rtt::from_ms(4_294_967.295).as_us(), u32::MAX);
     }
 
     #[test]

@@ -6,12 +6,18 @@
 //! VP id has no earlier `vp` record is a parse error. The `vp:us` tokens
 //! of an `rtt`/`trtt` record are separated by ASCII whitespace only (the
 //! other records accept any Unicode whitespace); each number is unsigned
-//! decimal with an optional leading `+`, as `str::parse` accepts.
+//! decimal with an optional leading `+`, as `str::parse` accepts, and the
+//! microseconds must fit in a `u32` (about 71 minutes).
+//!
+//! [`parse_corpus_from`] reads the format from any [`BufRead`] one line at
+//! a time, so a file is parsed without holding its text;
+//! [`parse_corpus`] parses a string through it.
 
 use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
 use std::fmt::Write as _;
+use std::io::BufRead;
 
 /// Error from the `corpus-v1` parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,16 +93,34 @@ fn write_rtts(out: &mut String, tag: &str, rtts: &RouterRtts) -> std::fmt::Resul
     writeln!(out)
 }
 
-/// Parse the native `corpus-v1` format.
+/// Parse the native `corpus-v1` format from a string.
 pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
+    parse_corpus_from(text.as_bytes())
+}
+
+/// Parse the native `corpus-v1` format from a reader, one line at a time,
+/// splitting lines at `\n` as [`str::lines`] does. A read error or a line
+/// that is not UTF-8 is reported on the line where it happens.
+pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseError> {
     let _span = hoiho_obs::span("itdk.parse_corpus");
     let err = |line: usize, msg: &str| CorpusParseError {
         line,
         msg: msg.to_string(),
     };
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(1, "empty input"))?;
-    let label = header
+    // One buffer for every line. A line keeps its `\n` or `\r\n`; the
+    // trims below drop it with any other trailing whitespace.
+    let mut buf = String::new();
+    let mut next_line = |buf: &mut String, ln: usize| {
+        buf.clear();
+        match input.read_line(buf) {
+            Ok(n) => Ok(n > 0),
+            Err(e) => Err(err(ln, &e.to_string())),
+        }
+    };
+    if !next_line(&mut buf, 1)? {
+        return Err(err(1, "empty input"));
+    }
+    let label = buf
         .strip_prefix("corpus-v1")
         .ok_or_else(|| err(1, "missing corpus-v1 header"))?
         .trim()
@@ -108,9 +132,11 @@ pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
         label,
     };
 
-    for (ln0, line) in lines {
-        let ln = ln0 + 1;
-        let line = line.trim_end();
+    for ln in 2.. {
+        if !next_line(&mut buf, ln)? {
+            break;
+        }
+        let line = buf.trim_end();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
@@ -269,6 +295,7 @@ fn parse_rtt_samples(rest: &[u8], known_vps: usize, target: &mut RouterRtts) -> 
         let (us, end) = scan_decimal(rest, at + 1);
         let us = us
             .filter(|_| rest.get(end).is_none_or(|&b| is_ascii_space(b)))
+            .and_then(|us| u32::try_from(us).ok())
             .ok_or("rtt: bad us")?;
         if usize::from(vp) >= known_vps {
             return Err(format!("rtt: vp {vp} has no earlier vp record"));
@@ -309,6 +336,7 @@ mod tests {
     use super::*;
     use crate::spec::CorpusSpec;
     use hoiho_geodb::GeoDb;
+    use std::io::{BufReader, Read};
 
     fn sample() -> Corpus {
         let db = GeoDb::builtin();
@@ -352,6 +380,46 @@ mod tests {
         }
     }
 
+    // RTT records, after a four-line preamble with VPs 0 and 1:
+    // `Ok(samples)` of the router, or `Err((line, msg))`. Every case
+    // answers as `split_whitespace` + `str::parse` (µs as `u32`) do,
+    // except the last: non-ASCII whitespace does not separate `vp:us`
+    // tokens.
+    const RTT_HEAD: &str = "corpus-v1 x\nvp a 1.0 2.0\nvp b 3.0 4.0\nnode N0 loc=1\n";
+    type Want = Result<&'static [(u16, u32)], (usize, &'static str)>;
+    const fn bad(line: usize, msg: &'static str) -> Want {
+        Err((line, msg))
+    }
+    const RTT_CASES: &[(&str, Want)] = &[
+        ("rtt +1:+20\n", Ok(&[(1, 20)])),
+        ("rtt 0:007 1:0\n", Ok(&[(0, 7), (1, 0)])),
+        ("rtt 1:4294967295\n", Ok(&[(1, u32::MAX)])),
+        ("rtt 1:4294967296\n", bad(5, "rtt: bad us")),
+        ("rtt 1:5 0:9 1:3 1:4\n", Ok(&[(0, 9), (1, 3)])),
+        ("rtt\t0:1\t\t1:2\t\n", Ok(&[(0, 1), (1, 2)])),
+        ("rtt   0:1     1:2   \n", Ok(&[(0, 1), (1, 2)])),
+        ("rtt 0:1\x0b1:2\x0c\n", Ok(&[(0, 1), (1, 2)])),
+        ("rtt 0:1 1:2\r\ntrtt 0:3\r\n", Ok(&[(0, 1), (1, 2)])),
+        ("rtt\n", Ok(&[])),
+        ("rtt 65536:5\n", bad(5, "rtt: bad vp")),
+        ("rtt 1:18446744073709551616\n", bad(5, "rtt: bad us")),
+        ("rtt 0:1 1\n", bad(5, "rtt: expected vp:us")),
+        ("rtt 1:\n", bad(5, "rtt: bad us")),
+        ("rtt :5\n", bad(5, "rtt: bad vp")),
+        ("rtt +:5\n", bad(5, "rtt: bad vp")),
+        ("rtt ++1:5\n", bad(5, "rtt: bad vp")),
+        ("rtt -1:5\n", bad(5, "rtt: bad vp")),
+        ("rtt 1:-5\n", bad(5, "rtt: bad us")),
+        ("rtt 1:2:3\n", bad(5, "rtt: bad us")),
+        ("rtt 1x2\n", bad(5, "rtt: expected vp:us")),
+        ("rtt 1x:2\n", bad(5, "rtt: bad vp")),
+        ("rtt 0:1 1:2\u{e9}\n", bad(5, "rtt: bad us")),
+        ("rtt 0\u{e9}:1\n", bad(5, "rtt: bad vp")),
+        ("rtt 0:1 \u{e9}\n", bad(5, "rtt: expected vp:us")),
+        ("rtt 0:1\r\ntrtt 1:x\r\n", bad(6, "rtt: bad us")),
+        ("rtt 0:1\u{a0}1:2\n", bad(5, "rtt: bad us")),
+    ];
+
     #[test]
     fn parse_errors_are_reported_with_lines() {
         assert!(parse_corpus("").is_err());
@@ -363,43 +431,8 @@ mod tests {
         let e = parse_corpus("corpus-v1 x\nwhatisthis\n").unwrap_err();
         assert!(e.msg.contains("unknown record"));
 
-        // RTT records, after a four-line preamble with VPs 0 and 1:
-        // `Ok(samples)` of the router, or `Err((line, msg))`. Every case
-        // answers as `split_whitespace` + `str::parse` did, except the
-        // last: non-ASCII whitespace does not separate `vp:us` tokens.
-        let head = "corpus-v1 x\nvp a 1.0 2.0\nvp b 3.0 4.0\nnode N0 loc=1\n";
-        let bad = |line: usize, msg: &'static str| Err((line, msg));
-        type Want = Result<&'static [(u16, u64)], (usize, &'static str)>;
-        let cases: &[(&str, Want)] = &[
-            ("rtt +1:+20\n", Ok(&[(1, 20)])),
-            ("rtt 0:007 1:0\n", Ok(&[(0, 7), (1, 0)])),
-            ("rtt 1:18446744073709551615\n", Ok(&[(1, u64::MAX)])),
-            ("rtt 1:5 0:9 1:3 1:4\n", Ok(&[(0, 9), (1, 3)])),
-            ("rtt\t0:1\t\t1:2\t\n", Ok(&[(0, 1), (1, 2)])),
-            ("rtt   0:1     1:2   \n", Ok(&[(0, 1), (1, 2)])),
-            ("rtt 0:1\x0b1:2\x0c\n", Ok(&[(0, 1), (1, 2)])),
-            ("rtt 0:1 1:2\r\ntrtt 0:3\r\n", Ok(&[(0, 1), (1, 2)])),
-            ("rtt\n", Ok(&[])),
-            ("rtt 65536:5\n", bad(5, "rtt: bad vp")),
-            ("rtt 1:18446744073709551616\n", bad(5, "rtt: bad us")),
-            ("rtt 0:1 1\n", bad(5, "rtt: expected vp:us")),
-            ("rtt 1:\n", bad(5, "rtt: bad us")),
-            ("rtt :5\n", bad(5, "rtt: bad vp")),
-            ("rtt +:5\n", bad(5, "rtt: bad vp")),
-            ("rtt ++1:5\n", bad(5, "rtt: bad vp")),
-            ("rtt -1:5\n", bad(5, "rtt: bad vp")),
-            ("rtt 1:-5\n", bad(5, "rtt: bad us")),
-            ("rtt 1:2:3\n", bad(5, "rtt: bad us")),
-            ("rtt 1x2\n", bad(5, "rtt: expected vp:us")),
-            ("rtt 1x:2\n", bad(5, "rtt: bad vp")),
-            ("rtt 0:1 1:2\u{e9}\n", bad(5, "rtt: bad us")),
-            ("rtt 0\u{e9}:1\n", bad(5, "rtt: bad vp")),
-            ("rtt 0:1 \u{e9}\n", bad(5, "rtt: expected vp:us")),
-            ("rtt 0:1\r\ntrtt 1:x\r\n", bad(6, "rtt: bad us")),
-            ("rtt 0:1\u{a0}1:2\n", bad(5, "rtt: bad us")),
-        ];
-        for (body, want) in cases {
-            let got = parse_corpus(&format!("{head}{body}"))
+        for (body, want) in RTT_CASES {
+            let got = parse_corpus(&format!("{RTT_HEAD}{body}"))
                 .map(|c| {
                     let samples = c.routers[0].rtts.samples();
                     samples
@@ -412,6 +445,63 @@ mod tests {
                 .map(<[_]>::to_vec)
                 .map_err(|(line, msg)| (line, msg.to_string()));
             assert_eq!(got, want, "{body:?}");
+        }
+    }
+
+    /// `parse_corpus_from` answers as `parse_corpus` does on the same
+    /// text, whatever the size of its read buffer.
+    #[test]
+    fn streaming_parse_matches_string_parse() {
+        let lf = write_corpus(&sample());
+        let crlf = lf.replace('\n', "\r\n");
+        let unterminated = lf.trim_end().to_string();
+        // Line endings do not change the corpus.
+        for text in [&crlf, &unterminated] {
+            assert_eq!(parse_corpus(text).map(|c| write_corpus(&c)), Ok(lf.clone()));
+        }
+        let mut texts = vec![
+            lf.clone(),
+            crlf,
+            unterminated,
+            "corpus-v1 x\r\n\r\n# note\r\n\n  \t\nvp a 1.0 2.0\n#\nnode N0 loc=1\r\nrtt 0:5".into(),
+            "corpus-v1 x\r".into(),
+            String::new(),
+            "\n".into(),
+            "bogus-header\n".into(),
+        ];
+        texts.extend(
+            RTT_CASES
+                .iter()
+                .map(|(body, _)| format!("{RTT_HEAD}{body}")),
+        );
+        for text in &texts {
+            let want = parse_corpus(text).map(|c| write_corpus(&c));
+            for capacity in [1, 3, 64 << 10] {
+                let input = BufReader::with_capacity(capacity, text.as_bytes());
+                let got = parse_corpus_from(input).map(|c| write_corpus(&c));
+                assert_eq!(got, want, "capacity {capacity}: {text:?}");
+            }
+        }
+    }
+
+    /// A line that is not UTF-8, or a read that fails, is an error on
+    /// the line where it happens.
+    #[test]
+    fn read_errors_name_their_line() {
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk on fire"))
+            }
+        }
+        let text: &[u8] = b"corpus-v1 x\nvp a 1.0 2.0\nnode N0 loc=1\niface 10.0.0.1 a\xffb.net\n";
+        for capacity in [1, 3, 64 << 10] {
+            let e = parse_corpus_from(BufReader::with_capacity(capacity, text)).unwrap_err();
+            assert_eq!(e.line, 4);
+            assert!(e.msg.contains("UTF-8"), "{}", e.msg);
+            let input = BufReader::with_capacity(capacity, text[..30].chain(Broken));
+            let e = parse_corpus_from(input).unwrap_err();
+            assert_eq!((e.line, e.msg.as_str()), (3, "disk on fire"));
         }
     }
 
@@ -442,7 +532,7 @@ mod tests {
         for tok in rest.split_whitespace() {
             let (vp, us) = tok.split_once(':').ok_or("rtt: expected vp:us")?;
             let vp: u16 = vp.parse().map_err(|_| "rtt: bad vp")?;
-            let us: u64 = us.parse().map_err(|_| "rtt: bad us")?;
+            let us: u32 = us.parse().map_err(|_| "rtt: bad us")?;
             if usize::from(vp) >= known_vps {
                 return Err(format!("rtt: vp {vp} has no earlier vp record"));
             }

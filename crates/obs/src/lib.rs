@@ -164,24 +164,31 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// The quantile `q` in `[0, 1]`: the upper bound of the bucket
-    /// containing the rank-`ceil(q*count)` sample, clamped to
-    /// [`Histogram::max`] (no sample exceeds it). Returns 0 when empty.
+    /// The quantile `q` in `[0, 1]`: the rank-`ceil(q*count)` sample,
+    /// estimated by linear interpolation by rank inside its bucket,
+    /// between the previous bound (or 0) and the bucket's own bound, then
+    /// clamped to [`Histogram::max`] (no sample exceeds it). Returns 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
         }
+        let max = self.max();
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
-                return bound.min(self.max());
+            let n = bucket.load(Ordering::Relaxed);
+            if seen + n >= rank {
+                let lo = if i == 0 { 0 } else { self.bounds[i - 1] };
+                let hi = self.bounds.get(i).copied().unwrap_or(max);
+                let step =
+                    u128::from(hi.saturating_sub(lo)) * u128::from(rank - seen) / u128::from(n);
+                return (lo + step as u64).min(max);
             }
+            seen += n;
         }
-        self.max()
+        max
     }
 
     /// Forget every sample.
@@ -890,6 +897,18 @@ mod tests {
         assert_eq!(h.quantile(0.5), 10); // 3rd of 5 samples ≤ 10
         assert_eq!(h.quantile(0.9), 200); // 5th sample is in bucket ≤1000, max 200
         assert_eq!(h.max(), 200);
+    }
+
+    #[test]
+    fn quantiles_interpolate_inside_a_bucket() {
+        let h = Histogram::with_bounds(vec![100, 200]);
+        for v in 101..=200 {
+            h.record(v);
+        }
+        let p50 = h.quantile(0.5);
+        assert!(100 < p50 && p50 < 200, "p50={p50}");
+        assert_eq!(p50, 150);
+        assert_eq!(h.quantile(1.0), 200);
     }
 
     #[test]

@@ -103,6 +103,9 @@ pub struct RouterRtts {
     samples: Vec<(VpId, Rtt)>,
 }
 
+// Samples are most of a loaded corpus's memory: keep each at 8 bytes.
+const _: () = assert!(size_of::<(VpId, Rtt)>() == 8);
+
 impl RouterRtts {
     /// Empty sample set (router unresponsive).
     pub fn new() -> RouterRtts {
