@@ -9,6 +9,8 @@
 //! - **stall** — connect and never speak (idle reap)
 //! - **slow_writer** — one byte every few ms, no newline (byte-rate floor)
 //! - **half_close** — a partial request line, then `shutdown(Write)`
+//! - **trickle_http** — HTTP header lines fast enough for the byte-rate
+//!   floor, for longer than the request deadline (408)
 //! - **garbage** — random non-protocol bytes
 //! - **trunc_http** — `Content-Length` larger than the delivered body
 //! - **oversize_line** — a line far beyond the line cap
@@ -209,7 +211,7 @@ fn main() {
     // Adversaries: the long-running kinds (each attack pins a worker
     // for hundreds of ms) on one thread, the quick kinds on another,
     // so total client-side concurrency stays bounded and deterministic.
-    let slow_kinds: &[&str] = &["stall", "slow_writer", "half_close"];
+    let slow_kinds: &[&str] = &["stall", "slow_writer", "half_close", "trickle_http"];
     let fast_kinds: &[&str] = &[
         "garbage",
         "trunc_http",
@@ -576,6 +578,39 @@ fn attack(
                 return true;
             }
             drain(&mut s).is_some()
+        }
+        // A 64-byte header line every 100 ms is well above the byte-rate
+        // floor, but the request's one deadline must still cut it.
+        "trickle_http" => {
+            let mut got = String::new();
+            let _ = s.write_all(b"GET /healthz HTTP/1.1\r\n");
+            s.set_read_timeout(Some(Duration::from_millis(100))).ok();
+            let mut buf = [0u8; 4096];
+            for i in 0..40 {
+                // Wait for an answer before each line, so one that came
+                // is read before a later write could reset the socket.
+                match s.read(&mut buf) {
+                    Ok(n) => {
+                        got.push_str(&String::from_utf8_lossy(&buf[..n]));
+                        break;
+                    }
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ) => {}
+                    Err(_) => break,
+                }
+                let line = format!("X-Trickle-{i:02}: {}\r\n", "t".repeat(48));
+                if stop.load(Ordering::Relaxed) || s.write_all(line.as_bytes()).is_err() {
+                    break;
+                }
+            }
+            s.set_read_timeout(Some(CLIENT_DEADLINE)).ok();
+            match drain(&mut s) {
+                Some(rest) => !(got + &rest).contains("200 OK"),
+                None => false,
+            }
         }
         // Random non-protocol bytes: an error (or a bare-hostname miss)
         // must come back, never a hang.

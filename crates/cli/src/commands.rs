@@ -6,7 +6,7 @@ use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
 use hoiho_geodb::GeoDb;
-use hoiho_itdk::format::{parse_corpus_from, write_corpus};
+use hoiho_itdk::format::{parse_corpus_from, write_corpus_to};
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_itdk::stats::CorpusStats;
 use hoiho_psl::PublicSuffixList;
@@ -92,7 +92,10 @@ pub fn generate(opts: &Options) -> Result<(), String> {
     }
     let g = hoiho_itdk::generate(&db, &spec);
     let out = opts.require("out")?;
-    write_file(out, &write_corpus(&g.corpus))?;
+    // Written record by record: at 1M routers the text is 859 MB.
+    let file = std::fs::File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
+    write_corpus_to(&g.corpus, std::io::BufWriter::new(file))
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!(
         "wrote {} routers ({} with hostnames), {} VPs to {out}",
         g.corpus.len(),

@@ -11,13 +11,14 @@
 //!
 //! [`parse_corpus_from`] reads the format from any [`BufRead`] one line at
 //! a time, so a file is parsed without holding its text;
-//! [`parse_corpus`] parses a string through it.
+//! [`parse_corpus`] parses a string through it. [`write_corpus_to`]
+//! likewise writes to any [`Write`], and [`write_corpus`] renders a
+//! string through it.
 
 use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
 use hoiho_rtt::{RouterRtts, VpId, VpSet};
-use std::fmt::Write as _;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 
 /// Error from the `corpus-v1` parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,27 +39,31 @@ impl std::error::Error for CorpusParseError {}
 
 /// Serialize a corpus (with ground truth) to `corpus-v1`.
 pub fn write_corpus(corpus: &Corpus) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "corpus-v1 {}", corpus.label);
+    let mut out = Vec::new();
+    write_corpus_to(corpus, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("corpus-v1 is UTF-8")
+}
+
+/// Serialize a corpus to `corpus-v1` into `out`, record by record, so a
+/// file is written without holding its text. Wrap a file in a
+/// [`std::io::BufWriter`].
+pub fn write_corpus_to(corpus: &Corpus, mut out: impl Write) -> std::io::Result<()> {
+    writeln!(out, "corpus-v1 {}", corpus.label)?;
     for (_, vp) in corpus.vps.iter() {
-        let _ = writeln!(
+        writeln!(
             out,
             "vp {} {:.6} {:.6}",
             vp.name,
             vp.coords.lat(),
             vp.coords.lon()
-        );
+        )?;
     }
     for (id, r) in corpus.iter() {
-        let _ = writeln!(out, "node N{} loc={}", id.0, r.location.0);
+        writeln!(out, "node N{} loc={}", id.0, r.location.0)?;
         for i in &r.interfaces {
             match &i.hostname {
-                Some(h) => {
-                    let _ = writeln!(out, "iface {} {}", i.addr, h);
-                }
-                None => {
-                    let _ = writeln!(out, "iface {}", i.addr);
-                }
+                Some(h) => writeln!(out, "iface {} {}", i.addr, h)?,
+                None => writeln!(out, "iface {}", i.addr)?,
             }
             if let Some(t) = &i.truth {
                 let hint = t.hint.as_deref().unwrap_or("-");
@@ -66,23 +71,23 @@ pub fn write_corpus(corpus: &Corpus) -> String {
                     .hint_location
                     .map(|l| l.0.to_string())
                     .unwrap_or_else(|| "-".into());
-                let _ = writeln!(
+                writeln!(
                     out,
                     "truth {} {} {} {}",
                     hint,
                     loc,
                     if t.stale { "stale" } else { "fresh" },
                     if t.provider_side { "provider" } else { "own" }
-                );
+                )?;
             }
         }
-        let _ = write_rtts(&mut out, "rtt", &r.rtts);
-        let _ = write_rtts(&mut out, "trtt", &r.traceroute_rtts);
+        write_rtts(&mut out, "rtt", &r.rtts)?;
+        write_rtts(&mut out, "trtt", &r.traceroute_rtts)?;
     }
-    out
+    out.flush()
 }
 
-fn write_rtts(out: &mut String, tag: &str, rtts: &RouterRtts) -> std::fmt::Result {
+fn write_rtts(mut out: impl Write, tag: &str, rtts: &RouterRtts) -> std::io::Result<()> {
     if rtts.is_empty() {
         return Ok(());
     }
@@ -336,6 +341,7 @@ mod tests {
     use super::*;
     use crate::spec::CorpusSpec;
     use hoiho_geodb::GeoDb;
+    use std::fmt::Write as _;
     use std::io::{BufReader, Read};
 
     fn sample() -> Corpus {

@@ -10,7 +10,7 @@
 //! (HLOC-style systems, reverse-DNS geolocation pipelines) can query
 //! online instead of shelling out to `hoiho apply`.
 //!
-//! Three pieces, all hand-rolled on `std`:
+//! Four pieces, all hand-rolled on `std`:
 //!
 //! - [`LookupIndex`] — an immutable snapshot of one artifact file:
 //!   core's [`hoiho::Geolocator`] plus the dictionary and suffix list.
@@ -25,11 +25,15 @@
 //!   queue. Overload sheds with an explicit `503 overloaded` response
 //!   instead of stalling; shutdown drains gracefully.
 //! - [`ConnLimits`] — the per-connection robustness policy: idle
-//!   reaping, per-request completion deadlines, a slow-client
-//!   byte-rate floor, line/header/body size caps, and a request
-//!   budget. A hostile or faulty peer always resolves by serve,
-//!   reject, or timeout — never by pinning a worker forever — and
-//!   every such path is a `serve.*` counter in `/metrics`.
+//!   reaping, one completion deadline per request (from its first byte
+//!   to its last, HTTP headers and body included), a slow-client
+//!   byte-rate floor over the whole request, line/header/body size
+//!   caps, and a request budget. Both protocols read requests through
+//!   one framer and one read loop, and every refusal goes through one
+//!   table to its counter and response. A hostile or faulty peer
+//!   always resolves by serve, reject, or timeout — never by pinning
+//!   a worker forever — and every such path is a `serve.*` counter in
+//!   `/metrics`.
 //!
 //! Both wire protocols are defined in [`proto`]: a line-delimited JSON
 //! protocol for `printf | nc`-style and persistent-connection clients,
@@ -58,5 +62,5 @@ pub mod proto;
 mod server;
 
 pub use index::{LookupIndex, SharedIndex};
-pub use limits::{ConnLimits, ConnReader, ReadOutcome};
+pub use limits::ConnLimits;
 pub use server::{ReloadConfig, ServeConfig, Server};

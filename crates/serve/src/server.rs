@@ -18,12 +18,15 @@
 //!
 //! ## Robustness
 //!
-//! Every connection is read through [`ConnReader`] under
-//! [`ConnLimits`]: idle reaping, per-request completion deadlines, a
-//! slow-client byte-rate floor, and caps on line/header/body sizes. A
-//! hostile peer therefore always resolves — served, rejected with an
-//! explicit response (`400`/`408`/`413`), or cut by a deadline — and
-//! every such path lands in one counter family:
+//! Every request, in either protocol, is read by one loop under
+//! [`ConnLimits`] (`crate::limits`): the connection's bytes are framed
+//! from its buffer, under an idle window before the request's first
+//! byte, one completion deadline from its first byte to its last, a
+//! slow-client byte-rate floor over the whole request, and caps on
+//! line/header/body sizes. A hostile peer therefore always resolves —
+//! served, rejected with an explicit response (`400`/`408`/`413`), or
+//! cut by a deadline — and every refusal maps, through one table, into
+//! one counter family:
 //!
 //! - `serve.timeout.read` / `serve.timeout.write` — deadlines fired
 //! - `serve.conn.reaped` — idle keep-alive connections closed
@@ -42,7 +45,7 @@
 //! everything.
 
 use crate::index::{stamp, LookupIndex, SharedIndex};
-use crate::limits::{ConnLimits, ConnReader, ReadOutcome};
+use crate::limits::{Conn, ConnLimits, Frame};
 use crate::proto::{self, Request};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -320,57 +323,38 @@ fn handle_connection(shared: &Shared, stream: TcpStream, scratch: &mut String) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = ConnReader::new(read_half);
+    let mut conn = Conn::new(read_half);
     let mut write_half = stream;
-    let mut line = String::new();
     let mut served: u64 = 0;
     loop {
-        line.clear();
-        match reader.read_line(&mut line, limits, None) {
-            ReadOutcome::Complete => {}
-            ReadOutcome::Eof => return,
-            ReadOutcome::Idle => {
-                hoiho_obs::counter!("serve.conn.reaped").inc();
-                return;
-            }
-            ReadOutcome::TimedOut => {
-                hoiho_obs::counter!("serve.timeout.read").inc();
-                return;
-            }
-            ReadOutcome::TooSlow => {
-                hoiho_obs::counter!("serve.reject.slow").inc();
-                return;
-            }
-            ReadOutcome::TooLarge => {
-                hoiho_obs::counter!("serve.reject.oversize").inc();
-                // The prefix tells us which protocol's error to speak.
-                let resp = if proto::looks_like_http_prefix(&line) {
-                    proto::error_response("400 Bad Request", "request line too long")
-                } else {
-                    format!("{}\n", proto::render_error("request too large")).into_bytes()
-                };
-                let _ = send(&mut write_half, &resp);
-                return;
-            }
-            ReadOutcome::Truncated => {
-                hoiho_obs::counter!("serve.reject.truncated").inc();
-                return;
-            }
-            ReadOutcome::Failed => return,
+        let framed = conn.read_request(served == 0, limits);
+        // An HTTP request counts once its request line is in, whether
+        // it is then served or refused.
+        if conn.is_http() {
+            hoiho_obs::counter!("serve.requests.http").inc();
         }
-        if served == 0 && proto::looks_like_http(line.trim_end()) {
-            handle_http(
-                shared,
-                line.trim_end().to_string(),
-                &mut reader,
-                &mut write_half,
-                scratch,
-            );
-            return;
-        }
+        let len = match framed {
+            Ok(Frame::Line(len)) => len,
+            Ok(Frame::Http { req, body }) => {
+                handle_http(shared, &req, &conn.buf()[body], &mut write_half, scratch);
+                return;
+            }
+            Err(refusal) => {
+                let (counter, response) = refusal.verdict();
+                if let Some(name) = counter {
+                    hoiho_obs::add(name, 1);
+                }
+                if let Some(response) = response {
+                    let _ = send(&mut write_half, &response);
+                }
+                return;
+            }
+        };
         // Line protocol: keep answering until EOF, a limit fires, or a
         // drain begins.
+        let line = String::from_utf8_lossy(&conn.buf()[..len]);
         let response = respond_line(shared, line.trim_end(), scratch);
+        conn.consume(len);
         served += 1;
         let draining = shared.draining();
         if !send(&mut write_half, response.as_bytes()) {
@@ -461,87 +445,16 @@ fn record_request(start: Instant) {
     hoiho_obs::histogram!("serve.request_us").record(start.elapsed().as_micros() as u64);
 }
 
-/// Serve one HTTP-lite request (`Connection: close`). One *hard*
-/// deadline covers request line, headers, and body, so a peer trickling
-/// header lines cannot reset the clock.
+/// Serve one framed HTTP-lite request (`Connection: close`); `body` is
+/// empty unless it is a `POST /batch`.
 fn handle_http(
     shared: &Shared,
-    request_line: String,
-    reader: &mut ConnReader,
+    req: &proto::HttpRequest,
+    body: &[u8],
     out: &mut TcpStream,
     scratch: &mut String,
 ) {
     let start = Instant::now();
-    let limits = &shared.limits;
-    let hard = start + limits.read_timeout;
-    hoiho_obs::counter!("serve.requests.http").inc();
-    let req = proto::parse_http_request(&request_line);
-    // Headers: only Content-Length matters, but every line is bounded
-    // and the block as a whole is capped.
-    let mut content_length: usize = 0;
-    let mut header_bytes = 0usize;
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header, limits, Some(hard)) {
-            ReadOutcome::Complete => {}
-            ReadOutcome::Idle | ReadOutcome::TimedOut => {
-                hoiho_obs::counter!("serve.timeout.read").inc();
-                let _ = send(
-                    out,
-                    &proto::error_response("408 Request Timeout", "request timed out"),
-                );
-                return;
-            }
-            ReadOutcome::TooSlow => {
-                hoiho_obs::counter!("serve.reject.slow").inc();
-                return;
-            }
-            ReadOutcome::TooLarge => {
-                hoiho_obs::counter!("serve.reject.oversize").inc();
-                let _ = send(
-                    out,
-                    &proto::error_response("400 Bad Request", "header line too long"),
-                );
-                return;
-            }
-            ReadOutcome::Eof | ReadOutcome::Truncated => {
-                hoiho_obs::counter!("serve.reject.truncated").inc();
-                return;
-            }
-            ReadOutcome::Failed => return,
-        }
-        header_bytes += header.len();
-        if header_bytes > limits.max_header_bytes {
-            hoiho_obs::counter!("serve.reject.oversize").inc();
-            let _ = send(
-                out,
-                &proto::error_response("400 Bad Request", "header block too large"),
-            );
-            return;
-        }
-        let h = header.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some(v) = h
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            match v.parse() {
-                Ok(n) => content_length = n,
-                Err(_) => {
-                    hoiho_obs::counter!("serve.reject.malformed").inc();
-                    let _ = send(
-                        out,
-                        &proto::error_response("400 Bad Request", "bad content-length"),
-                    );
-                    return;
-                }
-            }
-        }
-    }
     let mut drain = false;
     let response = match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/lookup") => match proto::query_param(&req.query, "h") {
@@ -554,36 +467,7 @@ fn handle_http(
             None => proto::error_response("400 Bad Request", "missing h parameter"),
         },
         ("POST", "/batch") => {
-            if content_length > limits.max_body_bytes {
-                hoiho_obs::counter!("serve.reject.oversize").inc();
-                let _ = send(
-                    out,
-                    &proto::error_response("413 Payload Too Large", "body exceeds limit"),
-                );
-                return;
-            }
-            let mut body = Vec::with_capacity(content_length);
-            match reader.read_body(&mut body, content_length, limits, Some(hard)) {
-                ReadOutcome::Complete => {}
-                ReadOutcome::TimedOut | ReadOutcome::Idle => {
-                    hoiho_obs::counter!("serve.timeout.read").inc();
-                    let _ = send(
-                        out,
-                        &proto::error_response("408 Request Timeout", "body timed out"),
-                    );
-                    return;
-                }
-                ReadOutcome::TooSlow => {
-                    hoiho_obs::counter!("serve.reject.slow").inc();
-                    return;
-                }
-                // Content-Length promised more than the peer delivered.
-                _ => {
-                    hoiho_obs::counter!("serve.reject.truncated").inc();
-                    return;
-                }
-            }
-            let body = String::from_utf8_lossy(&body);
+            let body = String::from_utf8_lossy(body);
             let hosts: Vec<&str> = body
                 .lines()
                 .map(str::trim)
@@ -833,6 +717,41 @@ mod tests {
         let started = Instant::now();
         assert_eq!(slurp(&mut s), "", "reap closes silently");
         assert!(started.elapsed() < Duration::from_secs(3));
+        server.shutdown();
+    }
+
+    #[test]
+    fn one_deadline_covers_an_http_request_from_its_first_byte() {
+        let server = boot(ConnLimits {
+            read_timeout: Duration::from_secs(1),
+            idle_timeout: Duration::from_secs(5),
+            ..tight()
+        });
+        let mut s = connect(&server);
+        let before = hoiho_obs::global().counter("serve.timeout.read").get();
+        // Wait `d` for the server's answer, keeping what it sends.
+        let mut resp = String::new();
+        let mut wait = |s: &mut TcpStream, d: Duration| {
+            s.set_read_timeout(Some(d)).expect("rt");
+            let mut buf = [0u8; 4096];
+            if let Ok(n) = s.read(&mut buf) {
+                resp.push_str(&String::from_utf8_lossy(&buf[..n]));
+            }
+        };
+        let started = Instant::now();
+        s.write_all(b"GET /hea").expect("write");
+        wait(&mut s, Duration::from_millis(800));
+        s.write_all(b"lthz HTTP/1.1\r\n").expect("write");
+        wait(&mut s, Duration::from_millis(800));
+        let answered = started.elapsed();
+        let _ = s.write_all(b"Host: x\r\n\r\n");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("rt");
+        resp.push_str(&slurp(&mut s));
+        assert!(resp.starts_with("HTTP/1.1 408"), "{resp}");
+        assert!(resp.contains("request timed out"), "{resp}");
+        assert!(answered < Duration::from_millis(1500), "{answered:?}");
+        assert!(hoiho_obs::global().counter("serve.timeout.read").get() > before);
         server.shutdown();
     }
 
