@@ -108,20 +108,30 @@ if want smoke; then
     ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" \
         --out "$WORK/artifacts2.txt" --metrics "$WORK/metrics2.jsonl"
     cmp "$WORK/artifacts.txt" "$WORK/artifacts2.txt"
-    # Line endings do not change what is learned: the same corpus with
-    # CRLF endings, and without its final newline, learns the same
-    # artifact.
+    # Line endings do not change what is learned or found stale: the
+    # same corpus with CRLF endings, and without its final newline,
+    # learns the same artifact with the same counters, and `stale` flags
+    # the same hostnames in it.
     sed 's/$/\r/' "$WORK/corpus.txt" >"$WORK/corpus-crlf.txt"
     head -c -1 "$WORK/corpus.txt" >"$WORK/corpus-noeol.txt"
     for v in crlf noeol; do
         ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus-$v.txt" \
-            --out "$WORK/artifacts-$v.txt"
+            --out "$WORK/artifacts-$v.txt" --metrics "$WORK/metrics-$v.jsonl"
         cmp "$WORK/artifacts.txt" "$WORK/artifacts-$v.txt"
     done
-    grep '"type":"counter"' "$WORK/metrics1.jsonl" | sort >"$WORK/counters1.txt"
-    grep '"type":"counter"' "$WORK/metrics2.jsonl" | sort >"$WORK/counters2.txt"
+    ./target/release/hoiho stale --corpus "$WORK/corpus.txt" \
+        --artifacts "$WORK/artifacts.txt" >"$WORK/stale.txt"
+    for v in crlf noeol; do
+        ./target/release/hoiho stale --corpus "$WORK/corpus-$v.txt" \
+            --artifacts "$WORK/artifacts.txt" >"$WORK/stale-$v.txt"
+        cmp "$WORK/stale.txt" "$WORK/stale-$v.txt"
+    done
+    for v in 1 2 -crlf; do
+        grep '"type":"counter"' "$WORK/metrics$v.jsonl" | sort >"$WORK/counters$v.txt"
+    done
     [ -s "$WORK/counters1.txt" ] || { echo "smoke: learn wrote no counters"; exit 1; }
     cmp "$WORK/counters1.txt" "$WORK/counters2.txt"
+    cmp "$WORK/counters1.txt" "$WORK/counters-crlf.txt"
     # The spoofed-VP filter reports both counters, zero or not.
     for c in rtt.spoof.vps_checked rtt.spoof.vps_flagged; do
         grep -q "\"name\":\"$c\"" "$WORK/counters1.txt" || {

@@ -134,7 +134,7 @@ impl Drop {
                         };
                         let consistent = locs
                             .iter()
-                            .any(|&l| coarse.feasibility(&router.traceroute_rtts, l));
+                            .any(|&l| coarse.feasibility(router.traceroute_rtts.samples(), l));
                         let t = tallies.entry((suffix.clone(), rule)).or_insert((0, 0));
                         t.0 += 1;
                         if consistent {

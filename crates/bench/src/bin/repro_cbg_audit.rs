@@ -41,7 +41,7 @@ fn main() {
             for h in r.hostnames() {
                 if let Some(loc) = f(h, r) {
                     answered += 1;
-                    if !cbg.feasibility(&r.rtts, loc) {
+                    if !cbg.feasibility(r.rtts.samples(), loc) {
                         infeasible += 1;
                     }
                 }

@@ -62,6 +62,7 @@ fn main() {
         .enumerate()
         .map(|(i, ((h, _, _), rtts))| {
             let prefix = h.strip_suffix(".alter.net").expect("suffix");
+            let rtts = rtts.samples();
             TrainHost::new(&db, &table, h.to_string(), prefix.len(), i as u32, rtts)
         })
         .collect();

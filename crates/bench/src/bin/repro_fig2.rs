@@ -48,6 +48,7 @@ fn main() {
         .enumerate()
         .map(|(i, ((h, _), rtts))| {
             let prefix = h.strip_suffix(".threesixty.net").expect("suffix");
+            let rtts = rtts.samples();
             TrainHost::new(&db, &table, h.to_string(), prefix.len(), i as u32, rtts)
         })
         .collect();

@@ -4,7 +4,7 @@ use crate::args::Options;
 use crate::{print_out, read_stdin_lines, write_file};
 use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
-use hoiho::{Geolocator, Hoiho, HoihoOptions};
+use hoiho::{Geolocator, Hoiho, HoihoOptions, TrainingView};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::format::{parse_corpus_from, write_corpus_to};
 use hoiho_itdk::spec::CorpusSpec;
@@ -53,24 +53,44 @@ impl Drop for ObsGuard {
     }
 }
 
-fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
+/// The `--corpus` file, streamed: its text is never held whole.
+fn open_corpus(opts: &Options) -> Result<BufReader<std::fs::File>, String> {
     let path = opts.require("corpus")?;
-    // Streamed: the file's text is never held whole.
     let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let corpus =
-        parse_corpus_from(BufReader::with_capacity(1 << 16, file)).map_err(|e| e.to_string())?;
-    // Sanity: the corpus references dictionary ids; a corpus generated
-    // against a larger dictionary cannot be interpreted by this one.
-    for r in &corpus.routers {
-        if r.location.0 as usize >= db_len {
-            return Err(format!(
-                "corpus references location {} but the builtin dictionary has {} entries; \
-                 the corpus was generated against another dictionary",
-                r.location.0, db_len
-            ));
-        }
+    Ok(BufReader::with_capacity(1 << 16, file))
+}
+
+/// The error for a corpus that references `location` past a dictionary
+/// of `db_len` entries: it was generated against a larger dictionary and
+/// cannot be interpreted by this one.
+fn unknown_location(location: u32, db_len: usize) -> String {
+    format!(
+        "corpus references location {} but the builtin dictionary has {} entries; \
+         the corpus was generated against another dictionary",
+        location, db_len
+    )
+}
+
+/// The whole `--corpus`, every record kept.
+fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
+    let corpus = parse_corpus_from(open_corpus(opts)?).map_err(|e| e.to_string())?;
+    if let Some(r) = corpus
+        .routers
+        .iter()
+        .find(|r| r.location.0 as usize >= db_len)
+    {
+        return Err(unknown_location(r.location.0, db_len));
     }
     Ok(corpus)
+}
+
+/// The training view of `--corpus`: what `learn` and `stale` read.
+fn load_view(opts: &Options, db_len: usize) -> Result<TrainingView, String> {
+    let view = TrainingView::read(open_corpus(opts)?, db_len).map_err(|e| e.to_string())?;
+    match view.unknown_location() {
+        Some(location) => Err(unknown_location(location.0, db_len)),
+        None => Ok(view),
+    }
 }
 
 /// `hoiho generate`
@@ -110,7 +130,7 @@ pub fn learn(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
     let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
-    let corpus = load_corpus(opts, db.len())?;
+    let view = load_view(opts, db.len())?;
     let hoiho_opts = HoihoOptions {
         learn_custom_hints: !opts.has("--no-learned-hints"),
         threads: opts.num("threads", 0)? as usize,
@@ -120,7 +140,7 @@ pub fn learn(opts: &Options) -> Result<(), String> {
         eprintln!("using {} worker threads", hoiho_opts.resolved_threads());
     }
     let hoiho = Hoiho::with_options(&db, &psl, hoiho_opts);
-    let report = hoiho.learn_corpus(&corpus);
+    let report = hoiho.learn_view(&view);
     let geo = Geolocator::from_report(&report);
     let out = opts.require("out")?;
     write_file(out, &write_artifacts(&geo, &db))?;
@@ -270,11 +290,11 @@ pub fn stale(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
     let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
-    let corpus = load_corpus(opts, db.len())?;
+    let view = load_view(opts, db.len())?;
     let path = opts.require("artifacts")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let geo = parse_artifacts(&text, &db).map_err(|e| e.to_string())?;
-    let findings = detect_stale(&db, &psl, &geo, &corpus);
+    let findings = detect_stale(&db, &psl, &geo, &view);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     for f in &findings {

@@ -253,6 +253,43 @@ fn corpus_past_the_builtin_dictionary_is_refused() {
     std::fs::remove_file(&corpus).ok();
 }
 
+/// Every router's location is checked, a hostname-less router's too,
+/// though `learn` and `stale` keep no such router; and a parse error
+/// anywhere in the file is reported before it.
+#[test]
+fn unknown_location_on_any_router_is_refused_after_parse_errors() {
+    let entries = hoiho_geodb::GeoDb::builtin().len();
+    let corpus = tmp("hostnameless-past-dictionary.txt");
+    let artifacts = tmp("hostnameless-past-dictionary-artifacts.txt");
+    let text = format!(
+        "corpus-v1 x\nvp a 1.0 2.0\nnode N0 loc=1\niface 10.0.0.1 a.example.net\nrtt 0:1000\n\
+         node N1 loc={entries}\niface 10.0.0.2\nrtt 0:1000\nnode N2 loc=1\n\
+         iface 10.0.0.3 b.example.net\n"
+    );
+    let refused = format!(
+        "error: corpus references location {entries} but the builtin dictionary has \
+         {entries} entries; the corpus was generated against another dictionary\n"
+    );
+    let later_parse_error = "error: corpus parse error at line 11: unknown record 'bogus'\n";
+    for (text, want) in [
+        (text.clone(), refused.as_str()),
+        (format!("{text}bogus\n"), later_parse_error),
+    ] {
+        std::fs::write(&corpus, text).expect("write corpus");
+        for argv in [
+            &["stats", "--corpus", &corpus][..],
+            &["learn", "--corpus", &corpus, "--out", &artifacts],
+            &["stale", "--corpus", &corpus, "--artifacts", &artifacts],
+        ] {
+            let out = Command::new(bin()).args(argv).output().expect("run");
+            assert_eq!(out.status.code(), Some(1), "{argv:?}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{argv:?}");
+        }
+    }
+    assert!(!std::path::Path::new(&artifacts).exists());
+    std::fs::remove_file(&corpus).ok();
+}
+
 #[test]
 fn serve_lookup_over_tcp_with_port_file_handshake() {
     use std::io::{BufRead, BufReader, Write};

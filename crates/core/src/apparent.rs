@@ -9,8 +9,8 @@
 
 use crate::tokenize::{tokenize, Token, TokenKind};
 use hoiho_geodb::GeoDb;
-use hoiho_geotypes::{GeohintType, LocationId};
-use hoiho_rtt::{consistency::BestCaseTable, RouterRtts};
+use hoiho_geotypes::{GeohintType, LocationId, Rtt};
+use hoiho_rtt::{consistency::BestCaseTable, VpId};
 use std::collections::BTreeMap;
 
 /// An apparent geohint tagged on a hostname.
@@ -42,7 +42,12 @@ pub struct Tag {
 /// A router the table does not constrain produces no tags: without
 /// constraints the method cannot distinguish a geohint from a
 /// coincidence.
-pub fn tag_prefix(db: &GeoDb, rtts: &RouterRtts, prefix: &str, table: &BestCaseTable) -> Vec<Tag> {
+pub fn tag_prefix(
+    db: &GeoDb,
+    rtts: &[(VpId, Rtt)],
+    prefix: &str,
+    table: &BestCaseTable,
+) -> Vec<Tag> {
     if !table.constrains(rtts) || prefix.is_empty() {
         return Vec::new();
     }
@@ -134,7 +139,7 @@ pub fn tag_prefix(db: &GeoDb, rtts: &RouterRtts, prefix: &str, table: &BestCaseT
 /// interpretation among `cands`, in `GeohintType` order so tags with
 /// equal spans come out the same way every time.
 fn push_consistent(
-    rtts: &RouterRtts,
+    rtts: &[(VpId, Rtt)],
     table: &BestCaseTable,
     tags: &mut Vec<Tag>,
     token: &Token<'_>,
@@ -200,8 +205,8 @@ fn label_is_exactly(prefix: &str, t: &Token<'_>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hoiho_geotypes::{Coordinates, Rtt};
-    use hoiho_rtt::{ConsistencyPolicy, VpId, VpSet};
+    use hoiho_geotypes::Coordinates;
+    use hoiho_rtt::{ConsistencyPolicy, RouterRtts, VpSet};
 
     struct World {
         db: GeoDb,
@@ -229,7 +234,7 @@ mod tests {
 
     fn tags_for(w: &World, rtt: &RouterRtts, prefix: &str) -> Vec<Tag> {
         let table = BestCaseTable::new(&w.vps, &ConsistencyPolicy::STRICT, w.db.coords(), &[]);
-        tag_prefix(&w.db, rtt, prefix, &table)
+        tag_prefix(&w.db, rtt.samples(), prefix, &table)
     }
 
     #[test]
@@ -354,7 +359,7 @@ mod tests {
         let r = rtts(&[(0, 400.0)]);
         let order = || -> Vec<GeohintType> {
             let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
-            tag_prefix(&db, &r, "cr1.london1", &table)
+            tag_prefix(&db, r.samples(), "cr1.london1", &table)
                 .iter()
                 .map(|t| t.ty)
                 .collect()

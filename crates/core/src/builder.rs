@@ -409,7 +409,7 @@ mod tests {
             rtts.record(VpId(*vp), Rtt::from_ms(*ms));
         }
         let table = BestCaseTable::new(vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
-        crate::apparent::tag_prefix(db, &rtts, prefix, &table)
+        crate::apparent::tag_prefix(db, rtts.samples(), prefix, &table)
     }
 
     #[test]
@@ -576,7 +576,7 @@ mod tests {
             .zip(&rtts)
             .map(|(&(prefix, _), rtts)| {
                 let hostname = format!("{prefix}.gin.example.net");
-                TrainHost::new(&db, &table, hostname, prefix.len(), 0, rtts)
+                TrainHost::new(&db, &table, hostname, prefix.len(), 0, rtts.samples())
             })
             .collect();
         // A base regex with generic components.

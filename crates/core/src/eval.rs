@@ -331,7 +331,14 @@ mod tests {
         // For tests assume suffix is the final two labels.
         let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
         let table = BestCaseTable::new(vps, &POLICY, db.coords(), &[]);
-        TrainHost::new(db, &table, hostname.to_string(), prefix_len, 0, rtts)
+        TrainHost::new(
+            db,
+            &table,
+            hostname.to_string(),
+            prefix_len,
+            0,
+            rtts.samples(),
+        )
     }
 
     /// Classify one host through a fresh single-host context.

@@ -358,7 +358,14 @@ mod tests {
             .zip(rtts)
             .map(|(&(router, hostname, _, _), rtts)| {
                 let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
-                TrainHost::new(db, &table, hostname.to_string(), prefix_len, router, rtts)
+                TrainHost::new(
+                    db,
+                    &table,
+                    hostname.to_string(),
+                    prefix_len,
+                    router,
+                    rtts.samples(),
+                )
             })
             .collect()
     }

@@ -21,7 +21,9 @@
 //! 5. rank and classify ([`rank`]).
 //!
 //! The top-level entry points are [`Hoiho::learn_corpus`] for training
-//! and [`Geolocator::geolocate`] for applying learned conventions.
+//! (or [`Hoiho::learn_view`] over a [`TrainingView`] streamed from a
+//! corpus file) and [`Geolocator::geolocate`] for applying learned
+//! conventions.
 //!
 //! ```
 //! use hoiho::{Hoiho, Geolocator};
@@ -57,6 +59,7 @@ pub mod sets;
 pub mod stale;
 pub mod tokenize;
 pub mod train;
+pub mod view;
 
 pub use apply::{GeoInference, Geolocator, SuffixGeo};
 pub use convention::{CaptureRole, Extraction, GeoRegex, NamingConvention, Plan};
@@ -65,3 +68,4 @@ pub use evalctx::{EvalContext, HintId};
 pub use learned::{LearnPolicy, LearnedHint, LearnedHints, RankOrder};
 pub use pipeline::{Hoiho, HoihoOptions, LearnReport, SuffixResult};
 pub use rank::NcClass;
+pub use view::TrainingView;

@@ -7,6 +7,7 @@ use crate::evalctx::EvalContext;
 use crate::learned::{learn_hints, LearnPolicy, LearnedHints};
 use crate::rank::{classify_nc, select_nc, NcClass};
 use crate::train::{build_training_sets_with, SuffixSet};
+use crate::view::TrainingView;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
@@ -135,15 +136,6 @@ impl LearnReport {
     }
 }
 
-/// The VPs whose access routers spoof probe responses (§5.1.4), found
-/// blind from the corpus's ping RTTs: at least 20 samples, spread and
-/// upper median both within 5 ms. The learner and the stale-hostname
-/// scan ignore the same VPs.
-pub(crate) fn spoofing_vps(corpus: &Corpus) -> Vec<VpId> {
-    let refs: Vec<&hoiho_rtt::RouterRtts> = corpus.routers.iter().map(|r| &r.rtts).collect();
-    hoiho_rtt::fault::detect_spoofing_vps_blind(&corpus.vps, &refs, 5.0, 5.0, 20)
-}
-
 /// The learner: dictionary + suffix list + options.
 #[derive(Debug)]
 pub struct Hoiho<'a> {
@@ -172,14 +164,21 @@ impl<'a> Hoiho<'a> {
         &self.opts
     }
 
-    /// Run all five stages over a corpus.
+    /// Run all five stages over a corpus: [`Hoiho::learn_view`] of the
+    /// corpus's [`TrainingView`].
     pub fn learn_corpus(&self, corpus: &Corpus) -> LearnReport {
+        self.learn_view(&TrainingView::from_corpus(corpus, self.db.len()))
+    }
+
+    /// Run all five stages over a corpus's training view.
+    pub fn learn_view(&self, view: &TrainingView) -> LearnReport {
         let _learn_span = hoiho_obs::span("learn");
         // Measurement hygiene first: find VPs whose RTTs are physically
         // implausible across the whole campaign (spoofing middleboxes).
+        // The view folded every router's samples as it was built.
         let spoofed_vps = if self.opts.filter_spoofed_vps {
             let _span = hoiho_obs::span("learn.filter_vps");
-            spoofing_vps(corpus)
+            view.spoofing_vps()
         } else {
             Vec::new()
         };
@@ -191,11 +190,12 @@ impl<'a> Hoiho<'a> {
         }
         // One best-case RTT table for the whole learn, ignoring the
         // spoofed VPs: stage 2 and every suffix's evaluation context
-        // answer feasibility probes from it, over the corpus's own RTTs.
-        let table = BestCaseTable::new(&corpus.vps, &POLICY, self.db.coords(), &spoofed_vps);
+        // answer feasibility probes from it, over the view's own RTTs.
+        let table = BestCaseTable::new(view.vps(), &POLICY, self.db.coords(), &spoofed_vps);
         let sets = {
             let _span = hoiho_obs::span("learn.train");
-            build_training_sets_with(self.db, self.psl, corpus, &table)
+            let routers = view.routers().map(|r| (r.index, r.hostnames(), r.rtts));
+            build_training_sets_with(self.db, self.psl, routers, &table)
         };
 
         let mut routers_with_apparent: HashSet<u32> = HashSet::new();
@@ -218,10 +218,10 @@ impl<'a> Hoiho<'a> {
         }
 
         LearnReport {
-            label: corpus.label.clone(),
+            label: view.label().to_string(),
             results,
-            total_routers: corpus.len(),
-            routers_with_hostname: corpus.routers.iter().filter(|r| r.has_hostname()).count(),
+            total_routers: view.total_routers(),
+            routers_with_hostname: view.routers_with_hostname(),
             routers_with_apparent: routers_with_apparent.len(),
             routers_geolocated: geolocated.len(),
             routers_extrapolated: extrapolated.len(),

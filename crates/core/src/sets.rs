@@ -130,7 +130,14 @@ mod tests {
             .zip(rtts)
             .map(|(&(router, hostname, _), rtts)| {
                 let prefix_len = hostname.rmatch_indices('.').nth(1).unwrap().0;
-                TrainHost::new(db, &table, hostname.into(), prefix_len, router, rtts)
+                TrainHost::new(
+                    db,
+                    &table,
+                    hostname.into(),
+                    prefix_len,
+                    router,
+                    rtts.samples(),
+                )
             })
             .collect()
     }

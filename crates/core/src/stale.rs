@@ -13,7 +13,8 @@
 //!    agree on a different, RTT-consistent location.
 
 use crate::apply::Geolocator;
-use crate::pipeline::{spoofing_vps, POLICY};
+use crate::pipeline::POLICY;
+use crate::view::TrainingView;
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::{Corpus, RouterId};
 use hoiho_psl::PublicSuffixList;
@@ -33,7 +34,8 @@ pub struct StaleFinding {
     pub consensus: Option<hoiho_geotypes::LocationId>,
 }
 
-/// Scan a corpus for hostnames whose geohints contradict their router.
+/// Scan a corpus's training view for hostnames whose geohints
+/// contradict their router.
 ///
 /// Only routers with RTT measurements can be audited; a hostname is
 /// flagged when its inferred location is RTT-infeasible while at least
@@ -46,19 +48,19 @@ pub fn detect_stale(
     db: &GeoDb,
     psl: &PublicSuffixList,
     geo: &Geolocator,
-    corpus: &Corpus,
+    view: &TrainingView,
 ) -> Vec<StaleFinding> {
     let mut out = Vec::new();
-    let table = BestCaseTable::new(&corpus.vps, &POLICY, db.coords(), &spoofing_vps(corpus));
-    for (id, router) in corpus.iter() {
-        if !table.constrains(&router.rtts) {
+    let table = BestCaseTable::new(view.vps(), &POLICY, db.coords(), &view.spoofing_vps());
+    for router in view.routers() {
+        if !table.constrains(router.rtts) {
             continue;
         }
         // Geolocate every hostname of this router.
         let mut located: Vec<(String, hoiho_geotypes::LocationId, bool)> = Vec::new();
         for h in router.hostnames() {
             if let Some(inf) = geo.geolocate(db, psl, h) {
-                let ok = table.feasibility(&router.rtts, inf.location);
+                let ok = table.feasibility(router.rtts, inf.location);
                 located.push((h.to_string(), inf.location, ok));
             }
         }
@@ -79,7 +81,7 @@ pub fn detect_stale(
         for (hostname, hinted, ok) in located {
             if !ok {
                 out.push(StaleFinding {
-                    router: id,
+                    router: RouterId(router.index),
                     hostname,
                     hinted,
                     consensus,
@@ -185,7 +187,8 @@ mod tests {
         let g = hoiho_itdk::generate(&db, &spec);
         let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         let geo = Geolocator::from_report(&report);
-        let findings = detect_stale(&db, &psl, &geo, &g.corpus);
+        let view = TrainingView::from_corpus(&g.corpus, db.len());
+        let findings = detect_stale(&db, &psl, &geo, &view);
         assert!(!findings.is_empty(), "expected stale findings");
         let score = score_against_truth(&g.corpus, &findings);
         assert!(
@@ -226,7 +229,8 @@ mod tests {
         let g = hoiho_itdk::generate(&db, &spec);
         let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
         let geo = Geolocator::from_report(&report);
-        let findings = detect_stale(&db, &psl, &geo, &g.corpus);
+        let view = TrainingView::from_corpus(&g.corpus, db.len());
+        let findings = detect_stale(&db, &psl, &geo, &view);
         let located: usize = g.corpus.routers.iter().map(|r| r.hostnames().count()).sum();
         assert!(
             findings.len() * 50 < located.max(1),

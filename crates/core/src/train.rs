@@ -2,14 +2,16 @@
 
 use crate::apparent::{tag_prefix, Tag};
 use hoiho_geodb::GeoDb;
+use hoiho_geotypes::Rtt;
 use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::consistency::BestCaseTable;
-use hoiho_rtt::{ConsistencyPolicy, RouterRtts};
+use hoiho_rtt::{ConsistencyPolicy, VpId};
 use std::collections::HashMap;
 
 /// One hostname with its stage-2 tags and the RTT samples of its router,
-/// borrowed from the corpus (or whatever else owns them).
+/// borrowed from the training view, the corpus, or whatever else owns
+/// them.
 #[derive(Debug, Clone)]
 pub struct TrainHost<'a> {
     /// Full hostname; private, so `prefix_len` stays a cut of it.
@@ -18,10 +20,11 @@ pub struct TrainHost<'a> {
     prefix_len: usize,
     /// Index of the router in the source corpus.
     pub router: u32,
-    /// Minimum ping RTTs of the router (shared across its hostnames).
-    /// The samples of VPs the learn ignores are still here; the
-    /// [`BestCaseTable`] that tests them skips them.
-    pub rtts: &'a RouterRtts,
+    /// Minimum ping RTTs of the router (shared across its hostnames),
+    /// sorted by VP with one sample per VP. The samples of VPs the learn
+    /// ignores are still here; the [`BestCaseTable`] that tests them
+    /// skips them.
+    pub rtts: &'a [(VpId, Rtt)],
     /// Apparent geohints (stage 2).
     pub tags: Vec<Tag>,
 }
@@ -39,7 +42,7 @@ impl<'a> TrainHost<'a> {
         hostname: String,
         prefix_len: usize,
         router: u32,
-        rtts: &'a RouterRtts,
+        rtts: &'a [(VpId, Rtt)],
     ) -> TrainHost<'a> {
         let tags = tag_prefix(db, rtts, &hostname[..prefix_len], table);
         TrainHost {
@@ -92,21 +95,25 @@ pub fn build_training_sets<'c>(
     policy: &ConsistencyPolicy,
 ) -> Vec<SuffixSet<'c>> {
     let table = BestCaseTable::new(&corpus.vps, policy, db.coords(), &[]);
-    build_training_sets_with(db, psl, corpus, &table)
+    let routers = corpus
+        .iter()
+        .map(|(id, r)| (id.0, r.hostnames(), r.rtts.samples()));
+    build_training_sets_with(db, psl, routers, &table)
 }
 
-/// [`build_training_sets`] testing feasibility through `table`, built for
-/// the corpus's VPs, the learn's policy and the VPs it ignores. Each
-/// host borrows its router's RTTs from the corpus.
-pub(crate) fn build_training_sets_with<'c>(
+/// [`build_training_sets`] over `(corpus index, hostnames, ping samples)`
+/// per router, testing feasibility through `table`, built for the
+/// corpus's VPs, the learn's policy and the VPs it ignores. Each host
+/// borrows its router's samples.
+pub(crate) fn build_training_sets_with<'c, H: Iterator<Item = &'c str>>(
     db: &GeoDb,
     psl: &PublicSuffixList,
-    corpus: &'c Corpus,
+    routers: impl Iterator<Item = (u32, H, &'c [(VpId, Rtt)])>,
     table: &BestCaseTable,
 ) -> Vec<SuffixSet<'c>> {
     let mut by_suffix: HashMap<String, Vec<TrainHost<'c>>> = HashMap::new();
-    for (id, r) in corpus.iter() {
-        for h in r.hostnames() {
+    for (id, hostnames, rtts) in routers {
+        for h in hostnames {
             let Some((prefix, suffix)) = psl.split_at_suffix(h) else {
                 continue;
             };
@@ -117,8 +124,8 @@ pub(crate) fn build_training_sets_with<'c>(
                 table,
                 h.trim_end_matches('.').to_ascii_lowercase(),
                 prefix.len(),
-                id.0,
-                &r.rtts,
+                id,
+                rtts,
             );
             by_suffix.entry(suffix).or_default().push(host);
         }

@@ -23,7 +23,7 @@ fn standalone_tagging_counts_its_probes() {
     obs.set_enabled(true);
     obs.reset();
     let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, db.coords(), &[]);
-    let tags = tag_prefix(&db, &rtts, "zayo-ntt.mpr1.lhr15.uk", &table);
+    let tags = tag_prefix(&db, rtts.samples(), "zayo-ntt.mpr1.lhr15.uk", &table);
     let counters = obs.snapshot().counters;
     assert!(tags.iter().any(|t| t.text == "lhr"), "{tags:?}");
     let accepts = counters.get("rtt.consistency.accept").copied();

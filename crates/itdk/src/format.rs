@@ -9,15 +9,20 @@
 //! decimal with an optional leading `+`, as `str::parse` accepts, and the
 //! microseconds must fit in a `u32` (about 71 minutes).
 //!
-//! [`parse_corpus_from`] reads the format from any [`BufRead`] one line at
-//! a time, so a file is parsed without holding its text;
-//! [`parse_corpus`] parses a string through it. [`write_corpus_to`]
-//! likewise writes to any [`Write`], and [`write_corpus`] renders a
-//! string through it.
+//! One parser, any sink: [`parse_corpus_into`] reads the format from any
+//! [`BufRead`] one line at a time, so a file is parsed without holding
+//! its text, and hands each record to a [`CorpusSink`]. The parser alone
+//! decides every error, so a sink that drops records (the learner's
+//! training view keeps only hostnamed routers' names and ping samples)
+//! reports the same errors as one that keeps them all. [`Corpus`] is the
+//! sink that keeps everything: [`parse_corpus_from`] builds one, and
+//! [`parse_corpus`] parses a string through it. [`replay`] feeds a parsed
+//! corpus to another sink. [`write_corpus_to`] writes to any [`Write`],
+//! and [`write_corpus`] renders a string through it.
 
 use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
-use hoiho_rtt::{RouterRtts, VpId, VpSet};
+use hoiho_rtt::{RouterRtts, VpId};
 use std::io::{BufRead, Write};
 
 /// Error from the `corpus-v1` parser.
@@ -98,15 +103,118 @@ fn write_rtts(mut out: impl Write, tag: &str, rtts: &RouterRtts) -> std::io::Res
     writeln!(out)
 }
 
+/// Where [`parse_corpus_into`] hands each record, in file order, once
+/// the record has parsed. The parser checks the order the format
+/// requires before it calls a sink: `node` comes before any `iface` or
+/// sample of its router, and `iface` before its `truth`. It calls
+/// [`CorpusSink::end_router`] once per router, after the router's last
+/// record, so a sink sees each router's samples complete.
+///
+/// [`Corpus`] is the sink that keeps every record; [`replay`] feeds a
+/// parsed corpus to another sink as the parser would have.
+pub trait CorpusSink {
+    /// The header's label.
+    fn header(&mut self, label: &str);
+    /// A `vp` record. The parser numbers VPs in record order from 0.
+    fn vp(&mut self, name: &str, coords: Coordinates);
+    /// A `node` record: a new router at `location`.
+    fn node(&mut self, location: LocationId);
+    /// An `iface` record of the current router.
+    fn iface(&mut self, addr: &str, hostname: Option<&str>);
+    /// A `truth` record for the current router's last interface.
+    fn truth(&mut self, truth: HostnameTruth);
+    /// The current router's ping and traceroute samples, every `rtt` and
+    /// `trtt` record of it folded through [`RouterRtts::record`]. The
+    /// sink may take them; whatever it leaves is cleared.
+    fn end_router(&mut self, rtts: &mut RouterRtts, traceroute_rtts: &mut RouterRtts);
+}
+
+/// The sink that keeps every record: [`parse_corpus_from`] builds a
+/// corpus through it.
+impl CorpusSink for Corpus {
+    fn header(&mut self, label: &str) {
+        self.label = label.to_string();
+    }
+
+    fn vp(&mut self, name: &str, coords: Coordinates) {
+        self.vps.add(name, coords);
+    }
+
+    fn node(&mut self, location: LocationId) {
+        self.routers.push(Router {
+            location,
+            interfaces: Vec::new(),
+            rtts: RouterRtts::new(),
+            traceroute_rtts: RouterRtts::new(),
+        });
+    }
+
+    fn iface(&mut self, addr: &str, hostname: Option<&str>) {
+        let r = self.routers.last_mut().expect("iface after node");
+        r.interfaces.push(Interface {
+            addr: addr.to_string(),
+            hostname: hostname.map(String::from),
+            truth: None,
+        });
+    }
+
+    fn truth(&mut self, truth: HostnameTruth) {
+        let r = self.routers.last_mut().expect("truth after node");
+        r.interfaces.last_mut().expect("truth after iface").truth = Some(truth);
+    }
+
+    fn end_router(&mut self, rtts: &mut RouterRtts, traceroute_rtts: &mut RouterRtts) {
+        let r = self.routers.last_mut().expect("router after node");
+        r.rtts = std::mem::take(rtts);
+        r.traceroute_rtts = std::mem::take(traceroute_rtts);
+    }
+}
+
+/// Feed `corpus` to `sink` record by record, as [`parse_corpus_into`]
+/// would feed the corpus's `corpus-v1` text.
+pub fn replay(corpus: &Corpus, sink: &mut impl CorpusSink) {
+    sink.header(&corpus.label);
+    for (_, vp) in corpus.vps.iter() {
+        sink.vp(&vp.name, vp.coords);
+    }
+    for r in &corpus.routers {
+        sink.node(r.location);
+        for i in &r.interfaces {
+            sink.iface(&i.addr, i.hostname.as_deref());
+            if let Some(t) = &i.truth {
+                sink.truth(t.clone());
+            }
+        }
+        let (mut rtts, mut traceroute_rtts) = (r.rtts.clone(), r.traceroute_rtts.clone());
+        sink.end_router(&mut rtts, &mut traceroute_rtts);
+    }
+}
+
 /// Parse the native `corpus-v1` format from a string.
 pub fn parse_corpus(text: &str) -> Result<Corpus, CorpusParseError> {
     parse_corpus_from(text.as_bytes())
 }
 
+/// Parse the native `corpus-v1` format from a reader into a [`Corpus`],
+/// through [`parse_corpus_into`].
+pub fn parse_corpus_from(input: impl BufRead) -> Result<Corpus, CorpusParseError> {
+    let mut corpus = Corpus::default();
+    parse_corpus_into(input, &mut corpus)?;
+    Ok(corpus)
+}
+
 /// Parse the native `corpus-v1` format from a reader, one line at a time,
-/// splitting lines at `\n` as [`str::lines`] does. A read error or a line
-/// that is not UTF-8 is reported on the line where it happens.
-pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseError> {
+/// splitting lines at `\n` as [`str::lines`] does, and hand each record
+/// to `sink`. A read error or a line that is not UTF-8 is reported on
+/// the line where it happens.
+///
+/// Adds the `itdk.parse.*` counters once the whole input has parsed:
+/// records of each kind, interfaces with a hostname, and RTT samples
+/// (ping and traceroute) as [`CorpusSink::end_router`] sees them.
+pub fn parse_corpus_into(
+    mut input: impl BufRead,
+    sink: &mut impl CorpusSink,
+) -> Result<(), CorpusParseError> {
     let _span = hoiho_obs::span("itdk.parse_corpus");
     let err = |line: usize, msg: &str| CorpusParseError {
         line,
@@ -128,15 +236,20 @@ pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseE
     let label = buf
         .strip_prefix("corpus-v1")
         .ok_or_else(|| err(1, "missing corpus-v1 header"))?
-        .trim()
-        .to_string();
+        .trim();
+    sink.header(label);
 
-    let mut corpus = Corpus {
-        routers: Vec::new(),
-        vps: VpSet::new(),
-        label,
+    // The current router's samples, handed to the sink when it ends.
+    let (mut rtts, mut traceroute_rtts) = (RouterRtts::new(), RouterRtts::new());
+    // Records so far, and interfaces of the current router.
+    let (mut vps, mut routers, mut ifaces) = (0usize, 0u64, 0usize);
+    let (mut interfaces, mut hostnames, mut samples) = (0u64, 0u64, 0u64);
+    let mut end_router = |sink: &mut _, rtts: &mut RouterRtts, traceroute_rtts: &mut RouterRtts| {
+        samples += (rtts.len() + traceroute_rtts.len()) as u64;
+        CorpusSink::end_router(sink, rtts, traceroute_rtts);
+        rtts.clear();
+        traceroute_rtts.clear();
     };
-
     for ln in 2.. {
         if !next_line(&mut buf, ln)? {
             break;
@@ -159,7 +272,8 @@ pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseE
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(ln, "vp: bad longitude"))?;
-                corpus.vps.add(name, Coordinates::new(lat, lon));
+                sink.vp(name, Coordinates::new(lat, lon));
+                vps += 1;
             }
             "node" => {
                 let _id = parts.next().ok_or_else(|| err(ln, "node: missing id"))?;
@@ -168,35 +282,31 @@ pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseE
                     .and_then(|s| s.strip_prefix("loc="))
                     .and_then(|s| s.parse::<u32>().ok())
                     .ok_or_else(|| err(ln, "node: bad loc="))?;
-                corpus.routers.push(Router {
-                    location: LocationId(loc),
-                    interfaces: Vec::new(),
-                    rtts: RouterRtts::new(),
-                    traceroute_rtts: RouterRtts::new(),
-                });
+                if routers > 0 {
+                    end_router(sink, &mut rtts, &mut traceroute_rtts);
+                }
+                sink.node(LocationId(loc));
+                routers += 1;
+                ifaces = 0;
             }
             "iface" => {
-                let r = corpus
-                    .routers
-                    .last_mut()
-                    .ok_or_else(|| err(ln, "iface before node"))?;
+                if routers == 0 {
+                    return Err(err(ln, "iface before node"));
+                }
                 let addr = parts.next().ok_or_else(|| err(ln, "iface: missing addr"))?;
-                let hostname = parts.next().map(String::from);
-                r.interfaces.push(Interface {
-                    addr: addr.to_string(),
-                    hostname,
-                    truth: None,
-                });
+                let hostname = parts.next();
+                sink.iface(addr, hostname);
+                ifaces += 1;
+                interfaces += 1;
+                hostnames += u64::from(hostname.is_some());
             }
             "truth" => {
-                let r = corpus
-                    .routers
-                    .last_mut()
-                    .ok_or_else(|| err(ln, "truth before node"))?;
-                let i = r
-                    .interfaces
-                    .last_mut()
-                    .ok_or_else(|| err(ln, "truth before iface"))?;
+                if routers == 0 {
+                    return Err(err(ln, "truth before node"));
+                }
+                if ifaces == 0 {
+                    return Err(err(ln, "truth before iface"));
+                }
                 let hint = parts.next().ok_or_else(|| err(ln, "truth: missing hint"))?;
                 let loc = parts.next().ok_or_else(|| err(ln, "truth: missing loc"))?;
                 let stale = parts
@@ -205,7 +315,7 @@ pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseE
                 let prov = parts
                     .next()
                     .ok_or_else(|| err(ln, "truth: missing provider"))?;
-                i.truth = Some(HostnameTruth {
+                sink.truth(HostnameTruth {
                     hint: (hint != "-").then(|| hint.to_string()),
                     hint_location: if loc == "-" {
                         None
@@ -219,49 +329,29 @@ pub fn parse_corpus_from(mut input: impl BufRead) -> Result<Corpus, CorpusParseE
                 });
             }
             tag @ ("rtt" | "trtt") => {
-                let r = corpus
-                    .routers
-                    .last_mut()
-                    .ok_or_else(|| err(ln, "rtt before node"))?;
+                if routers == 0 {
+                    return Err(err(ln, "rtt before node"));
+                }
                 let target = if tag == "rtt" {
-                    &mut r.rtts
+                    &mut rtts
                 } else {
-                    &mut r.traceroute_rtts
+                    &mut traceroute_rtts
                 };
-                parse_rtt_samples(rest.as_bytes(), corpus.vps.len(), target)
+                parse_rtt_samples(rest.as_bytes(), vps, target)
                     .map_err(|msg| CorpusParseError { line: ln, msg })?;
             }
             other => return Err(err(ln, &format!("unknown record '{other}'"))),
         }
     }
-    hoiho_obs::add("itdk.parse.vps", corpus.vps.len() as u64);
-    hoiho_obs::add("itdk.parse.routers", corpus.routers.len() as u64);
-    hoiho_obs::add(
-        "itdk.parse.interfaces",
-        corpus
-            .routers
-            .iter()
-            .map(|r| r.interfaces.len() as u64)
-            .sum(),
-    );
-    hoiho_obs::add(
-        "itdk.parse.hostnames",
-        corpus
-            .routers
-            .iter()
-            .flat_map(|r| &r.interfaces)
-            .filter(|i| i.hostname.is_some())
-            .count() as u64,
-    );
-    hoiho_obs::add(
-        "itdk.parse.rtt_samples",
-        corpus
-            .routers
-            .iter()
-            .map(|r| (r.rtts.len() + r.traceroute_rtts.len()) as u64)
-            .sum(),
-    );
-    Ok(corpus)
+    if routers > 0 {
+        end_router(sink, &mut rtts, &mut traceroute_rtts);
+    }
+    hoiho_obs::add("itdk.parse.vps", vps as u64);
+    hoiho_obs::add("itdk.parse.routers", routers);
+    hoiho_obs::add("itdk.parse.interfaces", interfaces);
+    hoiho_obs::add("itdk.parse.hostnames", hostnames);
+    hoiho_obs::add("itdk.parse.rtt_samples", samples);
+    Ok(())
 }
 
 /// Parse the `vp:us` tokens of one `rtt`/`trtt` record into `target` in
@@ -337,7 +427,11 @@ fn scan_decimal(bytes: &[u8], mut i: usize) -> (Option<u64>, usize) {
 }
 
 #[cfg(test)]
+mod cases;
+
+#[cfg(test)]
 mod tests {
+    use super::cases::{RECORD_CASES, RTT_CASES, RTT_HEAD};
     use super::*;
     use crate::spec::CorpusSpec;
     use hoiho_geodb::GeoDb;
@@ -386,57 +480,13 @@ mod tests {
         }
     }
 
-    // RTT records, after a four-line preamble with VPs 0 and 1:
-    // `Ok(samples)` of the router, or `Err((line, msg))`. Every case
-    // answers as `split_whitespace` + `str::parse` (µs as `u32`) do,
-    // except the last: non-ASCII whitespace does not separate `vp:us`
-    // tokens.
-    const RTT_HEAD: &str = "corpus-v1 x\nvp a 1.0 2.0\nvp b 3.0 4.0\nnode N0 loc=1\n";
-    type Want = Result<&'static [(u16, u32)], (usize, &'static str)>;
-    const fn bad(line: usize, msg: &'static str) -> Want {
-        Err((line, msg))
-    }
-    const RTT_CASES: &[(&str, Want)] = &[
-        ("rtt +1:+20\n", Ok(&[(1, 20)])),
-        ("rtt 0:007 1:0\n", Ok(&[(0, 7), (1, 0)])),
-        ("rtt 1:4294967295\n", Ok(&[(1, u32::MAX)])),
-        ("rtt 1:4294967296\n", bad(5, "rtt: bad us")),
-        ("rtt 1:5 0:9 1:3 1:4\n", Ok(&[(0, 9), (1, 3)])),
-        ("rtt\t0:1\t\t1:2\t\n", Ok(&[(0, 1), (1, 2)])),
-        ("rtt   0:1     1:2   \n", Ok(&[(0, 1), (1, 2)])),
-        ("rtt 0:1\x0b1:2\x0c\n", Ok(&[(0, 1), (1, 2)])),
-        ("rtt 0:1 1:2\r\ntrtt 0:3\r\n", Ok(&[(0, 1), (1, 2)])),
-        ("rtt\n", Ok(&[])),
-        ("rtt 65536:5\n", bad(5, "rtt: bad vp")),
-        ("rtt 1:18446744073709551616\n", bad(5, "rtt: bad us")),
-        ("rtt 0:1 1\n", bad(5, "rtt: expected vp:us")),
-        ("rtt 1:\n", bad(5, "rtt: bad us")),
-        ("rtt :5\n", bad(5, "rtt: bad vp")),
-        ("rtt +:5\n", bad(5, "rtt: bad vp")),
-        ("rtt ++1:5\n", bad(5, "rtt: bad vp")),
-        ("rtt -1:5\n", bad(5, "rtt: bad vp")),
-        ("rtt 1:-5\n", bad(5, "rtt: bad us")),
-        ("rtt 1:2:3\n", bad(5, "rtt: bad us")),
-        ("rtt 1x2\n", bad(5, "rtt: expected vp:us")),
-        ("rtt 1x:2\n", bad(5, "rtt: bad vp")),
-        ("rtt 0:1 1:2\u{e9}\n", bad(5, "rtt: bad us")),
-        ("rtt 0\u{e9}:1\n", bad(5, "rtt: bad vp")),
-        ("rtt 0:1 \u{e9}\n", bad(5, "rtt: expected vp:us")),
-        ("rtt 0:1\r\ntrtt 1:x\r\n", bad(6, "rtt: bad us")),
-        ("rtt 0:1\u{a0}1:2\n", bad(5, "rtt: bad us")),
-    ];
-
     #[test]
     fn parse_errors_are_reported_with_lines() {
-        assert!(parse_corpus("").is_err());
-        assert!(parse_corpus("bogus-header\n").is_err());
-        let e = parse_corpus("corpus-v1 x\niface 1.2.3.4\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = parse_corpus("corpus-v1 x\nnode N0 loc=zzz\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        let e = parse_corpus("corpus-v1 x\nwhatisthis\n").unwrap_err();
-        assert!(e.msg.contains("unknown record"));
-
+        for (text, want) in RECORD_CASES {
+            let got = parse_corpus(text).map(drop).map_err(|e| (e.line, e.msg));
+            let want = want.map_err(|(line, msg)| (line, msg.to_string()));
+            assert_eq!(got, want, "{text:?}");
+        }
         for (body, want) in RTT_CASES {
             let got = parse_corpus(&format!("{RTT_HEAD}{body}"))
                 .map(|c| {
@@ -471,10 +521,8 @@ mod tests {
             unterminated,
             "corpus-v1 x\r\n\r\n# note\r\n\n  \t\nvp a 1.0 2.0\n#\nnode N0 loc=1\r\nrtt 0:5".into(),
             "corpus-v1 x\r".into(),
-            String::new(),
-            "\n".into(),
-            "bogus-header\n".into(),
         ];
+        texts.extend(RECORD_CASES.iter().map(|(text, _)| text.to_string()));
         texts.extend(
             RTT_CASES
                 .iter()

@@ -12,8 +12,8 @@
 //! applies: a point is feasible when it lies inside every VP's disk.
 //! [`BestCaseTable`] answers both.
 
-use crate::{RouterRtts, VpId, VpSet};
-use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates, LocationId};
+use crate::{VpId, VpSet};
+use hoiho_geotypes::{rtt::best_case_rtt_ms, Coordinates, LocationId, Rtt};
 use std::sync::OnceLock;
 
 /// Tunables for the feasibility test.
@@ -94,9 +94,8 @@ impl BestCaseTable {
 
     /// Whether any of a router's samples comes from a VP the table does
     /// not ignore: a router it does not constrain is feasible anywhere.
-    pub fn constrains(&self, samples: &RouterRtts) -> bool {
+    pub fn constrains(&self, samples: &[(VpId, Rtt)]) -> bool {
         samples
-            .samples()
             .iter()
             .any(|(vp, _)| self.ignored.get(vp.0 as usize) != Some(&true))
     }
@@ -110,7 +109,7 @@ impl BestCaseTable {
     /// # Panics
     /// Panics when `loc` is outside the table or a sample names a VP
     /// outside the table's set.
-    pub fn feasibility(&self, samples: &RouterRtts, loc: LocationId) -> bool {
+    pub fn feasibility(&self, samples: &[(VpId, Rtt)], loc: LocationId) -> bool {
         let (candidate, row) = &self.rows[loc.0 as usize];
         let row = row.get_or_init(|| {
             self.vps
@@ -126,7 +125,6 @@ impl BestCaseTable {
                 .collect()
         });
         let ok = samples
-            .samples()
             .iter()
             .all(|(vp, measured)| row[vp.0 as usize] <= measured.as_ms() + self.policy.slack_ms);
         if hoiho_obs::enabled() {
@@ -143,8 +141,8 @@ impl BestCaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RouterRtts;
     use hoiho_geotypes::rtt::max_distance_km;
-    use hoiho_geotypes::Rtt;
 
     /// The paper's predicate written out directly, with no table: the
     /// oracle [`BestCaseTable::feasibility`] is checked against.
@@ -167,7 +165,8 @@ mod tests {
         candidate: Coordinates,
         policy: &ConsistencyPolicy,
     ) -> bool {
-        BestCaseTable::new(vps, policy, [candidate], &[]).feasibility(samples, LocationId(0))
+        BestCaseTable::new(vps, policy, [candidate], &[])
+            .feasibility(samples.samples(), LocationId(0))
     }
 
     fn world() -> (VpSet, Coordinates, Coordinates) {
@@ -302,15 +301,15 @@ mod tests {
                     let stripped = strip_vps(&s, &ignored);
                     let i = rng.random_range(0..locations.len());
                     let want = feasibility(&vps, &stripped, &locations[i], &policy);
-                    let got = table.feasibility(&s, LocationId(i as u32));
+                    let got = table.feasibility(s.samples(), LocationId(i as u32));
                     assert_eq!(
                         got,
                         want,
                         "location {i}, samples {:?}, ignored {ignored:?}",
                         s.samples()
                     );
-                    assert_eq!(table.constrains(&s), !stripped.is_empty());
-                    unconstrained += usize::from(!table.constrains(&s));
+                    assert_eq!(table.constrains(s.samples()), !stripped.is_empty());
+                    unconstrained += usize::from(!table.constrains(s.samples()));
                     if want {
                         yes += 1;
                     } else {

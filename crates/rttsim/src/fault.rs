@@ -6,7 +6,8 @@
 //! measurement campaign and implements the automatic filter the paper
 //! sketches as future work: [`detect_spoofing_vps_blind`] flags VPs
 //! whose RTTs are implausibly tight and small across all their targets,
-//! from four numbers per VP gathered in one pass over the samples, and
+//! from four numbers per VP that a [`SpoofFold`] gathers one router at a
+//! time, and
 //! [`strip_vps`] removes the flagged VPs' samples from a measurement.
 
 use crate::rng::Rng;
@@ -37,15 +38,92 @@ impl RouterRtts {
     }
 }
 
+/// The thresholds of the blind spoofing test: a VP is flagged when it
+/// has at least `min_targets` samples, their spread is at most
+/// `max_spread_ms` and their upper median (the `n / 2`-th smallest) is
+/// at most `max_median_ms`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpoofTest {
+    /// Largest max − min RTT of a flagged VP, in ms.
+    pub max_spread_ms: f64,
+    /// Largest upper-median RTT of a flagged VP, in ms.
+    pub max_median_ms: f64,
+    /// Fewest samples a flagged VP has.
+    pub min_targets: usize,
+}
+
+/// The blind spoofing test as a fold: routers' samples go in one router
+/// at a time, in any order, and [`SpoofFold::flagged`] answers from
+/// four numbers per VP. A streaming reader feeds it as records pass, so
+/// no router's samples need to be kept for it.
+#[derive(Debug, Clone)]
+pub struct SpoofFold {
+    test: SpoofTest,
+    /// Per VP id: `(n, min, max, le)`, where `le` counts samples at or
+    /// under `max_median_ms`. The upper median is at or under the bound
+    /// exactly when `le > n / 2`, which also keeps a VP with no samples
+    /// from being flagged.
+    acc: Vec<(usize, f64, f64, usize)>,
+}
+
+impl SpoofFold {
+    /// An empty fold for `test`.
+    pub fn new(test: SpoofTest) -> SpoofFold {
+        SpoofFold {
+            test,
+            acc: Vec::new(),
+        }
+    }
+
+    /// Fold in one router's samples.
+    pub fn add(&mut self, samples: &[(VpId, Rtt)]) {
+        for &(vp, rtt) in samples {
+            let i = usize::from(vp.0);
+            if i >= self.acc.len() {
+                self.acc.resize(i + 1, (0, f64::INFINITY, 0.0, 0));
+            }
+            let (n, min, max, le) = &mut self.acc[i];
+            let ms = rtt.as_ms();
+            *n += 1;
+            *min = min.min(ms);
+            *max = max.max(ms);
+            *le += usize::from(ms <= self.test.max_median_ms);
+        }
+    }
+
+    /// The VPs of `vps` the test flags, in id order. Samples naming a VP
+    /// outside `vps` are not counted. Adds `rtt.spoof.vps_checked` and
+    /// `rtt.spoof.vps_flagged`.
+    pub fn flagged(&self, vps: &VpSet) -> Vec<VpId> {
+        let SpoofTest {
+            max_spread_ms,
+            min_targets,
+            ..
+        } = self.test;
+        let flagged: Vec<VpId> = vps
+            .iter()
+            .map(|(vp_id, _)| vp_id)
+            .filter(|vp_id| {
+                self.acc
+                    .get(usize::from(vp_id.0))
+                    .is_some_and(|&(n, min, max, le)| {
+                        n >= min_targets && max - min <= max_spread_ms && le > n / 2
+                    })
+            })
+            .collect();
+        hoiho_obs::add("rtt.spoof.vps_checked", vps.len() as u64);
+        hoiho_obs::add("rtt.spoof.vps_flagged", flagged.len() as u64);
+        flagged
+    }
+}
+
 /// Detect spoofing VPs without target locations. A spoofing middlebox
 /// answers every probe locally, so the VP's RTT distribution across many
 /// targets is implausibly tight and implausibly small; an honest VP
 /// probing Internet-spread targets sees a wide spread.
 ///
-/// A VP is flagged when it has at least `min_targets` samples, their
-/// spread is at most `max_spread_ms` and their upper median (the
-/// `n / 2`-th smallest) is at most `max_median_ms`. Samples naming a VP
-/// outside `vps` are skipped.
+/// The [`SpoofTest`] of the three thresholds over `campaigns`, through
+/// one [`SpoofFold`]. Samples naming a VP outside `vps` are skipped.
 pub fn detect_spoofing_vps_blind(
     vps: &VpSet,
     campaigns: &[&RouterRtts],
@@ -53,33 +131,15 @@ pub fn detect_spoofing_vps_blind(
     max_median_ms: f64,
     min_targets: usize,
 ) -> Vec<VpId> {
-    // One pass folds each sample into its VP's (n, min, max, le), where
-    // `le` counts samples at or under `max_median_ms`: the upper median
-    // is at or under the bound exactly when `le > n / 2`, which also
-    // keeps a VP with no samples from being flagged.
-    let mut acc = vec![(0usize, f64::INFINITY, 0.0f64, 0usize); vps.len()];
+    let mut fold = SpoofFold::new(SpoofTest {
+        max_spread_ms,
+        max_median_ms,
+        min_targets,
+    });
     for samples in campaigns {
-        for (vp, rtt) in samples.samples() {
-            if let Some((n, min, max, le)) = acc.get_mut(vp.0 as usize) {
-                let ms = rtt.as_ms();
-                *n += 1;
-                *min = min.min(ms);
-                *max = max.max(ms);
-                *le += usize::from(ms <= max_median_ms);
-            }
-        }
+        fold.add(samples.samples());
     }
-    let flagged: Vec<VpId> = vps
-        .iter()
-        .map(|(vp_id, _)| vp_id)
-        .filter(|vp_id| {
-            let (n, min, max, le) = acc[vp_id.0 as usize];
-            n >= min_targets && max - min <= max_spread_ms && le > n / 2
-        })
-        .collect();
-    hoiho_obs::add("rtt.spoof.vps_checked", vps.len() as u64);
-    hoiho_obs::add("rtt.spoof.vps_flagged", flagged.len() as u64);
-    flagged
+    fold.flagged(vps)
 }
 
 /// Remove every sample taken by the given VPs from a measurement —

@@ -131,6 +131,11 @@ impl RouterRtts {
         }
     }
 
+    /// Drop every sample, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.samples.clear();
+    }
+
     /// Reserve room for `additional` more samples.
     pub fn reserve(&mut self, additional: usize) {
         self.samples.reserve(additional);

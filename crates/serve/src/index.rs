@@ -10,10 +10,14 @@
 //! keep the `Arc` they already loaded, so a swap can never fail a
 //! request.
 //!
-//! An index read from a file remembers the file's `(mtime, len)` as it
-//! was just *before* the read. The reload watcher starts from that
+//! An index read from a file remembers the file's `(mtime, len, inode)`
+//! as it was just *before* the read. The reload watcher starts from that
 //! stamp, so a rewrite that lands after the read, before the watcher
-//! first runs, is still seen and served.
+//! first runs, is still seen and served. A rewrite by rename (write a
+//! new file, rename it over the old) gets a new inode, so it is seen
+//! even when it keeps the length and lands inside one mtime tick. An
+//! in-place rewrite that keeps the length inside one mtime tick still
+//! changes no part of the stamp and is missed until the next change.
 
 use hoiho::apply::GeoInference;
 use hoiho::artifact::{parse_artifacts, ArtifactError};
@@ -25,13 +29,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::SystemTime;
 
-/// A file's `(mtime, len)`, or `None` when it cannot be read.
-pub(crate) type Stamp = Option<(SystemTime, u64)>;
+/// A file's `(mtime, len, inode)`, or `None` when it cannot be read.
+/// The inode is 0 where the platform has none.
+pub(crate) type Stamp = Option<(SystemTime, u64, u64)>;
 
-/// The current [`Stamp`] of the file at `path`.
+/// The current [`Stamp`] of the file at `path`, from one `metadata`
+/// call.
 pub(crate) fn stamp(path: &Path) -> Stamp {
     let m = std::fs::metadata(path).ok()?;
-    Some((m.modified().ok()?, m.len()))
+    #[cfg(unix)]
+    let inode = std::os::unix::fs::MetadataExt::ino(&m);
+    #[cfg(not(unix))]
+    let inode = 0;
+    Some((m.modified().ok()?, m.len(), inode))
 }
 
 /// An immutable snapshot of one artifact file together with the

@@ -268,6 +268,36 @@ fn rewrite_before_the_watcher_starts_is_reloaded() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A same-length rewrite by rename whose mtime is pinned to the old
+/// file's is reloaded: the new file's inode differs. (An in-place
+/// same-length rewrite inside one mtime tick is not detected.)
+#[cfg(unix)]
+#[test]
+fn same_length_rename_with_the_same_mtime_is_reloaded() {
+    let path = tmp("rename-artifacts.txt");
+    let next = tmp("rename-artifacts.txt.next");
+    let index = open_file(&path, &["gtt.net"]);
+    let server =
+        Server::start(Arc::new(SharedIndex::new(index)), &reload_cfg(&path)).expect("bind");
+    let before = std::fs::metadata(&path).unwrap();
+    std::fs::write(&next, artifacts(&["ntt.net"])).unwrap();
+    let file = std::fs::File::options().write(true).open(&next).unwrap();
+    file.set_modified(before.modified().unwrap()).unwrap();
+    drop(file);
+    std::fs::rename(&next, &path).unwrap();
+    let after = std::fs::metadata(&path).unwrap();
+    assert_eq!(after.len(), before.len());
+    assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+
+    await_epoch(&server, 2);
+    let mut conn = connect(&server);
+    let r = roundtrip(&mut conn, r#"{"lookup":"ae1.lhr2.ntt.net"}"#);
+    assert!(r.contains(r#""ok":true"#), "{r}");
+    drop(conn);
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn protocol_shutdown_drains_gracefully() {
     let cfg = ServeConfig {

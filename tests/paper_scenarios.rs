@@ -50,7 +50,14 @@ fn hosts<'a>(
             let prefix = hostname
                 .strip_suffix(&format!(".{suffix}"))
                 .expect("suffix matches");
-            TrainHost::new(db, &table, hostname.to_string(), prefix.len(), router, rtts)
+            TrainHost::new(
+                db,
+                &table,
+                hostname.to_string(),
+                prefix.len(),
+                router,
+                rtts.samples(),
+            )
         })
         .collect()
 }
@@ -131,7 +138,7 @@ fn figure6_tagging_shapes() {
     let tag_types = |prefix: &str, vp: u16, ms: f64| -> Vec<GeohintType> {
         let mut rtts = RouterRtts::new();
         rtts.record(VpId(vp), Rtt::from_ms(ms));
-        tag_prefix(&db, &rtts, prefix, &table)
+        tag_prefix(&db, rtts.samples(), prefix, &table)
             .into_iter()
             .map(|t| t.ty)
             .collect()

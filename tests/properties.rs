@@ -50,7 +50,7 @@ fn tagging_is_total_and_spans_are_valid() {
         let vp = rng.random_range(0..3u16);
         let mut rtts = RouterRtts::new();
         rtts.record(VpId(vp), Rtt::from_ms(rtt_ms));
-        let tags = tag_prefix(&db, &rtts, &prefix, &table);
+        let tags = tag_prefix(&db, rtts.samples(), &prefix, &table);
         for t in &tags {
             assert!(t.start < t.end, "{prefix}: empty span");
             assert!(t.end <= prefix.len(), "{prefix}: span out of range");
@@ -116,7 +116,7 @@ fn base_regexes_match_their_source() {
         let mut rtts = RouterRtts::new();
         // Loose constraint: everything feasible, so the hint is tagged.
         rtts.record(VpId(0), Rtt::from_ms(500.0));
-        let tags = tag_prefix(&db, &rtts, &prefix, &table);
+        let tags = tag_prefix(&db, rtts.samples(), &prefix, &table);
         assert!(!tags.is_empty(), "nothing tagged in {prefix}");
         let hostname = format!("{prefix}.example.net");
         let regexes = hoiho::builder::base_regexes_for_host(&prefix, &tags, "example.net");
@@ -150,9 +150,9 @@ fn consistency_monotone_in_rtt() {
         let mut large = RouterRtts::new();
         large.record(VpId(0), Rtt::from_ms(ms + extra));
         let table = BestCaseTable::new(&vps, &ConsistencyPolicy::STRICT, [cand], &[]);
-        if table.feasibility(&small, LocationId(0)) {
+        if table.feasibility(small.samples(), LocationId(0)) {
             assert!(
-                table.feasibility(&large, LocationId(0)),
+                table.feasibility(large.samples(), LocationId(0)),
                 "({lat},{lon}) feasible at {ms}ms but not {}ms",
                 ms + extra
             );

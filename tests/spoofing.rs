@@ -5,7 +5,7 @@
 
 use hoiho::artifact::write_artifacts;
 use hoiho::stale::detect_stale;
-use hoiho::{Geolocator, Hoiho, HoihoOptions};
+use hoiho::{Geolocator, Hoiho, HoihoOptions, TrainingView};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
@@ -113,7 +113,8 @@ fn stale_scan_ignores_spoofed_vps() {
     let corpus = poisoned_corpus(&db);
     let report = Hoiho::new(&db, &psl).learn_corpus(&corpus);
     let geo = Geolocator::from_report(&report);
-    let findings = detect_stale(&db, &psl, &geo, &corpus);
+    let view = TrainingView::from_corpus(&corpus, db.len());
+    let findings = detect_stale(&db, &psl, &geo, &view);
     let located: usize = corpus.routers.iter().map(|r| r.hostnames().count()).sum();
     assert!(
         findings.len() * 50 < located.max(1),
