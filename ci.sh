@@ -110,8 +110,8 @@ if want smoke; then
     cmp "$WORK/artifacts.txt" "$WORK/artifacts2.txt"
     # Line endings do not change what is learned or found stale: the
     # same corpus with CRLF endings, and without its final newline,
-    # learns the same artifact with the same counters, and `stale` flags
-    # the same hostnames in it.
+    # learns the same artifact with the same counters, `stale` flags
+    # the same hostnames in it, and `stats` prints the same counts.
     sed 's/$/\r/' "$WORK/corpus.txt" >"$WORK/corpus-crlf.txt"
     head -c -1 "$WORK/corpus.txt" >"$WORK/corpus-noeol.txt"
     for v in crlf noeol; do
@@ -125,6 +125,11 @@ if want smoke; then
         ./target/release/hoiho stale --corpus "$WORK/corpus-$v.txt" \
             --artifacts "$WORK/artifacts.txt" >"$WORK/stale-$v.txt"
         cmp "$WORK/stale.txt" "$WORK/stale-$v.txt"
+    done
+    ./target/release/hoiho stats --corpus "$WORK/corpus.txt" >"$WORK/stats.txt"
+    for v in crlf noeol; do
+        ./target/release/hoiho stats --corpus "$WORK/corpus-$v.txt" >"$WORK/stats-$v.txt"
+        cmp "$WORK/stats.txt" "$WORK/stats-$v.txt"
     done
     for v in 1 2 -crlf; do
         grep '"type":"counter"' "$WORK/metrics$v.jsonl" | sort >"$WORK/counters$v.txt"

@@ -5,9 +5,8 @@
 //! Paper shape: ~55% of IPv4 and ~16% of IPv6 routers have hostnames;
 //! ~82% / ~46% have RTT samples; ~100 IPv4 vs ~40 IPv6 VPs.
 
+use hoiho::TrainingView;
 use hoiho_bench::{four_itdks, Table};
-
-use hoiho_itdk::stats::CorpusStats;
 
 fn main() {
     let db = hoiho_bench::dictionary();
@@ -17,13 +16,15 @@ fn main() {
     println!("\n# Table 1 — ITDK summaries (paper: 55.0/54.1/15.1/16.0 %hostname; 81.9/81.7/47.3/45.2 %RTT)\n");
     let mut t = Table::new(vec!["corpus", "routers", "w/ hostname", "w/ RTT", "VPs"]);
     for g in &corpora {
-        let s = CorpusStats::of(&g.corpus);
+        let view = TrainingView::from_corpus(&g.corpus, db.len());
+        let routers = view.total_routers();
+        let share = |n: usize| format!("{n} ({:.1}%)", 100.0 * n as f64 / routers.max(1) as f64);
         t.row(vec![
-            s.label.clone(),
-            format!("{}", s.routers),
-            format!("{} ({:.1}%)", s.with_hostname, s.hostname_pct()),
-            format!("{} ({:.1}%)", s.with_rtt, s.rtt_pct()),
-            format!("{}", s.vps),
+            view.label().to_string(),
+            format!("{routers}"),
+            share(view.routers_with_hostname()),
+            share(view.routers_with_rtt()),
+            format!("{}", view.vps().len()),
         ]);
     }
     print!("{}", t.render());

@@ -6,9 +6,8 @@ use hoiho::artifact::{parse_artifacts, write_artifacts};
 use hoiho::stale::detect_stale;
 use hoiho::{Geolocator, Hoiho, HoihoOptions, TrainingView};
 use hoiho_geodb::GeoDb;
-use hoiho_itdk::format::{parse_corpus_from, write_corpus_to};
+use hoiho_itdk::format::write_corpus_to;
 use hoiho_itdk::spec::CorpusSpec;
-use hoiho_itdk::stats::CorpusStats;
 use hoiho_psl::PublicSuffixList;
 use hoiho_serve::{ConnLimits, LookupIndex, ReloadConfig, ServeConfig, Server, SharedIndex};
 use std::io::{BufReader, Write as _};
@@ -60,37 +59,26 @@ fn open_corpus(opts: &Options) -> Result<BufReader<std::fs::File>, String> {
     Ok(BufReader::with_capacity(1 << 16, file))
 }
 
-/// The error for a corpus that references `location` past a dictionary
-/// of `db_len` entries: it was generated against a larger dictionary and
-/// cannot be interpreted by this one.
-fn unknown_location(location: u32, db_len: usize) -> String {
-    format!(
-        "corpus references location {} but the builtin dictionary has {} entries; \
-         the corpus was generated against another dictionary",
-        location, db_len
-    )
-}
-
-/// The whole `--corpus`, every record kept.
-fn load_corpus(opts: &Options, db_len: usize) -> Result<hoiho_itdk::Corpus, String> {
-    let corpus = parse_corpus_from(open_corpus(opts)?).map_err(|e| e.to_string())?;
-    if let Some(r) = corpus
-        .routers
-        .iter()
-        .find(|r| r.location.0 as usize >= db_len)
-    {
-        return Err(unknown_location(r.location.0, db_len));
-    }
-    Ok(corpus)
-}
-
-/// The training view of `--corpus`: what `learn` and `stale` read.
+/// The training view of `--corpus`: what `learn`, `stale` and `stats`
+/// read. A corpus whose `loc=` ids run past the dictionary was generated
+/// against a larger one and is refused, not misread.
 fn load_view(opts: &Options, db_len: usize) -> Result<TrainingView, String> {
     let view = TrainingView::read(open_corpus(opts)?, db_len).map_err(|e| e.to_string())?;
     match view.unknown_location() {
-        Some(location) => Err(unknown_location(location.0, db_len)),
+        Some(location) => Err(format!(
+            "corpus references location {} but the builtin dictionary has {} entries; \
+             the corpus was generated against another dictionary",
+            location.0, db_len
+        )),
         None => Ok(view),
     }
+}
+
+/// The `--artifacts` file, parsed against `db`.
+fn load_artifacts(opts: &Options, db: &GeoDb) -> Result<Geolocator, String> {
+    let path = opts.require("artifacts")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    parse_artifacts(&text, db).map_err(|e| e.to_string())
 }
 
 /// `hoiho generate`
@@ -163,9 +151,7 @@ pub fn apply(opts: &Options) -> Result<(), String> {
     let _obs = setup_obs(opts)?;
     let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
-    let path = opts.require("artifacts")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let geo = parse_artifacts(&text, &db).map_err(|e| e.to_string())?;
+    let geo = load_artifacts(opts, &db)?;
     let hostnames = if opts.positional.is_empty() {
         read_stdin_lines()?
     } else {
@@ -269,18 +255,17 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 /// `hoiho stats`
 pub fn stats(opts: &Options) -> Result<(), String> {
     let db = GeoDb::builtin();
-    let corpus = load_corpus(opts, db.len())?;
-    let s = CorpusStats::of(&corpus);
+    let view = load_view(opts, db.len())?;
+    let routers = view.total_routers();
+    let pct = |n: usize| 100.0 * n as f64 / routers.max(1) as f64;
+    let (hostname, rtt) = (view.routers_with_hostname(), view.routers_with_rtt());
     print_out(&format!(
-        "label:         {}\nrouters:       {}\nwith hostname: {} ({:.1}%)\n\
-         with RTT:      {} ({:.1}%)\nvantage pts:   {}",
-        s.label,
-        s.routers,
-        s.with_hostname,
-        s.hostname_pct(),
-        s.with_rtt,
-        s.rtt_pct(),
-        s.vps
+        "label:         {}\nrouters:       {routers}\nwith hostname: {hostname} ({:.1}%)\n\
+         with RTT:      {rtt} ({:.1}%)\nvantage pts:   {}",
+        view.label(),
+        pct(hostname),
+        pct(rtt),
+        view.vps().len()
     ));
     Ok(())
 }
@@ -291,9 +276,7 @@ pub fn stale(opts: &Options) -> Result<(), String> {
     let db = GeoDb::builtin();
     let psl = PublicSuffixList::builtin();
     let view = load_view(opts, db.len())?;
-    let path = opts.require("artifacts")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let geo = parse_artifacts(&text, &db).map_err(|e| e.to_string())?;
+    let geo = load_artifacts(opts, &db)?;
     let findings = detect_stale(&db, &psl, &geo, &view);
     let stdout = std::io::stdout();
     let mut out = stdout.lock();

@@ -96,6 +96,40 @@ fn full_flow() {
     std::fs::remove_file(&artifacts).ok();
 }
 
+/// `hoiho stats` prints the Table-1 counts in a fixed layout. Its corpus
+/// has two routers without a hostname but with samples, one with a
+/// hostname and only traceroute samples, and one with both; a
+/// header-only corpus prints 0.0%, not NaN.
+#[test]
+fn stats_prints_the_table1_counts() {
+    let corpus = tmp("stats-corpus.txt");
+    for (text, want) in [
+        (
+            "corpus-v1 handmade\nvp a 1.0 2.0\nvp b 3.0 4.0\n\
+             node N0 loc=1\niface 10.0.0.1\nrtt 0:1000 1:2000\n\
+             node N1 loc=1\niface 10.0.0.2 a.example.net\ntrtt 0:1500\n\
+             node N2 loc=2\niface 10.0.0.3\niface 10.0.0.4 b.example.net\nrtt 1:3000\n\
+             node N3 loc=2\niface 10.0.0.5\nrtt 0:4000\n",
+            "label:         handmade\nrouters:       4\nwith hostname: 2 (50.0%)\n\
+             with RTT:      3 (75.0%)\nvantage pts:   2\n",
+        ),
+        (
+            "corpus-v1 empty\n",
+            "label:         empty\nrouters:       0\nwith hostname: 0 (0.0%)\n\
+             with RTT:      0 (0.0%)\nvantage pts:   0\n",
+        ),
+    ] {
+        std::fs::write(&corpus, text).expect("write corpus");
+        let out = Command::new(bin())
+            .args(["stats", "--corpus", &corpus])
+            .output()
+            .expect("run stats");
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want);
+    }
+    std::fs::remove_file(&corpus).ok();
+}
+
 #[test]
 fn bad_usage_fails_cleanly() {
     // No subcommand.

@@ -8,6 +8,8 @@
 //! traceroute RTTs and the samples of routers without a hostname. Each
 //! kept router's samples sit in one flat arena, normalised as
 //! [`RouterRtts::record`] leaves them (sorted by VP, one minimum per VP).
+//! It also counts the routers with ping samples, so it holds every
+//! number of the paper's Table 1 (§5.1.3), which `hoiho stats` prints.
 //!
 //! The view is built by one [`CorpusSink`]: [`TrainingView::read`] feeds
 //! it from `corpus-v1` text through the corpus parser, and
@@ -49,6 +51,7 @@ pub struct TrainingView {
     label: String,
     vps: VpSet,
     total_routers: usize,
+    routers_with_rtt: usize,
     hosted: Vec<Hosted>,
     /// Every kept hostname, back to back; `name_ends` cuts them apart.
     names: String,
@@ -95,6 +98,7 @@ impl TrainingView {
             label: String::new(),
             vps: VpSet::new(),
             total_routers: 0,
+            routers_with_rtt: 0,
             hosted: Vec::new(),
             names: String::new(),
             name_ends: Vec::new(),
@@ -141,6 +145,11 @@ impl TrainingView {
     /// Routers with a hostname: the ones the view keeps.
     pub fn routers_with_hostname(&self) -> usize {
         self.hosted.len()
+    }
+
+    /// Routers with at least one ping sample.
+    pub fn routers_with_rtt(&self) -> usize {
+        self.routers_with_rtt
     }
 
     /// The first router location, in corpus order, that is not below the
@@ -201,6 +210,7 @@ impl CorpusSink for TrainingView {
 
     fn end_router(&mut self, rtts: &mut RouterRtts, _traceroute_rtts: &mut RouterRtts) {
         self.spoof.add(rtts.samples());
+        self.routers_with_rtt += usize::from(!rtts.is_empty());
         let named = self.hosted.last().map_or(0, |h| h.names_end);
         if self.name_ends.len() > named {
             self.samples.extend_from_slice(rtts.samples());
@@ -243,6 +253,7 @@ mod tests {
         assert_eq!(view.vps().len(), 2);
         assert_eq!(view.total_routers(), 3);
         assert_eq!(view.routers_with_hostname(), 2);
+        assert_eq!(view.routers_with_rtt(), 2);
         assert_eq!(view.unknown_location(), Some(LocationId(9)));
         let routers: Vec<ViewRouter> = view.routers().collect();
         let names: Vec<(u32, Vec<&str>)> = routers
@@ -289,6 +300,37 @@ mod tests {
                 assert_eq!(got, want, "capacity {capacity}: {text:?}");
             }
         }
+    }
+
+    /// The Table-1 shares land near the generator's configured rates.
+    #[test]
+    fn table1_shares_match_the_generator_rates() {
+        let db = hoiho_geodb::GeoDb::builtin();
+        let spec = hoiho_itdk::CorpusSpec {
+            label: "stats-test".into(),
+            seed: 6,
+            operators: 8,
+            routers: 300,
+            geo_operator_fraction: 0.5,
+            sloppy_operator_fraction: 0.0,
+            hostname_rate: 0.55,
+            rtt_response_rate: 0.82,
+            vps: 12,
+            custom_hint_operator_fraction: 0.3,
+            custom_hint_rate: 0.2,
+            stale_fraction: 0.005,
+            provider_side_fraction: 0.0,
+            ipv6: false,
+        };
+        let g = hoiho_itdk::generate(&db, &spec);
+        let view = TrainingView::from_corpus(&g.corpus, db.len());
+        assert_eq!(view.total_routers(), g.corpus.len());
+        assert_eq!(view.vps().len(), 12);
+        let pct = |n: usize| 100.0 * n as f64 / view.total_routers() as f64;
+        let hostname = pct(view.routers_with_hostname());
+        let rtt = pct(view.routers_with_rtt());
+        assert!((40.0..70.0).contains(&hostname), "{hostname}");
+        assert!((70.0..95.0).contains(&rtt), "{rtt}");
     }
 
     /// A router's samples reach the view normalised as

@@ -9,7 +9,7 @@
 //! models ([`spec`], [`generate`](mod@generate)) so that the true
 //! location of every router — and the intent behind every hostname — is
 //! known by construction. It has one corpus text format, `corpus-v1`
-//! ([`format`](mod@format)), and summary statistics ([`stats`]).
+//! ([`format`](mod@format)).
 //! Readers for CAIDA's `.nodes`/`.dns-names` files can come back with
 //! real ITDK files and a caller.
 
@@ -17,7 +17,6 @@ pub mod format;
 pub mod generate;
 pub mod namegen;
 pub mod spec;
-pub mod stats;
 
 pub use generate::generate;
 pub use spec::{CorpusSpec, NamingStyle, OperatorSpec};

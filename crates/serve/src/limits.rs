@@ -38,6 +38,7 @@ use crate::proto::{self, HttpRequest};
 use std::io::Read;
 use std::net::TcpStream;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// How long a slow transfer runs before the byte-rate floor applies.
@@ -309,11 +310,14 @@ impl Conn {
     /// Read until the front of [`Conn::buf`] holds a whole request, or
     /// the request is refused. The idle window runs until its first
     /// byte, then the completion deadline and the byte-rate floor run
-    /// over the whole request.
+    /// over the whole request. Once `draining` is set, a connection
+    /// still waiting for a request's first byte is reaped at the next
+    /// read tick, as if its idle window had run out.
     pub(crate) fn read_request(
         &mut self,
         first_request: bool,
         limits: &ConnLimits,
+        draining: &AtomicBool,
     ) -> Result<Frame, Refusal> {
         let opened = Instant::now();
         // Bytes left over from a pipelined burst start the request now.
@@ -360,7 +364,12 @@ impl Conn {
                         std::io::ErrorKind::WouldBlock
                             | std::io::ErrorKind::TimedOut
                             | std::io::ErrorKind::Interrupted
-                    ) => {}
+                    ) =>
+                {
+                    if first_byte.is_none() && draining.load(Ordering::SeqCst) {
+                        return Err(Refusal::Idle);
+                    }
+                }
                 // A reset mid-body cuts the body short, as an EOF does.
                 Err(_) if self.framer.head.is_some() => return Err(Refusal::Truncated),
                 Err(_) => return Err(Refusal::Failed),
@@ -392,6 +401,9 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{TcpListener, TcpStream};
+
+    /// A drain flag that is never set.
+    static CALM: AtomicBool = AtomicBool::new(false);
 
     /// What `frame` answers.
     type Framed = Result<Option<Frame>, Refusal>;
@@ -618,7 +630,7 @@ mod tests {
         client.write_all(b"one\ntwo\nthree\n").expect("write");
         let limits = fast();
         for want in ["one\n", "two\n", "three\n"] {
-            let Ok(Frame::Line(n)) = conn.read_request(false, &limits) else {
+            let Ok(Frame::Line(n)) = conn.read_request(false, &limits, &CALM) else {
                 panic!("no line for {want:?}");
             };
             assert_eq!(&conn.buf()[..n], want.as_bytes());
@@ -631,15 +643,56 @@ mod tests {
         let (mut client, mut conn) = pair();
         let limits = fast();
         // Nothing sent: the idle window reaps it.
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::Idle));
+        assert_eq!(conn.read_request(true, &limits, &CALM), Err(Refusal::Idle));
         // A keep-alive gap after a served request is idleness too.
         client.write_all(b"one\n").expect("write");
-        assert_eq!(conn.read_request(true, &limits), Ok(Frame::Line(4)));
+        assert_eq!(conn.read_request(true, &limits, &CALM), Ok(Frame::Line(4)));
         conn.consume(4);
-        assert_eq!(conn.read_request(false, &limits), Err(Refusal::Idle));
+        assert_eq!(conn.read_request(false, &limits, &CALM), Err(Refusal::Idle));
         // A partial line then silence: the completion deadline fires.
         client.write_all(b"partial").expect("write");
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::TimedOut));
+        assert_eq!(
+            conn.read_request(true, &limits, &CALM),
+            Err(Refusal::TimedOut)
+        );
+    }
+
+    #[test]
+    fn a_drain_reaps_only_a_connection_between_requests() {
+        let (mut client, mut conn) = pair();
+        let limits = ConnLimits {
+            idle_timeout: Duration::from_secs(30),
+            read_timeout: Duration::from_secs(5),
+            ..fast()
+        };
+        let draining = AtomicBool::new(true);
+        // A request whose bytes have arrived is still read.
+        client.write_all(b"one\ntw").expect("write");
+        assert_eq!(
+            conn.read_request(false, &limits, &draining),
+            Ok(Frame::Line(4))
+        );
+        conn.consume(4);
+        // So is one whose first bytes are in when the drain begins.
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(250));
+            client.write_all(b"o\n").expect("write");
+            client
+        });
+        assert_eq!(
+            conn.read_request(false, &limits, &draining),
+            Ok(Frame::Line(4))
+        );
+        conn.consume(4);
+        let _client = writer.join().expect("writer");
+        // Between requests, it is reaped at the next read tick, not at
+        // the end of its idle window.
+        let started = Instant::now();
+        assert_eq!(
+            conn.read_request(false, &limits, &draining),
+            Err(Refusal::Idle)
+        );
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 
     #[test]
@@ -649,14 +702,14 @@ mod tests {
         client.write_all("x".repeat(300).as_bytes()).expect("write");
         client.write_all(b"\n").expect("write");
         assert_eq!(
-            conn.read_request(true, &limits),
+            conn.read_request(true, &limits, &CALM),
             Err(Refusal::LineTooLong { http: false })
         );
         let (mut client, mut conn) = pair();
         let line = format!("POST /{} HTTP/1.1\r\n", "y".repeat(300));
         client.write_all(line.as_bytes()).expect("write");
         assert_eq!(
-            conn.read_request(true, &limits),
+            conn.read_request(true, &limits, &CALM),
             Err(Refusal::LineTooLong { http: true })
         );
     }
@@ -667,10 +720,16 @@ mod tests {
         let limits = fast();
         client.write_all(b"no newline").expect("write");
         drop(client);
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::Truncated));
+        assert_eq!(
+            conn.read_request(true, &limits, &CALM),
+            Err(Refusal::Truncated)
+        );
         let (client, mut conn) = pair();
         drop(client);
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::Closed));
+        assert_eq!(
+            conn.read_request(true, &limits, &CALM),
+            Err(Refusal::Closed)
+        );
     }
 
     #[test]
@@ -680,7 +739,7 @@ mod tests {
         client
             .write_all(b"POST /batch HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcdef")
             .expect("write");
-        let Ok(Frame::Http { body, .. }) = conn.read_request(true, &limits) else {
+        let Ok(Frame::Http { body, .. }) = conn.read_request(true, &limits, &CALM) else {
             panic!("no request framed");
         };
         assert_eq!(&conn.buf()[body], b"abcd");
@@ -690,7 +749,10 @@ mod tests {
             .write_all(b"POST /batch HTTP/1.1\r\nContent-Length: 10\r\n\r\nab")
             .expect("write");
         drop(client);
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::Truncated));
+        assert_eq!(
+            conn.read_request(true, &limits, &CALM),
+            Err(Refusal::Truncated)
+        );
     }
 
     #[test]
@@ -711,7 +773,10 @@ mod tests {
             }
         });
         let started = Instant::now();
-        assert_eq!(conn.read_request(true, &limits), Err(Refusal::TooSlow));
+        assert_eq!(
+            conn.read_request(true, &limits, &CALM),
+            Err(Refusal::TooSlow)
+        );
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "rate floor fired early, not at the deadline"
@@ -736,7 +801,7 @@ mod tests {
             .expect("write");
         let started = Instant::now();
         assert_eq!(
-            conn.read_request(true, &limits),
+            conn.read_request(true, &limits, &CALM),
             Err(Refusal::HeaderTimedOut)
         );
         assert!(started.elapsed() < Duration::from_secs(2));

@@ -40,9 +40,12 @@
 //!
 //! Shutdown (`{"cmd":"shutdown"}`, `POST /shutdown`, or
 //! [`Server::shutdown`]) is a drain: the accept thread stops accepting
-//! (woken by a self-connection), queued connections still get answers,
-//! workers finish the request in hand, and `Server::wait` joins
-//! everything.
+//! (woken by a self-connection), and workers answer every request whose
+//! bytes have arrived, queued connections' included. A connection
+//! waiting for its next request's first byte (an idle keep-alive peer)
+//! is reaped within one 100 ms read tick and counted in
+//! `serve.conn.reaped`, so no idle peer holds the drain for its idle
+//! window. `Server::wait` then joins everything.
 
 use crate::index::{stamp, LookupIndex, SharedIndex};
 use crate::limits::{Conn, ConnLimits, Frame};
@@ -327,7 +330,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, scratch: &mut String) {
     let mut write_half = stream;
     let mut served: u64 = 0;
     loop {
-        let framed = conn.read_request(served == 0, limits);
+        let framed = conn.read_request(served == 0, limits, &shared.shutdown);
         // An HTTP request counts once its request line is in, whether
         // it is then served or refused.
         if conn.is_http() {

@@ -332,3 +332,27 @@ fn protocol_shutdown_drains_gracefully() {
         }
     }
 }
+
+/// A worker blocked on an idle keep-alive connection does not hold the
+/// drain for the connection's idle window (30 s by default).
+#[test]
+fn drain_does_not_wait_for_an_idle_keep_alive_connection() {
+    let server = start(&ServeConfig::default(), &["gtt.net"]);
+    let mut idle = connect(&server);
+    let r = roundtrip(&mut idle, r#"{"lookup":"ae1.lhr2.gtt.net"}"#);
+    assert!(r.contains(r#""ok":true"#), "{r}");
+
+    let mut conn = connect(&server);
+    let r = roundtrip(&mut conn, r#"{"cmd":"shutdown"}"#);
+    assert!(r.contains(r#""draining":true"#), "{r}");
+    let started = Instant::now();
+    server.wait();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "drain took {:?}",
+        started.elapsed()
+    );
+    // The idle connection was closed, not answered.
+    let mut rest = String::new();
+    assert_eq!(idle.read_to_string(&mut rest).expect("read"), 0, "{rest}");
+}
