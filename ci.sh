@@ -101,6 +101,9 @@ if want smoke; then
     fetch() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "GET $1"; }
     post() { ./target/release/serve_probe --addr "127.0.0.1:$PORT" --http "POST $1"; }
     ./target/release/hoiho generate --routers 1500 --seed 11 --out "$WORK/corpus.txt"
+    # The generator streams its records into the text writer; a seeded
+    # corpus keeps its bytes.
+    echo "370fa5a6a07b9f1a57154c1a42624597  $WORK/corpus.txt" | md5sum -c --quiet
     ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" \
         --out "$WORK/artifacts.txt" --metrics "$WORK/metrics1.jsonl"
     # Learning is deterministic across thread counts: a two-thread learn
@@ -137,6 +140,17 @@ if want smoke; then
     [ -s "$WORK/counters1.txt" ] || { echo "smoke: learn wrote no counters"; exit 1; }
     cmp "$WORK/counters1.txt" "$WORK/counters2.txt"
     cmp "$WORK/counters1.txt" "$WORK/counters-crlf.txt"
+    # Per-suffix spans run on worker threads and nest under `learn`, on
+    # the same paths at every thread count.
+    for v in 1 2; do
+        grep '"type":"span_total"' "$WORK/metrics$v.jsonl" | sed 's/.*"path":"\([^"]*\)".*/\1/' |
+            sort >"$WORK/spans$v.txt"
+    done
+    cmp "$WORK/spans1.txt" "$WORK/spans2.txt"
+    grep -qx 'learn/learn.suffix' "$WORK/spans1.txt" || {
+        echo "smoke: learn wrote no learn/learn.suffix span"
+        exit 1
+    }
     # The spoofed-VP filter reports both counters, zero or not.
     for c in rtt.spoof.vps_checked rtt.spoof.vps_flagged; do
         grep -q "\"name\":\"$c\"" "$WORK/counters1.txt" || {

@@ -5,18 +5,16 @@
 //! Paper shape: ~55% of IPv4 and ~16% of IPv6 routers have hostnames;
 //! ~82% / ~46% have RTT samples; ~100 IPv4 vs ~40 IPv6 VPs.
 
-use hoiho::TrainingView;
-use hoiho_bench::{four_itdks, Table};
+use hoiho_bench::{generate_view, itdk_specs, Table};
 
 fn main() {
     let db = hoiho_bench::dictionary();
     eprintln!("generating corpora at scale {}…", hoiho_bench::scale());
-    let corpora = four_itdks(&db);
 
     println!("\n# Table 1 — ITDK summaries (paper: 55.0/54.1/15.1/16.0 %hostname; 81.9/81.7/47.3/45.2 %RTT)\n");
     let mut t = Table::new(vec!["corpus", "routers", "w/ hostname", "w/ RTT", "VPs"]);
-    for g in &corpora {
-        let view = TrainingView::from_corpus(&g.corpus, db.len());
+    for spec in itdk_specs() {
+        let view = generate_view(&db, &spec);
         let routers = view.total_routers();
         let share = |n: usize| format!("{n} ({:.1}%)", 100.0 * n as f64 / routers.max(1) as f64);
         t.row(vec![

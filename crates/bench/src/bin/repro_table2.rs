@@ -6,7 +6,7 @@
 //! apparent geohints; usable NCs geolocate 83–90% of those.
 
 use hoiho::Hoiho;
-use hoiho_bench::{four_itdks, Table};
+use hoiho_bench::{generate_view, itdk_specs, Table};
 
 use hoiho_psl::PublicSuffixList;
 
@@ -14,7 +14,6 @@ fn main() {
     let db = hoiho_bench::dictionary();
     let psl = PublicSuffixList::builtin();
     eprintln!("generating corpora at scale {}…", hoiho_bench::scale());
-    let corpora = four_itdks(&db);
 
     println!("\n# Table 2 — coverage of usable NCs\n");
     let mut t = Table::new(vec![
@@ -26,9 +25,11 @@ fn main() {
         "geo/apparent",
         "bonus (no RTT)",
     ]);
-    for g in &corpora {
-        eprintln!("learning {} ({} routers)…", g.corpus.label, g.corpus.len());
-        let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
+    for spec in itdk_specs() {
+        let view = generate_view(&db, &spec);
+        let (label, routers) = (view.label(), view.total_routers());
+        eprintln!("learning {label} ({routers} routers)…");
+        let report = Hoiho::new(&db, &psl).learn_view(&view);
         let pct = |n: usize| 100.0 * n as f64 / report.total_routers as f64;
         t.row(vec![
             report.label.clone(),

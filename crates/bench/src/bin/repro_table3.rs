@@ -6,7 +6,7 @@
 //! geohints.
 
 use hoiho::Hoiho;
-use hoiho_bench::{four_itdks, Table};
+use hoiho_bench::{generate_view, itdk_specs, Table};
 
 use hoiho_psl::PublicSuffixList;
 
@@ -14,13 +14,13 @@ fn main() {
     let db = hoiho_bench::dictionary();
     let psl = PublicSuffixList::builtin();
     eprintln!("generating corpora at scale {}…", hoiho_bench::scale());
-    let corpora = four_itdks(&db);
 
     println!("\n# Table 3 — NC classification (suffixes with ≥1 apparent geohint)\n");
     let mut t = Table::new(vec!["corpus", "good", "promising", "poor", "total"]);
-    for g in &corpora {
-        eprintln!("learning {}…", g.corpus.label);
-        let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
+    for spec in itdk_specs() {
+        let view = generate_view(&db, &spec);
+        eprintln!("learning {}…", view.label());
+        let report = Hoiho::new(&db, &psl).learn_view(&view);
         // The paper's denominator: suffixes with an apparent geohint.
         let with_hint: Vec<_> = report
             .results

@@ -6,7 +6,7 @@
 //! IATA conventions carry a country or state annotation.
 
 use hoiho::{Hoiho, NcClass};
-use hoiho_bench::Table;
+use hoiho_bench::{generate_view, Table};
 use hoiho_geotypes::GeohintType;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
@@ -17,9 +17,9 @@ fn main() {
     let psl = PublicSuffixList::builtin();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
     eprintln!("generating {}…", spec.label);
-    let g = hoiho_itdk::generate(&db, &spec);
+    let view = generate_view(&db, &spec);
     eprintln!("learning…");
-    let report = Hoiho::new(&db, &psl).learn_corpus(&g.corpus);
+    let report = Hoiho::new(&db, &psl).learn_view(&view);
 
     // (class, type, annotated) → count. A NC's type is its first
     // regex's plan type; a NC mixing types counts under each type it

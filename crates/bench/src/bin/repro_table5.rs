@@ -7,7 +7,7 @@
 //! intended city.
 
 use hoiho::Hoiho;
-use hoiho_bench::Table;
+use hoiho_bench::{generate_view, Table};
 
 use hoiho_geotypes::{Coordinates, GeohintType};
 use hoiho_itdk::spec::CorpusSpec;
@@ -19,9 +19,9 @@ fn main() {
     let psl = PublicSuffixList::builtin();
     let spec = CorpusSpec::ipv4_aug2020(hoiho_bench::scale());
     eprintln!("generating {}…", spec.label);
-    let g = hoiho_itdk::generate(&db, &spec);
+    let view = generate_view(&db, &spec);
     eprintln!("learning scaled corpus…");
-    let reports = [Hoiho::new(&db, &psl).learn_corpus(&g.corpus)];
+    let reports = [Hoiho::new(&db, &psl).learn_view(&view)];
     // The ground-truth suite carries the hub repurposings ("ash",
     // "tor", "tok", …) that recur across real networks.
     let gt_db = hoiho_geodb::GeoDb::builtin();

@@ -38,7 +38,7 @@
 
 use hoiho::artifact::write_artifacts;
 use hoiho::{Geolocator, Hoiho, HoihoOptions};
-use hoiho_bench::quantile;
+use hoiho_bench::{generate_view, quantile};
 use hoiho_geodb::GeoDb;
 use hoiho_itdk::spec::CorpusSpec;
 use hoiho_psl::PublicSuffixList;
@@ -139,20 +139,17 @@ fn main() {
     eprintln!("generating {}-router corpus…", args.routers);
     let mut spec = CorpusSpec::ipv4_aug2020(args.routers);
     spec.seed = args.seed;
-    let g = hoiho_itdk::generate(&db, &spec);
-    let hosts: Vec<String> = g
-        .corpus
-        .routers
-        .iter()
-        .flat_map(|r| r.interfaces.iter())
-        .filter_map(|i| i.hostname.as_ref())
-        .map(|h| h.to_ascii_lowercase())
+    let view = generate_view(&db, &spec);
+    let hosts: Vec<String> = view
+        .routers()
+        .flat_map(|r| r.hostnames())
+        .map(str::to_ascii_lowercase)
         .collect();
     assert!(!hosts.is_empty(), "corpus generated no hostnames");
 
     eprintln!("learning artifacts…");
     let hoiho = Hoiho::with_options(&db, &psl, HoihoOptions::default());
-    let report = hoiho.learn_corpus(&g.corpus);
+    let report = hoiho.learn_view(&view);
     let geo = Geolocator::from_report(&report);
     let text = write_artifacts(&geo, &db);
     let path = std::env::temp_dir().join(format!(

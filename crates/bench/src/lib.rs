@@ -12,9 +12,10 @@
 
 pub mod gt;
 
+use hoiho::TrainingView;
 use hoiho_geodb::synth::expand_with_towns;
 use hoiho_geodb::{GeoDb, GeoDbBuilder};
-use hoiho_itdk::generate::Generated;
+use hoiho_itdk::generate::generate_into;
 use hoiho_itdk::spec::CorpusSpec;
 
 /// The reference dictionary for the scaled corpora: the curated cities
@@ -34,19 +35,23 @@ pub fn scale() -> usize {
 }
 
 /// The four ITDK-style corpora of table 1 at the configured scale.
-pub fn four_itdks(db: &GeoDb) -> Vec<Generated> {
+pub fn itdk_specs() -> [CorpusSpec; 4] {
     let s = scale();
     let v6 = (s * 559 / 2560).max(500); // paper's IPv6/IPv4 router ratio
-    let specs = [
+    [
         CorpusSpec::ipv4_aug2020(s),
         CorpusSpec::ipv4_mar2021(s),
         CorpusSpec::ipv6_nov2020(v6),
         CorpusSpec::ipv6_mar2021(v6),
-    ];
-    specs
-        .into_iter()
-        .map(|spec| hoiho_itdk::generate(db, &spec))
-        .collect()
+    ]
+}
+
+/// The training view of the corpus `spec` describes, generated straight
+/// into the view, so no [`Corpus`](hoiho_itdk::Corpus) is held.
+pub fn generate_view(db: &GeoDb, spec: &CorpusSpec) -> TrainingView {
+    let mut view = TrainingView::new(db.len());
+    generate_into(db, spec, &mut view);
+    view
 }
 
 /// Simple fixed-width text table.

@@ -498,6 +498,86 @@ fn learn_with_metrics_and_progress() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// Stages 3–5 run per suffix on worker threads, and their spans nest
+/// under `learn` at every thread count.
+#[test]
+fn suffix_spans_nest_under_learn_at_every_thread_count() {
+    let corpus = tmp("span-corpus.txt");
+    let artifacts = tmp("span-artifacts.txt");
+    let metrics = tmp("span-metrics.jsonl");
+    let out = Command::new(bin())
+        .args([
+            "generate",
+            "--routers",
+            "1500",
+            "--seed",
+            "9",
+            "--out",
+            &corpus,
+        ])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let path_of = |line: &str| {
+        let rest = line.split("\"path\":\"").nth(1)?;
+        rest.split('"').next().map(String::from)
+    };
+    let mut totals_at = Vec::new();
+    for threads in ["1", "8"] {
+        let out = Command::new(bin())
+            .args(["learn", "--threads", threads, "--corpus", &corpus])
+            .args(["--out", &artifacts, "--metrics", &metrics])
+            .output()
+            .expect("run learn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        // Both `"type":"span"` and `"type":"span_total"` lines.
+        let paths: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with(r#"{"type":"span"#))
+            .filter_map(path_of)
+            .collect();
+        assert!(
+            paths.iter().any(|p| p == "learn/learn.suffix"),
+            "threads {threads}: {paths:?}"
+        );
+        assert!(
+            !paths.iter().any(|p| p.starts_with("learn.suffix")),
+            "threads {threads}: {paths:?}"
+        );
+        let mut totals: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with(r#"{"type":"span_total""#))
+            .filter_map(path_of)
+            .collect();
+        totals.sort();
+        totals_at.push(totals);
+    }
+    assert_eq!(totals_at[0], totals_at[1]);
+    for f in [&corpus, &artifacts, &metrics] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// A corpus that cannot be written is a runtime error naming its file.
+#[test]
+fn generate_onto_a_full_device_fails() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = Command::new(bin())
+        .args(["generate", "--routers", "2000", "--out", "/dev/full"])
+        .output()
+        .expect("run generate");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write /dev/full"), "{stderr}");
+}
+
 /// A line of stdin that is not UTF-8 is decoded lossily and answered
 /// like any other; it does not end the input.
 #[test]

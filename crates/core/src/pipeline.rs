@@ -251,24 +251,24 @@ impl<'a> Hoiho<'a> {
                 ));
             }
         };
+        let work = || {
+            let mut local = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= sets.len() {
+                    break;
+                }
+                let r = self.learn_suffix_with(&sets[i], table);
+                report(&r);
+                local.push((i, r));
+            }
+            local
+        };
+        // Each worker's spans nest under the caller's (`learn`).
+        let open = hoiho_obs::open_spans();
         let mut indexed: Vec<(usize, SuffixResult)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (next, report) = (&next, &report);
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= sets.len() {
-                                break;
-                            }
-                            let r = self.learn_suffix_with(&sets[i], table);
-                            report(&r);
-                            local.push((i, r));
-                        }
-                        local
-                    })
-                })
+                .map(|_| scope.spawn(|| hoiho_obs::with_open_spans(&open, work)))
                 .collect();
             handles
                 .into_iter()

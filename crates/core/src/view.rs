@@ -12,9 +12,10 @@
 //! number of the paper's Table 1 (§5.1.3), which `hoiho stats` prints.
 //!
 //! The view is built by one [`CorpusSink`]: [`TrainingView::read`] feeds
-//! it from `corpus-v1` text through the corpus parser, and
+//! it from `corpus-v1` text through the corpus parser,
 //! [`TrainingView::from_corpus`] replays a parsed [`Corpus`] through it,
-//! so both give the same view for the same corpus. As records pass, the
+//! and the generator can fill a [`TrainingView::new`] view directly, so
+//! each gives the same view for the same corpus. As records pass, the
 //! sink folds every router's ping samples into a [`SpoofFold`] and
 //! checks every router's location against the dictionary size.
 
@@ -92,8 +93,9 @@ impl<'a> ViewRouter<'a> {
 
 impl TrainingView {
     /// An empty view whose routers' locations are checked against a
-    /// dictionary of `locations` entries.
-    fn new(locations: usize) -> TrainingView {
+    /// dictionary of `locations` entries: feed it records as a
+    /// [`CorpusSink`], from the parser, the generator or [`replay`].
+    pub fn new(locations: usize) -> TrainingView {
         TrainingView {
             label: String::new(),
             vps: VpSet::new(),

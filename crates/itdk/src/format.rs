@@ -17,8 +17,9 @@
 //! reports the same errors as one that keeps them all. [`Corpus`] is the
 //! sink that keeps everything: [`parse_corpus_from`] builds one, and
 //! [`parse_corpus`] parses a string through it. [`replay`] feeds a parsed
-//! corpus to another sink. [`write_corpus_to`] writes to any [`Write`],
-//! and [`write_corpus`] renders a string through it.
+//! corpus to another sink. [`CorpusWriter`] is the sink that writes the
+//! text to any [`Write`], and [`write_corpus`] renders a string through
+//! it.
 
 use crate::{Corpus, HostnameTruth, Interface, Router};
 use hoiho_geotypes::{Coordinates, LocationId, Rtt};
@@ -42,54 +43,120 @@ impl std::fmt::Display for CorpusParseError {
 
 impl std::error::Error for CorpusParseError {}
 
-/// Serialize a corpus (with ground truth) to `corpus-v1`.
+/// Serialize a corpus (with ground truth) to `corpus-v1`: [`replay`]
+/// into a [`CorpusWriter`].
 pub fn write_corpus(corpus: &Corpus) -> String {
-    let mut out = Vec::new();
-    write_corpus_to(corpus, &mut out).expect("writing to a Vec cannot fail");
+    let mut writer = CorpusWriter::new(Vec::new());
+    replay(corpus, &mut writer);
+    let out = writer.finish().expect("writing to a Vec cannot fail");
     String::from_utf8(out).expect("corpus-v1 is UTF-8")
 }
 
-/// Serialize a corpus to `corpus-v1` into `out`, record by record, so a
-/// file is written without holding its text. Wrap a file in a
-/// [`std::io::BufWriter`].
-pub fn write_corpus_to(corpus: &Corpus, mut out: impl Write) -> std::io::Result<()> {
-    writeln!(out, "corpus-v1 {}", corpus.label)?;
-    for (_, vp) in corpus.vps.iter() {
-        writeln!(
+/// The sink that writes `corpus-v1`: it renders each record as it
+/// arrives, so a corpus is written without being held. Wrap a file in a
+/// [`std::io::BufWriter`]. The first write error is kept and every later
+/// record is dropped; [`CorpusWriter::finish`] returns it. The counts
+/// cover every record, written or dropped.
+#[derive(Debug)]
+pub struct CorpusWriter<W: Write> {
+    out: W,
+    error: Option<std::io::Error>,
+    vps: usize,
+    /// Routers so far; the next `node` record's id.
+    routers: usize,
+    routers_with_hostname: usize,
+    /// Whether the current router has a hostname.
+    named: bool,
+}
+
+impl<W: Write> CorpusWriter<W> {
+    /// A writer that renders records into `out`.
+    pub fn new(out: W) -> CorpusWriter<W> {
+        CorpusWriter {
             out,
-            "vp {} {:.6} {:.6}",
-            vp.name,
-            vp.coords.lat(),
-            vp.coords.lon()
-        )?;
-    }
-    for (id, r) in corpus.iter() {
-        writeln!(out, "node N{} loc={}", id.0, r.location.0)?;
-        for i in &r.interfaces {
-            match &i.hostname {
-                Some(h) => writeln!(out, "iface {} {}", i.addr, h)?,
-                None => writeln!(out, "iface {}", i.addr)?,
-            }
-            if let Some(t) = &i.truth {
-                let hint = t.hint.as_deref().unwrap_or("-");
-                let loc = t
-                    .hint_location
-                    .map(|l| l.0.to_string())
-                    .unwrap_or_else(|| "-".into());
-                writeln!(
-                    out,
-                    "truth {} {} {} {}",
-                    hint,
-                    loc,
-                    if t.stale { "stale" } else { "fresh" },
-                    if t.provider_side { "provider" } else { "own" }
-                )?;
-            }
+            error: None,
+            vps: 0,
+            routers: 0,
+            routers_with_hostname: 0,
+            named: false,
         }
-        write_rtts(&mut out, "rtt", &r.rtts)?;
-        write_rtts(&mut out, "trtt", &r.traceroute_rtts)?;
     }
-    out.flush()
+
+    /// `vp` records so far.
+    pub fn vps(&self) -> usize {
+        self.vps
+    }
+
+    /// Routers so far.
+    pub fn routers(&self) -> usize {
+        self.routers
+    }
+
+    /// Routers so far with at least one hostname.
+    pub fn routers_with_hostname(&self) -> usize {
+        self.routers_with_hostname
+    }
+
+    /// The first write error, or else `out` once flushed.
+    pub fn finish(mut self) -> std::io::Result<W> {
+        match self.error {
+            Some(e) => Err(e),
+            None => self.out.flush().map(|()| self.out),
+        }
+    }
+
+    /// Run `write` unless an earlier write failed, keeping its error.
+    fn put(&mut self, write: impl FnOnce(&mut W) -> std::io::Result<()>) {
+        if self.error.is_none() {
+            self.error = write(&mut self.out).err();
+        }
+    }
+}
+
+impl<W: Write> CorpusSink for CorpusWriter<W> {
+    fn header(&mut self, label: &str) {
+        self.put(|out| writeln!(out, "corpus-v1 {label}"));
+    }
+
+    fn vp(&mut self, name: &str, coords: Coordinates) {
+        self.vps += 1;
+        self.put(|out| writeln!(out, "vp {name} {:.6} {:.6}", coords.lat(), coords.lon()));
+    }
+
+    fn node(&mut self, location: LocationId) {
+        let id = self.routers;
+        self.routers += 1;
+        self.named = false;
+        self.put(|out| writeln!(out, "node N{id} loc={}", location.0));
+    }
+
+    fn iface(&mut self, addr: &str, hostname: Option<&str>) {
+        self.named |= hostname.is_some();
+        self.put(|out| match hostname {
+            Some(h) => writeln!(out, "iface {addr} {h}"),
+            None => writeln!(out, "iface {addr}"),
+        });
+    }
+
+    fn truth(&mut self, truth: HostnameTruth) {
+        let hint = truth.hint.as_deref().unwrap_or("-");
+        let loc = truth.hint_location.map_or("-".into(), |l| l.0.to_string());
+        let stale = if truth.stale { "stale" } else { "fresh" };
+        let side = if truth.provider_side {
+            "provider"
+        } else {
+            "own"
+        };
+        self.put(|out| writeln!(out, "truth {hint} {loc} {stale} {side}"));
+    }
+
+    fn end_router(&mut self, rtts: &mut RouterRtts, traceroute_rtts: &mut RouterRtts) {
+        self.routers_with_hostname += usize::from(self.named);
+        self.put(|out| {
+            write_rtts(&mut *out, "rtt", rtts)?;
+            write_rtts(out, "trtt", traceroute_rtts)
+        });
+    }
 }
 
 fn write_rtts(mut out: impl Write, tag: &str, rtts: &RouterRtts) -> std::io::Result<()> {
@@ -110,8 +177,9 @@ fn write_rtts(mut out: impl Write, tag: &str, rtts: &RouterRtts) -> std::io::Res
 /// [`CorpusSink::end_router`] once per router, after the router's last
 /// record, so a sink sees each router's samples complete.
 ///
-/// [`Corpus`] is the sink that keeps every record; [`replay`] feeds a
-/// parsed corpus to another sink as the parser would have.
+/// The parser, the generator ([`crate::generate::generate_into`]) and
+/// [`replay`] are the record sources. [`Corpus`] is the sink that keeps
+/// every record, and [`CorpusWriter`] the one that writes them as text.
 pub trait CorpusSink {
     /// The header's label.
     fn header(&mut self, label: &str);
@@ -477,6 +545,47 @@ mod tests {
                 assert_eq!(ia.hostname, ib.hostname);
                 assert_eq!(ia.truth, ib.truth);
             }
+        }
+    }
+
+    /// The writer keeps the first write error, drops every later record,
+    /// and still counts them; `finish` returns the error.
+    #[test]
+    fn writer_keeps_the_first_write_error() {
+        /// Takes `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+            failed: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.room == 0 {
+                    self.failed += 1;
+                    return Err(std::io::Error::other("device full"));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let c = sample();
+        let len = write_corpus(&c).len();
+        for room in [0, 10, len / 2, len - 1, len] {
+            let mut full = Full { room, failed: 0 };
+            let mut writer = CorpusWriter::new(&mut full);
+            replay(&c, &mut writer);
+            assert_eq!((writer.routers(), writer.vps()), (c.len(), c.vps.len()));
+            let got = writer.finish().map(drop).map_err(|e| e.to_string());
+            let want = if room < len {
+                Err("device full".to_string())
+            } else {
+                Ok(())
+            };
+            assert_eq!(got, want, "room {room}");
+            assert_eq!(full.failed, usize::from(room < len), "room {room}");
         }
     }
 

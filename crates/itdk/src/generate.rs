@@ -5,9 +5,10 @@
 //! accuracy (something no real ITDK allows), and returns the operator
 //! specs themselves — the "operator survey responses" of §6.1.
 
+use crate::format::CorpusSink;
 use crate::namegen::{render_inconsistent, render_prefix, NameCtx};
 use crate::spec::{custom_hint_for, CorpusSpec, Layout, NamingStyle, OperatorSpec, Pop};
-use crate::{Corpus, HostnameTruth, Interface, Router};
+use crate::{Corpus, HostnameTruth};
 use hoiho_geodb::GeoDb;
 use hoiho_geotypes::{Coordinates, LocationId, LocationKind};
 use hoiho_rtt::rng::{Rng, StdRng};
@@ -27,11 +28,23 @@ pub struct Generated {
 
 /// Generate a corpus per `spec` against the dictionary `db`.
 pub fn generate(db: &GeoDb, spec: &CorpusSpec) -> Generated {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let cities = city_pool(db);
-    let vps = make_vps(db, &cities, spec.vps, &mut rng);
+    let mut corpus = Corpus::default();
+    let operators = generate_into(db, spec, &mut corpus);
+    Generated { corpus, operators }
+}
+
+/// Generate the corpus [`generate`] would, handing each record to `sink`
+/// as it is drawn, so no router is held. Returns the operator ground
+/// truth.
+pub fn generate_into(
+    db: &GeoDb,
+    spec: &CorpusSpec,
+    sink: &mut impl CorpusSink,
+) -> Vec<OperatorSpec> {
+    let (mut rng, cities, vps) = prologue(db, spec);
     let operators = make_operators(db, &cities, spec, &mut rng);
-    populate(db, spec, operators, vps, rng)
+    populate(db, spec, &operators, &vps, rng, sink);
+    operators
 }
 
 /// Generate a corpus for an explicit operator list (ground-truth suites
@@ -41,26 +54,35 @@ pub fn generate_with_operators(
     spec: &CorpusSpec,
     operators: Vec<OperatorSpec>,
 ) -> Generated {
+    let (rng, _, vps) = prologue(db, spec);
+    let mut corpus = Corpus::default();
+    populate(db, spec, &operators, &vps, rng, &mut corpus);
+    Generated { corpus, operators }
+}
+
+/// What every corpus starts from: the seeded RNG, the ranked cities and
+/// the VPs.
+fn prologue(db: &GeoDb, spec: &CorpusSpec) -> (StdRng, Vec<LocationId>, VpSet) {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let cities = city_pool(db);
     let vps = make_vps(db, &cities, spec.vps, &mut rng);
-    populate(db, spec, operators, vps, rng)
+    (rng, cities, vps)
 }
 
 fn populate(
     db: &GeoDb,
     spec: &CorpusSpec,
-    operators: Vec<OperatorSpec>,
-    vps: hoiho_rtt::VpSet,
+    operators: &[OperatorSpec],
+    vps: &VpSet,
     mut rng: StdRng,
-) -> Generated {
+    sink: &mut impl CorpusSink,
+) {
     let ping = RttModel::default();
     let tracer = ObservationModel::default();
-    let mut corpus = Corpus {
-        routers: Vec::new(),
-        vps,
-        label: spec.label.clone(),
-    };
+    sink.header(&spec.label);
+    for (_, vp) in vps.iter() {
+        sink.vp(&vp.name, vp.coords);
+    }
 
     // Transit operators for provider-side interconnection hostnames:
     // the largest geo-hinting operators.
@@ -85,28 +107,21 @@ fn populate(
             let city = db.location(pop.location).coords;
             // Routers sit within ~15 km of the city centroid.
             let coords = jitter(city, 0.15, &mut rng);
+            sink.node(pop.location);
 
             let n_ifaces = 1 + (rng.random::<f64>().powi(3) * 3.0) as usize;
             // Hostname presence is a router-level property in real
             // ITDKs (an operator populates PTR records for a device or
             // not), so the per-router rate matches the table-1 targets.
             let router_named = rng.random::<f64>() < op.hostname_rate;
-            let mut interfaces = Vec::with_capacity(n_ifaces);
             for _ in 0..n_ifaces {
-                let hostname = if router_named && rng.random::<f64>() < 0.9 {
-                    Some(make_hostname(db, op, pop, &ctx, &mut rng))
+                if router_named && rng.random::<f64>() < 0.9 {
+                    let (hostname, truth) = make_hostname(db, op, pop, &ctx, &mut rng);
+                    sink.iface(&addr.next(), Some(&hostname));
+                    sink.truth(truth);
                 } else {
-                    None
-                };
-                let (hostname, truth) = match hostname {
-                    Some((h, t)) => (Some(h), Some(t)),
-                    None => (None, None),
-                };
-                interfaces.push(Interface {
-                    addr: addr.next(),
-                    hostname,
-                    truth,
-                });
+                    sink.iface(&addr.next(), None);
+                }
             }
 
             // Provider-side interconnection interface (fig 3b): an
@@ -119,15 +134,12 @@ fn populate(
                     if let Some(tpop) = nearest_pop(db, top, &coords) {
                         let tctx = NameCtx::draw(&mut rng);
                         let prefix = render_prefix(&top.layout, &tctx, db, tpop, None, &mut rng);
-                        interfaces.push(Interface {
-                            addr: addr.next(),
-                            hostname: Some(format!("{}.{}", prefix, top.suffix)),
-                            truth: Some(HostnameTruth {
-                                hint: Some(tpop.hint.clone()),
-                                hint_location: Some(tpop.location),
-                                stale: false,
-                                provider_side: true,
-                            }),
+                        sink.iface(&addr.next(), Some(&format!("{}.{}", prefix, top.suffix)));
+                        sink.truth(HostnameTruth {
+                            hint: Some(tpop.hint.clone()),
+                            hint_location: Some(tpop.location),
+                            stale: false,
+                            provider_side: true,
                         });
                     }
                 }
@@ -147,23 +159,15 @@ fn populate(
                 } else {
                     unnamed_rate
                 };
-            let rtts = if responsive {
-                ping.probe_from_all(&corpus.vps, &coords, &mut rng)
+            let mut rtts = if responsive {
+                ping.probe_from_all(vps, &coords, &mut rng)
             } else {
                 RouterRtts::new()
             };
-            let traceroute_rtts = tracer.observe(&corpus.vps, &ping, &coords, &mut rng);
-
-            corpus.routers.push(Router {
-                location: pop.location,
-                interfaces,
-                rtts,
-                traceroute_rtts,
-            });
+            let mut traceroute_rtts = tracer.observe(vps, &ping, &coords, &mut rng);
+            sink.end_router(&mut rtts, &mut traceroute_rtts);
         }
     }
-
-    Generated { corpus, operators }
 }
 
 /// One hostname plus its ground truth for a router at `pop`.
@@ -606,7 +610,7 @@ impl AddrAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::write_corpus;
+    use crate::format::{write_corpus, CorpusWriter};
 
     fn small_spec() -> CorpusSpec {
         CorpusSpec {
@@ -635,6 +639,38 @@ mod tests {
         let a = generate(&GeoDb::builtin(), &small_spec());
         let b = generate(&GeoDb::builtin(), &small_spec());
         assert!(write_corpus(&a.corpus) == write_corpus(&b.corpus));
+    }
+
+    /// Generating into the text writer writes, and counts, the corpus
+    /// `generate` keeps.
+    #[test]
+    fn generating_into_the_writer_writes_the_generated_corpus() {
+        let db = GeoDb::builtin();
+        let mut v6 = small_spec();
+        v6.ipv6 = true;
+        v6.hostname_rate = 0.15;
+        for spec in [small_spec(), v6] {
+            let g = generate(&db, &spec);
+            let mut writer = CorpusWriter::new(Vec::new());
+            let operators = generate_into(&db, &spec, &mut writer);
+            let ops = |o: &[OperatorSpec]| format!("{o:?}");
+            assert!(ops(&operators) == ops(&g.operators), "ipv6={}", spec.ipv6);
+            let named = g.corpus.routers.iter().filter(|r| r.has_hostname());
+            assert_eq!(
+                (
+                    writer.routers(),
+                    writer.routers_with_hostname(),
+                    writer.vps()
+                ),
+                (g.corpus.len(), named.count(), g.corpus.vps.len())
+            );
+            let text = writer.finish().expect("a Vec takes every write");
+            assert!(
+                text == write_corpus(&g.corpus).into_bytes(),
+                "ipv6={}",
+                spec.ipv6
+            );
+        }
     }
 
     #[test]

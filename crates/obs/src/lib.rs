@@ -831,6 +831,26 @@ pub fn span_detail(name: &'static str, detail: String) -> SpanGuard<'static> {
     global().span_detail(name, detail)
 }
 
+/// The spans open on this thread, outermost first (none when the global
+/// registry is disabled), for [`with_open_spans`] on a worker thread.
+pub fn open_spans() -> Vec<&'static str> {
+    if enabled() {
+        SPAN_STACK.with_borrow(Vec::clone)
+    } else {
+        Vec::new()
+    }
+}
+
+/// Run `f` with `open`, from [`open_spans`] on another thread, as the
+/// spans open around it, so its spans nest under them; then restore this
+/// thread's own.
+pub fn with_open_spans<R>(open: &[&'static str], f: impl FnOnce() -> R) -> R {
+    let own = SPAN_STACK.replace(open.to_vec());
+    let r = f();
+    SPAN_STACK.set(own);
+    r
+}
+
 /// Emit a progress event on the global registry.
 pub fn progress(msg: String) {
     global().progress(msg);
@@ -961,6 +981,21 @@ mod tests {
         let snap = r.snapshot();
         let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, vec!["outer", "outer/inner"]);
+    }
+
+    #[test]
+    fn handed_spans_nest_a_worker_and_are_put_back() {
+        let r = Registry::new();
+        r.set_enabled(true);
+        let _outer = r.span("outer");
+        std::thread::scope(|s| {
+            s.spawn(|| with_open_spans(&["learn"], || drop(r.span("learn.suffix"))));
+        });
+        with_open_spans(&["elsewhere"], || ());
+        drop(r.span("inner"));
+        let snap = r.snapshot();
+        let paths: Vec<&str> = snap.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, vec!["learn/learn.suffix", "outer/inner"]);
     }
 
     #[test]

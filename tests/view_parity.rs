@@ -2,7 +2,11 @@
 //! learns a parsed corpus. Both must learn the same thing: the same
 //! artifact bytes, the same report totals and the same counters, parse
 //! counters included. This binary owns the process-wide registry, so no
-//! other test's counting can leak into the comparison.
+//! other test's counting can leak into the comparison; its tests take
+//! [`REGISTRY`] so they do not count into each other's.
+//!
+//! The generator can also fill a view directly, and that view must be
+//! the one replaying the generated corpus gives.
 
 use hoiho::artifact::write_artifacts;
 use hoiho::{Geolocator, Hoiho, HoihoOptions, LearnReport, TrainingView};
@@ -15,6 +19,10 @@ use hoiho_rtt::rng::StdRng;
 use hoiho_rtt::VpId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Mutex;
+
+/// Held by each test here while it counts into the global registry.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// A seeded corpus whose VPs 3, 11 and 19 spoof every answer, as text.
 fn spoofed_corpus_text(db: &GeoDb, seed: u64) -> String {
@@ -91,6 +99,7 @@ fn learning_the_streamed_view_matches_learning_the_parsed_corpus() {
             ..Default::default()
         },
     );
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let obs = hoiho_obs::global();
     obs.set_enabled(true);
     let learned = |report: LearnReport| -> Learned {
@@ -146,5 +155,43 @@ fn learning_the_streamed_view_matches_learning_the_parsed_corpus() {
     // Line endings and comments change nothing that is learned.
     for (label, text) in &variants[..4] {
         assert!(via_view(text) == reference, "{label}: differs from LF");
+    }
+}
+
+/// A view the generator fills directly is the view of the corpus
+/// `generate` keeps. The oracle replays that corpus rather than parsing
+/// its text, which prints VP coordinates to 6 decimals.
+#[test]
+fn a_view_generated_directly_is_the_generated_corpus_view() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let db = GeoDb::builtin();
+    for spec in [
+        CorpusSpec::ipv4_aug2020(1500),
+        CorpusSpec::ipv6_nov2020(1500),
+    ] {
+        let mut direct = TrainingView::new(db.len());
+        hoiho_itdk::generate::generate_into(&db, &spec, &mut direct);
+        let corpus = hoiho_itdk::generate(&db, &spec).corpus;
+        let oracle = TrainingView::from_corpus(&corpus, db.len());
+        let summary = |v: &TrainingView| {
+            let routers: Vec<_> = v
+                .routers()
+                .map(|r| (r.index, r.hostnames().collect::<Vec<_>>(), r.rtts))
+                .collect();
+            let counts = (
+                v.total_routers(),
+                v.routers_with_hostname(),
+                v.routers_with_rtt(),
+            );
+            format!("{} {counts:?} {routers:?}", v.label())
+        };
+        assert!(summary(&direct) == summary(&oracle), "{}", spec.label);
+        assert!(oracle.routers_with_hostname() > 0, "{}", spec.label);
+        assert_eq!(
+            direct.spoofing_vps(),
+            oracle.spoofing_vps(),
+            "{}",
+            spec.label
+        );
     }
 }
