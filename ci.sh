@@ -106,6 +106,15 @@ if want smoke; then
     echo "370fa5a6a07b9f1a57154c1a42624597  $WORK/corpus.txt" | md5sum -c --quiet
     ./target/release/hoiho learn --threads 1 --corpus "$WORK/corpus.txt" \
         --out "$WORK/artifacts.txt" --metrics "$WORK/metrics1.jsonl"
+    # A speed-up of the learner keeps what it learns and what it counts:
+    # the seeded corpus's artifact, and its sorted counter lines, keep
+    # their bytes.
+    echo "eb2aa9b1c6b56cdc285e96392683cadc  $WORK/artifacts.txt" | md5sum -c --quiet
+    grep '"type":"counter"' "$WORK/metrics1.jsonl" | sort | md5sum |
+        grep -q '^951ee835f85da616d69c88e73cafbb44 ' || {
+        echo "smoke: the learn's counters changed"
+        exit 1
+    }
     # Learning is deterministic across thread counts: a two-thread learn
     # must write the same artifact byte for byte and count the same.
     ./target/release/hoiho learn --threads 2 --corpus "$WORK/corpus.txt" \

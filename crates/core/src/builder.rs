@@ -4,7 +4,9 @@
 //!   geohint is captured with its type's class (`([a-z]{3})` for IATA),
 //!   tagged country/state labels are captured with `([a-z]{2})`, and the
 //!   rest of the hostname becomes punctuation-excluding components
-//!   (`[^\.]+`) or a single `.+`.
+//!   (`[^\.]+`) or a single `.+`. A suffix's base regexes are counted
+//!   by pattern text, and only the ones kept are built
+//!   ([`base_candidates`]).
 //! - **Phase 2** merges regexes that differ only by a `\d+` into a
 //!   single regex with `\d*`.
 //! - **Phase 3** specialises generic components into character-class
@@ -16,36 +18,208 @@ use crate::convention::{CaptureRole, GeoRegex, Plan};
 use crate::tokenize::{labels, tokenize, Token, TokenKind};
 use crate::train::TrainHost;
 use hoiho_geotypes::GeohintType;
+use hoiho_regex::ast::escape_literal;
 use hoiho_regex::{Ast, CharClass, Quant, Regex};
+use std::collections::HashMap;
 
-/// Phase 1: base regexes for every tag of one hostname.
+/// Phase 1: base regexes for every tag of one hostname, distinct by
+/// pattern, in generation order. Each is built from the variant
+/// [`BasePatterns::render`] gives its pattern for.
 pub fn base_regexes_for_host(prefix: &str, tags: &[Tag], suffix: &str) -> Vec<GeoRegex> {
-    let mut out: Vec<GeoRegex> = Vec::new();
+    let mut patterns = BasePatterns::default();
+    patterns.render(prefix, tags, suffix);
+    patterns
+        .iter()
+        .map(|(_, variant)| base_regex(prefix, tags, suffix, variant))
+        .collect()
+}
+
+/// Phase 1 for one suffix: the base regexes of its tagged hostnames,
+/// deduplicated by pattern, each with the number of hostnames that
+/// generated it; most generated first, then by pattern, at most `keep`.
+///
+/// Patterns are counted as text, rendered into one reused buffer per
+/// hostname; only the kept ones are built, each from the first hostname
+/// that generated it, so its plan is that hostname's. Adds the
+/// `learn.candidates_generated` and `learn.candidates_deduped` counters.
+pub fn base_candidates(hosts: &[TrainHost], suffix: &str, keep: usize) -> Vec<(GeoRegex, usize)> {
+    // Pattern → (hostnames generating it, the first of them, its variant).
+    let mut counts: HashMap<String, (usize, usize, BaseVariant)> = HashMap::new();
+    let mut patterns = BasePatterns::default();
+    for (i, h) in hosts.iter().enumerate() {
+        if !h.is_tagged() {
+            continue;
+        }
+        patterns.render(h.prefix(), &h.tags, suffix);
+        for (pattern, variant) in patterns.iter() {
+            match counts.get_mut(pattern) {
+                Some(c) => c.0 += 1,
+                None => {
+                    counts.insert(pattern.to_owned(), (1, i, variant));
+                }
+            }
+        }
+    }
+    if hoiho_obs::enabled() {
+        hoiho_obs::counter!("learn.candidates_generated")
+            .add(counts.values().map(|c| c.0 as u64).sum());
+        hoiho_obs::counter!("learn.candidates_deduped").add(counts.len() as u64);
+    }
+    let mut ranked: Vec<_> = counts.into_iter().collect();
+    ranked.sort_unstable_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
+    ranked.truncate(keep);
+    ranked
+        .into_iter()
+        .map(|(_, (n, i, variant))| {
+            let h = &hosts[i];
+            (base_regex(h.prefix(), &h.tags, suffix, variant), n)
+        })
+        .collect()
+}
+
+/// Which base regex of a hostname: the tag it captures, and how the
+/// generic labels around the tag's are rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseVariant {
+    /// Index of the tag in the hostname's tags.
+    tag: usize,
+    /// Whether the generic labels left of the hint collapse into one
+    /// `.+`.
+    collapse_lead: bool,
+    /// Whether the generic labels right of the hint stay literal.
+    literal_tail: bool,
+}
+
+/// The distinct base patterns of one hostname, in generation order, each
+/// with its variant: what phase 1 counts. One value is reused from
+/// hostname to hostname, so rendering allocates only as the longest
+/// hostname's patterns need.
+#[derive(Debug, Default)]
+pub struct BasePatterns {
+    /// The patterns, back to back.
+    text: String,
+    /// Where each pattern ends in `text`, and its variant.
+    ends: Vec<(usize, BaseVariant)>,
+}
+
+impl BasePatterns {
+    /// Render the base patterns of one hostname, replacing the last
+    /// hostname's. A pattern equal to an earlier one of the same
+    /// hostname is dropped. Adds the `builder.base_regexes` counter.
+    pub fn render(&mut self, prefix: &str, tags: &[Tag], suffix: &str) {
+        self.text.clear();
+        self.ends.clear();
+        let toks = tokenize(prefix);
+        let labs = labels(prefix);
+        for (tag, t) in tags.iter().enumerate() {
+            let Some(pieces) = TagPieces::new(prefix, &toks, &labs, t) else {
+                continue;
+            };
+            for (collapse_lead, literal_tail) in pieces.variants() {
+                let start = self.text.len();
+                pieces.render(collapse_lead, literal_tail, suffix, &mut self.text);
+                if self.iter().any(|(p, _)| p == &self.text[start..]) {
+                    self.text.truncate(start);
+                } else {
+                    let variant = BaseVariant {
+                        tag,
+                        collapse_lead,
+                        literal_tail,
+                    };
+                    self.ends.push((self.text.len(), variant));
+                }
+            }
+        }
+        if hoiho_obs::enabled() {
+            hoiho_obs::counter!("builder.base_regexes").add(self.ends.len() as u64);
+        }
+    }
+
+    /// The patterns rendered last, with their variants.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, BaseVariant)> {
+        let starts = std::iter::once(0).chain(self.ends.iter().map(|&(end, _)| end));
+        starts
+            .zip(&self.ends)
+            .map(|(start, &(end, variant))| (&self.text[start..end], variant))
+    }
+}
+
+/// Build one base regex of a hostname: the regex whose pattern
+/// [`BasePatterns::render`] gave for `variant`.
+///
+/// # Panics
+/// Panics if `variant` is not one that rendering the same hostname gave.
+pub fn base_regex(prefix: &str, tags: &[Tag], suffix: &str, variant: BaseVariant) -> GeoRegex {
     let toks = tokenize(prefix);
     let labs = labels(prefix);
-    for tag in tags {
-        let Some(hint_label) = labs
-            .iter()
-            .position(|&(s, e)| tag.start >= s && tag.start < e)
-        else {
-            continue;
-        };
-        // Per-label pieces: (ast, roles) — `None` ast means "generic
-        // slot" to be filled per variant.
-        #[derive(Clone)]
-        enum Piece {
-            Fixed(Ast, Vec<CaptureRole>),
-            Generic(String), // label text, for the literal variant
+    let pieces = TagPieces::new(prefix, &toks, &labs, &tags[variant.tag])
+        .expect("a rendered variant has pieces");
+    pieces.build(variant.collapse_lead, variant.literal_tail, suffix)
+}
+
+/// One label of a hostname, as a tag's base regexes see it.
+enum Piece<'p> {
+    /// The hint label, or a tagged country/state label: the same in
+    /// every variant, with its capture roles.
+    Fixed(Ast, Vec<CaptureRole>),
+    /// Any other label, by its text; each variant picks its rendering.
+    Generic(&'p str),
+}
+
+/// What one label contributes to one variant.
+enum Part<'a> {
+    Fixed(&'a Ast),
+    /// A class repeated one or more times: `.+` or `[^\.]+`.
+    Plus(CharClass),
+    Literal(&'a str),
+}
+
+impl Part<'_> {
+    fn into_ast(self) -> Ast {
+        match self {
+            Part::Fixed(ast) => ast.clone(),
+            Part::Plus(class) => Ast::class(class, Quant::PLUS),
+            Part::Literal(text) => Ast::lit(text),
         }
-        let mut pieces: Vec<Piece> = Vec::new();
+    }
+
+    fn render(self, out: &mut String) {
+        match self {
+            Part::Fixed(ast) => ast.render(out),
+            Part::Plus(class) => Ast::class(class, Quant::PLUS).render(out),
+            Part::Literal(text) => escape_literal(text, out),
+        }
+    }
+}
+
+/// A tag's labels as pieces: every base regex of the tag is one variant
+/// of them, rendered to pattern text to count or built to keep.
+struct TagPieces<'p> {
+    pieces: Vec<Piece<'p>>,
+    /// Index of the label carrying the hint.
+    hint_label: usize,
+    /// Whether a country/state label sits left of the hint.
+    cc_left_of_hint: bool,
+}
+
+impl<'p> TagPieces<'p> {
+    /// The pieces of `tag`'s hostname, or `None` when the tag yields no
+    /// base regex.
+    fn new(
+        prefix: &'p str,
+        toks: &[Token<'_>],
+        labs: &[(usize, usize)],
+        tag: &Tag,
+    ) -> Option<TagPieces<'p>> {
+        let hint_label = labs
+            .iter()
+            .position(|&(s, e)| tag.start >= s && tag.start < e)?;
+        let mut pieces = Vec::with_capacity(labs.len());
         let mut cc_left_of_hint = false;
         for (li, &(ls, le)) in labs.iter().enumerate() {
             let text = &prefix[ls..le];
             if li == hint_label {
-                let Some((ast, roles)) = render_hint_label(&toks, li, tag) else {
-                    pieces.clear();
-                    break;
-                };
+                let (ast, roles) = render_hint_label(toks, li, tag)?;
                 pieces.push(Piece::Fixed(ast, roles));
             } else if tag.cc_texts.iter().any(|c| c == text) {
                 if li < hint_label {
@@ -59,76 +233,90 @@ pub fn base_regexes_for_host(prefix: &str, tags: &[Tag], suffix: &str) -> Vec<Ge
                     vec![CaptureRole::CcOrState],
                 ));
             } else {
-                pieces.push(Piece::Generic(text.to_string()));
+                pieces.push(Piece::Generic(text));
             }
         }
-        if pieces.is_empty() {
-            continue;
-        }
+        Some(TagPieces {
+            pieces,
+            hint_label,
+            cc_left_of_hint,
+        })
+    }
 
-        // Variants: {collapse leading generics to `.+`} × {trailing
-        // generics literal or [^\.]+}.
-        let lead_choices: &[bool] = if hint_label > 0 && !cc_left_of_hint {
+    /// The variants as `(collapse_lead, literal_tail)`, in generation
+    /// order: {collapse leading generics to `.+`} × {trailing generics
+    /// literal or `[^\.]+`}.
+    fn variants(&self) -> impl Iterator<Item = (bool, bool)> {
+        let lead: &[bool] = if self.hint_label > 0 && !self.cc_left_of_hint {
             &[true, false]
         } else {
             &[false]
         };
-        for &collapse_lead in lead_choices {
-            for &literal_tail in &[false, true] {
-                let mut items: Vec<Ast> = Vec::new();
-                let mut roles: Vec<CaptureRole> = Vec::new();
-                let mut collapsed = false;
-                for (li, piece) in pieces.iter().enumerate() {
-                    let ast = match piece {
-                        Piece::Fixed(a, rs) => {
-                            roles.extend(rs.iter().copied());
-                            Some(a.clone())
-                        }
-                        Piece::Generic(text) => {
-                            if collapse_lead && li < hint_label {
-                                // All leading generics collapse into one
-                                // `.+`.
-                                if collapsed {
-                                    None
-                                } else {
-                                    collapsed = true;
-                                    Some(Ast::class(CharClass::Any, Quant::PLUS))
-                                }
-                            } else if literal_tail && li > hint_label && !text.is_empty() {
-                                Some(Ast::lit(text.clone()))
-                            } else {
-                                Some(Ast::class(CharClass::NotDot, Quant::PLUS))
-                            }
-                        }
-                    };
-                    if let Some(a) = ast {
-                        if !items.is_empty() {
-                            items.push(Ast::lit("."));
-                        }
-                        items.push(a);
-                    }
+        lead.iter()
+            .flat_map(|&collapse| [(collapse, false), (collapse, true)])
+    }
+
+    /// One variant's parts, label by label; collapsed leading generics
+    /// give one `.+` between them.
+    fn parts(&self, collapse_lead: bool, literal_tail: bool) -> impl Iterator<Item = Part<'_>> {
+        let mut collapsed = false;
+        self.pieces
+            .iter()
+            .enumerate()
+            .filter_map(move |(li, piece)| match *piece {
+                Piece::Fixed(ref ast, _) => Some(Part::Fixed(ast)),
+                Piece::Generic(_) if collapse_lead && li < self.hint_label => {
+                    (!std::mem::replace(&mut collapsed, true)).then_some(Part::Plus(CharClass::Any))
                 }
-                items.push(Ast::lit(format!(".{suffix}")));
-                let regex = Regex::from_ast(Ast::seq(items));
-                // Dedup by pattern text; a host yields a handful.
-                if out
-                    .iter()
-                    .all(|r| r.regex.as_pattern() != regex.as_pattern())
+                Piece::Generic(text)
+                    if literal_tail && li > self.hint_label && !text.is_empty() =>
                 {
-                    out.push(GeoRegex {
-                        regex,
-                        plan: Plan {
-                            roles: roles.clone(),
-                        },
-                    });
+                    Some(Part::Literal(text))
                 }
+                Piece::Generic(_) => Some(Part::Plus(CharClass::NotDot)),
+            })
+    }
+
+    /// Append one variant's pattern text, anchors included, to `out`:
+    /// the text [`TagPieces::build`]'s regex renders.
+    fn render(&self, collapse_lead: bool, literal_tail: bool, suffix: &str, out: &mut String) {
+        out.push('^');
+        for (i, part) in self.parts(collapse_lead, literal_tail).enumerate() {
+            if i > 0 {
+                escape_literal(".", out);
             }
+            part.render(out);
+        }
+        escape_literal(".", out);
+        escape_literal(suffix, out);
+        out.push('$');
+    }
+
+    /// Build one variant: its parts joined by literal dots, then the
+    /// suffix.
+    fn build(&self, collapse_lead: bool, literal_tail: bool, suffix: &str) -> GeoRegex {
+        let mut items: Vec<Ast> = Vec::new();
+        for part in self.parts(collapse_lead, literal_tail) {
+            if !items.is_empty() {
+                items.push(Ast::lit("."));
+            }
+            items.push(part.into_ast());
+        }
+        items.push(Ast::lit(format!(".{suffix}")));
+        let roles = self
+            .pieces
+            .iter()
+            .filter_map(|p| match p {
+                Piece::Fixed(_, roles) => Some(roles.iter().copied()),
+                Piece::Generic(_) => None,
+            })
+            .flatten()
+            .collect();
+        GeoRegex {
+            regex: Regex::from_ast(Ast::seq(items)),
+            plan: Plan { roles },
         }
     }
-    if hoiho_obs::enabled() {
-        hoiho_obs::counter!("builder.base_regexes").add(out.len() as u64);
-    }
-    out
 }
 
 /// Render the label containing the hint: captures for the hint (and the

@@ -11,8 +11,8 @@
 use crate::convention::NamingConvention;
 use crate::eval::EvalResult;
 use crate::evalctx::EvalContext;
-use hoiho_geodb::{builder::clli_region, GeoDb};
-use hoiho_geotypes::{GeohintType, LocationId, LocationKind};
+use hoiho_geodb::{builder::clli_region, AbbrevOptions, GeoDb};
+use hoiho_geotypes::{GeohintType, LocationId};
 use std::collections::{HashMap, HashSet};
 
 /// One learned suffix-specific geohint with its evidence.
@@ -36,7 +36,9 @@ pub struct LearnedHint {
 /// A suffix-specific dictionary of learned hints.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LearnedHints {
-    map: HashMap<(String, GeohintType), LocationId>,
+    /// Dictionary slot → token → learned meaning, so a lookup by `&str`
+    /// allocates nothing.
+    map: HashMap<GeohintType, HashMap<String, LocationId>>,
     /// Full evidence records.
     pub hints: Vec<LearnedHint>,
 }
@@ -49,7 +51,7 @@ impl LearnedHints {
 
     /// Look up a learned meaning.
     pub fn get(&self, token: &str, ty: GeohintType) -> Option<LocationId> {
-        self.map.get(&(token.to_string(), ty)).copied()
+        self.map.get(&ty)?.get(token).copied()
     }
 
     /// Number of learned hints.
@@ -64,7 +66,9 @@ impl LearnedHints {
 
     fn insert(&mut self, hint: LearnedHint) {
         self.map
-            .insert((hint.token.clone(), hint.ty), hint.location);
+            .entry(hint.ty)
+            .or_default()
+            .insert(hint.token.clone(), hint.location);
         self.hints.push(hint);
     }
 
@@ -282,13 +286,8 @@ pub fn candidate_locations(db: &GeoDb, token: &str, ty: GeohintType) -> Vec<Loca
             }
             let four = &token[..4];
             let region = &token[4..6];
-            db.iter()
-                .filter(|(_, l)| {
-                    l.kind == LocationKind::City
-                        && hoiho_geodb::is_abbreviation(four, &l.name, &Default::default())
-                        && clli_region(l) == region
-                })
-                .map(|(id, _)| id)
+            db.abbreviated_cities(four, &AbbrevOptions::default(), false)
+                .filter(|&id| clli_region(db.location(id)) == region)
                 .collect()
         }
         GeohintType::Locode => {
@@ -297,13 +296,8 @@ pub fn candidate_locations(db: &GeoDb, token: &str, ty: GeohintType) -> Vec<Loca
             }
             let cc = &token[..2];
             let tail = &token[2..];
-            db.iter()
-                .filter(|(_, l)| {
-                    l.kind == LocationKind::City
-                        && l.country.matches_token(cc)
-                        && hoiho_geodb::is_abbreviation(tail, &l.name, &Default::default())
-                })
-                .map(|(id, _)| id)
+            db.abbreviated_cities(tail, &AbbrevOptions::default(), false)
+                .filter(|&id| db.location(id).country.matches_token(cc))
                 .collect()
         }
         GeohintType::Facility => Vec::new(),

@@ -1,6 +1,6 @@
 //! End-to-end orchestration of the five stages (figure 4).
 
-use crate::builder::{base_regexes_for_host, embed_character_classes, merge_digit_optional};
+use crate::builder::{base_candidates, embed_character_classes, merge_digit_optional};
 use crate::convention::{GeoRegex, NamingConvention};
 use crate::eval::{eval_nc, eval_regex, EvalResult, Metrics, Outcome};
 use crate::evalctx::EvalContext;
@@ -13,7 +13,7 @@ use hoiho_itdk::Corpus;
 use hoiho_psl::PublicSuffixList;
 use hoiho_rtt::consistency::BestCaseTable;
 use hoiho_rtt::{ConsistencyPolicy, VpId, VpSet};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Cap on deduplicated phase-1 candidates per suffix.
 const MAX_CANDIDATES: usize = 300;
@@ -395,31 +395,8 @@ impl<'a> Hoiho<'a> {
 
         // Phase 1: base regexes, deduplicated, most-generated first.
         let phase1 = hoiho_obs::span("learn.suffix.phase1");
-        let mut counts: HashMap<String, (GeoRegex, usize)> = HashMap::new();
-        for h in hosts {
-            if !h.is_tagged() {
-                continue;
-            }
-            for r in base_regexes_for_host(h.prefix(), &h.tags, ctx.suffix) {
-                counts
-                    .entry(r.regex.as_pattern().to_owned())
-                    .or_insert((r, 0))
-                    .1 += 1;
-            }
-        }
-        let mut cands: Vec<(GeoRegex, usize)> = counts.into_values().collect();
-        if hoiho_obs::enabled() {
-            hoiho_obs::counter!("learn.candidates_generated")
-                .add(cands.iter().map(|(_, c)| *c as u64).sum());
-            hoiho_obs::counter!("learn.candidates_deduped").add(cands.len() as u64);
-        }
-        cands.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| a.0.regex.as_pattern().cmp(b.0.regex.as_pattern()))
-        });
-        cands.truncate(MAX_CANDIDATES);
         let mut evals: Vec<(GeoRegex, EvalResult)> = Vec::new();
-        for (r, _) in cands {
+        for (r, _) in base_candidates(hosts, ctx.suffix, MAX_CANDIDATES) {
             admit(&mut evals, r);
         }
         drop(phase1);

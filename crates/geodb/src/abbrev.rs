@@ -17,6 +17,9 @@
 //! The matcher is a small backtracking search over (abbrev position,
 //! name position) pairs so it is complete, not merely greedy.
 
+use hoiho_geotypes::{Location, LocationId, LocationKind};
+use std::collections::HashMap;
+
 /// Options controlling [`is_abbreviation`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AbbrevOptions {
@@ -26,31 +29,37 @@ pub struct AbbrevOptions {
     pub require_contiguous: usize,
 }
 
-/// A word of the place name, lowercased, with its start offset flagged.
-fn words(name: &str) -> Vec<Vec<char>> {
+/// The characters of an abbreviation the heuristics read: its ASCII
+/// letters and digits, lowercased.
+fn letters(abbrev: &str) -> Vec<u8> {
+    abbrev
+        .bytes()
+        .filter(u8::is_ascii_alphanumeric)
+        .map(|b| b.to_ascii_lowercase())
+        .collect()
+}
+
+/// The words of a place name: its runs of ASCII letters and digits,
+/// lowercased.
+fn words(name: &str) -> Vec<Box<[u8]>> {
     name.split(|c: char| !c.is_ascii_alphanumeric())
         .filter(|w| !w.is_empty())
-        .map(|w| w.chars().map(|c| c.to_ascii_lowercase()).collect())
+        .map(|w| w.bytes().map(|b| b.to_ascii_lowercase()).collect())
         .collect()
 }
 
 /// Whether `abbrev` is an acceptable abbreviation of `place_name` under
-/// the paper's heuristics.
+/// the paper's heuristics. [`GeoDb::abbreviated_cities`](crate::GeoDb::abbreviated_cities)
+/// answers the same question for every city at once.
 pub fn is_abbreviation(abbrev: &str, place_name: &str, opts: &AbbrevOptions) -> bool {
-    let a: Vec<char> = abbrev
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .map(|c| c.to_ascii_lowercase())
-        .collect();
-    if a.is_empty() {
-        return false;
-    }
-    let ws = words(place_name);
-    if ws.is_empty() {
-        return false;
-    }
+    abbreviates(&letters(abbrev), &words(place_name), opts)
+}
+
+/// [`is_abbreviation`] over an abbreviation's [`letters`] and a name's
+/// [`words`].
+fn abbreviates(a: &[u8], ws: &[Box<[u8]>], opts: &AbbrevOptions) -> bool {
     // Rule 2: first character matches the name's first character.
-    if a[0] != ws[0][0] {
+    if a.is_empty() || ws.first().is_none_or(|w| a[0] != w[0]) {
         return false;
     }
     // Trivial case: the abbreviation is longer than the name can supply.
@@ -58,17 +67,82 @@ pub fn is_abbreviation(abbrev: &str, place_name: &str, opts: &AbbrevOptions) -> 
     if a.len() > total {
         return false;
     }
-    search(
-        &a,
-        &ws,
-        0,
-        0,
-        0,
-        false,
-        0,
-        opts.require_contiguous,
-        &mut 0u32,
-    )
+    search(a, ws, 0, 0, 0, false, 0, opts.require_contiguous, &mut 0u32)
+}
+
+/// The city names stage 4 matches abbreviations against, split into
+/// [`words`] once and bucketed by their first character. A query walks
+/// only the bucket of its first letter, since rule 2 rejects every other
+/// name, and allocates nothing per name.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AbbrevIndex {
+    buckets: HashMap<u8, Vec<IndexedName>>,
+}
+
+/// One name of a city in an [`AbbrevIndex`] bucket.
+#[derive(Debug, Clone)]
+struct IndexedName {
+    city: LocationId,
+    /// Whether this is the state-qualified name ("Washington DC").
+    qualified: bool,
+    words: Box<[Box<[u8]>]>,
+}
+
+impl AbbrevIndex {
+    /// Index the cities among `locations`, whose ids are their
+    /// positions: each one's name and, when it has a state, its
+    /// state-qualified name.
+    pub(crate) fn new(locations: &[Location]) -> AbbrevIndex {
+        let mut buckets: HashMap<u8, Vec<IndexedName>> = HashMap::new();
+        for (i, l) in locations.iter().enumerate() {
+            if l.kind != LocationKind::City {
+                continue;
+            }
+            let bare = words(&l.name);
+            let qualified = l.state.map(|st| {
+                let mut ws = bare.clone();
+                ws.extend(words(st.as_str()));
+                ws
+            });
+            let names = std::iter::once((false, bare)).chain(qualified.map(|ws| (true, ws)));
+            for (qualified, ws) in names {
+                if let Some(first) = ws.first() {
+                    buckets.entry(first[0]).or_default().push(IndexedName {
+                        city: LocationId(i as u32),
+                        qualified,
+                        words: ws.into(),
+                    });
+                }
+            }
+        }
+        AbbrevIndex { buckets }
+    }
+
+    /// The cities whose name `abbrev` abbreviates under `opts`, in id
+    /// order; with `state_qualified`, also those whose state-qualified
+    /// name it abbreviates. The answer is what [`is_abbreviation`] gives
+    /// city by city.
+    pub(crate) fn cities<'a>(
+        &'a self,
+        abbrev: &str,
+        opts: &AbbrevOptions,
+        state_qualified: bool,
+    ) -> impl Iterator<Item = LocationId> + 'a {
+        let a = letters(abbrev);
+        let opts = *opts;
+        let bucket = a.first().and_then(|c| self.buckets.get(c));
+        // A city's two names sit side by side in one bucket: skip the
+        // second once the first matched.
+        let mut last = None;
+        bucket
+            .into_iter()
+            .flatten()
+            .filter(move |n| state_qualified || !n.qualified)
+            .filter_map(move |n| {
+                let hit = last != Some(n.city) && abbreviates(&a, &n.words, &opts);
+                hit.then(|| *last.insert(n.city))
+            })
+    }
 }
 
 /// Backtracking search.
@@ -80,8 +154,8 @@ pub fn is_abbreviation(abbrev: &str, place_name: &str, opts: &AbbrevOptions) -> 
 /// be embedded.
 #[allow(clippy::too_many_arguments)]
 fn search(
-    a: &[char],
-    ws: &[Vec<char>],
+    a: &[u8],
+    ws: &[Box<[u8]>],
     ai: usize,
     wi: usize,
     ci: usize,

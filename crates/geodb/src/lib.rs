@@ -26,11 +26,13 @@ pub mod builder;
 pub mod data;
 pub mod synth;
 
+use abbrev::AbbrevIndex;
 pub use abbrev::{is_abbreviation, AbbrevOptions};
 pub use builder::GeoDbBuilder;
 
 use hoiho_geotypes::{Coordinates, GeohintType, Location, LocationId};
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// One dictionary hit: a token interpreted as a geohint of some type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +59,9 @@ pub struct GeoDb {
     /// City → facility street tokens located there (used by corpus
     /// generators to emit facility-style hostnames).
     pub(crate) facility_by_city: HashMap<LocationId, Vec<(String, LocationId)>>,
+    /// The cities' names for the stage-4 abbreviation search, indexed
+    /// on first use: only a learn searches them.
+    pub(crate) abbrev: OnceLock<AbbrevIndex>,
 }
 
 impl GeoDb {
@@ -163,29 +168,31 @@ impl GeoDb {
     }
 
     /// All city locations whose name could plausibly be abbreviated by
-    /// `token` under the §5.4 heuristics. `for_city_regex` selects the
-    /// stricter ≥4-contiguous-characters rule the paper applies when the
-    /// regex plan extracts city names.
+    /// `token` under the §5.4 heuristics, in id order. `for_city_regex`
+    /// selects the stricter ≥4-contiguous-characters rule the paper
+    /// applies when the regex plan extracts city names. Like "wdc" →
+    /// Washington DC, a token may also abbreviate the state-qualified
+    /// place name.
     pub fn abbreviation_candidates(&self, token: &str, for_city_regex: bool) -> Vec<LocationId> {
         let opts = AbbrevOptions {
             require_contiguous: if for_city_regex { 4 } else { 0 },
         };
-        let mut out = Vec::new();
-        for (id, loc) in self.iter() {
-            if loc.kind != hoiho_geotypes::LocationKind::City {
-                continue;
-            }
-            // Match against the bare name and, like "wdc" → Washington DC,
-            // against the state-qualified place name.
-            let hit = is_abbreviation(token, &loc.name, &opts)
-                || loc.state.is_some_and(|st| {
-                    is_abbreviation(token, &format!("{} {}", loc.name, st.as_str()), &opts)
-                });
-            if hit {
-                out.push(id);
-            }
-        }
-        out
+        self.abbreviated_cities(token, &opts, true).collect()
+    }
+
+    /// The cities whose name `token` abbreviates under `opts`, in id
+    /// order; with `state_qualified`, also those whose state-qualified
+    /// name it abbreviates. Searches only the names that start with the
+    /// token's first letter.
+    pub fn abbreviated_cities<'a>(
+        &'a self,
+        token: &str,
+        opts: &AbbrevOptions,
+        state_qualified: bool,
+    ) -> impl Iterator<Item = LocationId> + 'a {
+        self.abbrev
+            .get_or_init(|| AbbrevIndex::new(&self.locations))
+            .cities(token, opts, state_qualified)
     }
 
     /// Iterate `(IATA code, airport locations)` pairs.

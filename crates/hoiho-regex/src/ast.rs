@@ -7,7 +7,7 @@
 //! string for publication.
 
 use crate::class::CharClass;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A quantifier attached to a character class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,29 +60,16 @@ impl Quant {
     };
 
     fn render(&self, out: &mut String) {
-        match (self.min, self.max) {
-            (1, Some(1)) => {}
-            (1, None) => out.push('+'),
-            (0, None) => out.push('*'),
-            (0, Some(1)) => out.push('?'),
-            (n, Some(m)) if n == m => {
-                out.push('{');
-                out.push_str(&n.to_string());
-                out.push('}');
-            }
-            (n, Some(m)) => {
-                out.push('{');
-                out.push_str(&n.to_string());
-                out.push(',');
-                out.push_str(&m.to_string());
-                out.push('}');
-            }
-            (n, None) => {
-                out.push('{');
-                out.push_str(&n.to_string());
-                out.push_str(",}");
-            }
-        }
+        // Writing to a `String` cannot fail.
+        let _ = match (self.min, self.max) {
+            (1, Some(1)) => Ok(()),
+            (1, None) => out.write_char('+'),
+            (0, None) => out.write_char('*'),
+            (0, Some(1)) => out.write_char('?'),
+            (n, Some(m)) if n == m => write!(out, "{{{n}}}"),
+            (n, Some(m)) => write!(out, "{{{n},{m}}}"),
+            (n, None) => write!(out, "{{{n},}}"),
+        };
         if self.possessive {
             out.push('+');
         }
@@ -159,29 +146,7 @@ impl Ast {
                     it.render(out);
                 }
             }
-            Ast::Literal(s) => {
-                for c in s.chars() {
-                    if matches!(
-                        c,
-                        '.' | '\\'
-                            | '+'
-                            | '*'
-                            | '?'
-                            | '('
-                            | ')'
-                            | '['
-                            | ']'
-                            | '{'
-                            | '}'
-                            | '^'
-                            | '$'
-                            | '|'
-                    ) {
-                        out.push('\\');
-                    }
-                    out.push(c);
-                }
-            }
+            Ast::Literal(s) => escape_literal(s, out),
             Ast::Class(c, q) => {
                 c.render(out);
                 q.render(out);
@@ -192,6 +157,21 @@ impl Ast {
                 out.push(')');
             }
         }
+    }
+}
+
+/// Append `text` to `out` as pattern text that matches it literally:
+/// each metacharacter gets a backslash. [`Ast::render`] renders every
+/// [`Ast::Literal`] through it.
+pub fn escape_literal(text: &str, out: &mut String) {
+    for c in text.chars() {
+        if matches!(
+            c,
+            '.' | '\\' | '+' | '*' | '?' | '(' | ')' | '[' | ']' | '{' | '}' | '^' | '$' | '|'
+        ) {
+            out.push('\\');
+        }
+        out.push(c);
     }
 }
 

@@ -55,8 +55,9 @@ pub fn write_corpus(corpus: &Corpus) -> String {
 /// The sink that writes `corpus-v1`: it renders each record as it
 /// arrives, so a corpus is written without being held. Wrap a file in a
 /// [`std::io::BufWriter`]. The first write error is kept and every later
-/// record is dropped; [`CorpusWriter::finish`] returns it. The counts
-/// cover every record, written or dropped.
+/// record is dropped; [`CorpusWriter::finish`] returns it, and
+/// [`CorpusSink::stopped`] tells a source to stop. The counts cover
+/// every record, written or dropped.
 #[derive(Debug)]
 pub struct CorpusWriter<W: Write> {
     out: W,
@@ -157,6 +158,11 @@ impl<W: Write> CorpusSink for CorpusWriter<W> {
             write_rtts(out, "trtt", traceroute_rtts)
         });
     }
+
+    /// Once a write has failed: every later record would be dropped.
+    fn stopped(&self) -> bool {
+        self.error.is_some()
+    }
 }
 
 fn write_rtts(mut out: impl Write, tag: &str, rtts: &RouterRtts) -> std::io::Result<()> {
@@ -195,6 +201,12 @@ pub trait CorpusSink {
     /// `trtt` record of it folded through [`RouterRtts::record`]. The
     /// sink may take them; whatever it leaves is cleared.
     fn end_router(&mut self, rtts: &mut RouterRtts, traceroute_rtts: &mut RouterRtts);
+    /// Whether the sink wants no more records, as a writer whose output
+    /// failed does. A source may then stop between routers; the
+    /// generator does. Never, unless a sink says otherwise.
+    fn stopped(&self) -> bool {
+        false
+    }
 }
 
 /// The sink that keeps every record: [`parse_corpus_from`] builds a
@@ -427,44 +439,66 @@ pub fn parse_corpus_into(
 /// read so far. The first bad token decides the error, and within a
 /// token the checks run in the order `str`-based parsing would make
 /// them: missing colon, VP id, microseconds, then unknown VP.
+///
+/// Each number accumulates in a fixed-width integer that saturates one
+/// past the range it must fit (a `u32` for the `u16` VP id, a `u64` for
+/// the `u32` µs), so digits of any count, leading zeros included, cost
+/// one multiply-add each and overflow is one compare at the end. The
+/// common token, `digits:digits` and a separator, takes no other branch;
+/// a `+` sign or an error is the rare case.
 fn parse_rtt_samples(rest: &[u8], known_vps: usize, target: &mut RouterRtts) -> Result<(), String> {
-    target.reserve(rest.iter().map(|&b| usize::from(b == b':')).sum());
+    const VP_OVER: u32 = 1 << 16;
+    const US_OVER: u64 = 1 << 32;
+    let n = rest.len();
     let mut i = 0;
     loop {
-        while rest.get(i).is_some_and(|&b| is_ascii_space(b)) {
+        while i < n && is_ascii_space(rest[i]) {
             i += 1;
         }
-        if i == rest.len() {
+        if i == n {
             return Ok(());
         }
-        let (vp, at) = scan_decimal(rest, i);
-        match rest.get(at) {
-            Some(b':') => {}
-            Some(&b) if !is_ascii_space(b) => {
-                // A stray byte in the VP part: the error depends on
-                // whether the token has a colon at all.
-                let token = rest[at..].split(|&b| is_ascii_space(b)).next();
-                return Err(if token.is_some_and(|t| t.contains(&b':')) {
-                    "rtt: bad vp".into()
-                } else {
-                    "rtt: expected vp:us".into()
-                });
-            }
-            _ => return Err("rtt: expected vp:us".into()),
+        if rest[i] == b'+' {
+            i += 1;
         }
-        let vp = vp
-            .and_then(|v| u16::try_from(v).ok())
-            .ok_or("rtt: bad vp")?;
-        let (us, end) = scan_decimal(rest, at + 1);
-        let us = us
-            .filter(|_| rest.get(end).is_none_or(|&b| is_ascii_space(b)))
-            .and_then(|us| u32::try_from(us).ok())
-            .ok_or("rtt: bad us")?;
+        let from = i;
+        let mut vp = 0u32;
+        while i < n && rest[i].is_ascii_digit() {
+            vp = (vp * 10 + u32::from(rest[i] - b'0')).min(VP_OVER);
+            i += 1;
+        }
+        if i == n || rest[i] != b':' {
+            // A stray byte, or the token's end, before any colon: the
+            // error depends on whether the token has a colon at all.
+            let token = rest[i..].split(|&b| is_ascii_space(b)).next();
+            return Err(if token.is_some_and(|t| t.contains(&b':')) {
+                "rtt: bad vp".into()
+            } else {
+                "rtt: expected vp:us".into()
+            });
+        }
+        let vp = match u16::try_from(vp) {
+            Ok(vp) if i > from => vp,
+            _ => return Err("rtt: bad vp".into()),
+        };
+        i += 1;
+        if i < n && rest[i] == b'+' {
+            i += 1;
+        }
+        let from = i;
+        let mut us = 0u64;
+        while i < n && rest[i].is_ascii_digit() {
+            us = (us * 10 + u64::from(rest[i] - b'0')).min(US_OVER);
+            i += 1;
+        }
+        let us = match u32::try_from(us) {
+            Ok(us) if i > from && (i == n || is_ascii_space(rest[i])) => us,
+            _ => return Err("rtt: bad us".into()),
+        };
         if usize::from(vp) >= known_vps {
             return Err(format!("rtt: vp {vp} has no earlier vp record"));
         }
         target.record(VpId(vp), Rtt::from_us(us));
-        i = end;
     }
 }
 
@@ -472,26 +506,6 @@ fn parse_rtt_samples(rest: &[u8], known_vps: usize, target: &mut RouterRtts) -> 
 /// space, `\t`, `\n`, vertical tab, form feed and `\r`.
 fn is_ascii_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t'..=b'\r')
-}
-
-/// Scan an unsigned decimal with an optional leading `+` from `bytes[i..]`,
-/// as `u64::from_str` reads one. Returns its value, `None` when there are
-/// no digits or it overflows, and the index of the first byte after it.
-fn scan_decimal(bytes: &[u8], mut i: usize) -> (Option<u64>, usize) {
-    if bytes.get(i) == Some(&b'+') {
-        i += 1;
-    }
-    let start = i;
-    let mut n = Some(0u64);
-    while let Some(d) = bytes
-        .get(i)
-        .map(|b| b.wrapping_sub(b'0'))
-        .filter(|&d| d <= 9)
-    {
-        n = n.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(d)));
-        i += 1;
-    }
-    (n.filter(|_| i > start), i)
 }
 
 #[cfg(test)]

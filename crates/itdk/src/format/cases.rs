@@ -27,6 +27,32 @@ pub const RTT_CASES: &[(&str, Want)] = &[
     ("rtt   0:1     1:2   \n", Ok(&[(0, 1), (1, 2)])),
     ("rtt 0:1\x0b1:2\x0c\n", Ok(&[(0, 1), (1, 2)])),
     ("rtt 0:1 1:2\r\ntrtt 0:3\r\n", Ok(&[(0, 1), (1, 2)])),
+    // The scanner's limits: the last `u16` VP id and the first past it,
+    // µs of ten and eleven digits, leading zeros past either width,
+    // signs, every ASCII separator and trailing whitespace.
+    (
+        "rtt 65535:5\n",
+        bad(5, "rtt: vp 65535 has no earlier vp record"),
+    ),
+    ("rtt 99999:5\n", bad(5, "rtt: bad vp")),
+    (
+        "rtt 0000065535:1\n",
+        bad(5, "rtt: vp 65535 has no earlier vp record"),
+    ),
+    ("rtt 0000065536:1\n", bad(5, "rtt: bad vp")),
+    ("rtt 1:1000000000\n", Ok(&[(1, 1_000_000_000)])),
+    ("rtt 1:10000000000\n", bad(5, "rtt: bad us")),
+    ("rtt 1:04294967295\n", Ok(&[(1, u32::MAX)])),
+    (
+        "rtt 000000000001:000000000000000000000000009\n",
+        Ok(&[(1, 9)]),
+    ),
+    ("rtt +0:5 1:+6\n", Ok(&[(0, 5), (1, 6)])),
+    ("rtt 1:++5\n", bad(5, "rtt: bad us")),
+    ("rtt 1+:5\n", bad(5, "rtt: bad vp")),
+    ("rtt +\n", bad(5, "rtt: expected vp:us")),
+    ("rtt 0:1\r1:2\t\x0b\x0c 0:3\n", Ok(&[(0, 1), (1, 2)])),
+    ("rtt 0:1 \t \x0b\x0c\r\n", Ok(&[(0, 1)])),
     ("rtt\n", Ok(&[])),
     ("rtt 65536:5\n", bad(5, "rtt: bad vp")),
     ("rtt 1:18446744073709551616\n", bad(5, "rtt: bad us")),

@@ -34,8 +34,9 @@ pub fn generate(db: &GeoDb, spec: &CorpusSpec) -> Generated {
 }
 
 /// Generate the corpus [`generate`] would, handing each record to `sink`
-/// as it is drawn, so no router is held. Returns the operator ground
-/// truth.
+/// as it is drawn, so no router is held. Stops before the next router
+/// once the sink says it has [stopped](CorpusSink::stopped). Returns the
+/// operator ground truth.
 pub fn generate_into(
     db: &GeoDb,
     spec: &CorpusSpec,
@@ -100,6 +101,9 @@ fn populate(
         for _ in 0..op.router_count {
             if op.pops.is_empty() {
                 break;
+            }
+            if sink.stopped() {
+                return;
             }
             // Zipf-ish PoP choice: PoP 0 is the operator's biggest site.
             let pi = (rng.random::<f64>().powi(2) * op.pops.len() as f64) as usize;
@@ -671,6 +675,38 @@ mod tests {
                 spec.ipv6
             );
         }
+    }
+
+    /// Once the writer's output fails, the generator stops at the next
+    /// router instead of drawing the rest of the corpus.
+    #[test]
+    fn generation_stops_once_the_writer_fails() {
+        /// Takes `room` bytes, then fails every write.
+        struct Full(usize);
+        impl std::io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(std::io::Error::other("device full"));
+                }
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let db = GeoDb::builtin();
+        let spec = small_spec();
+        let whole = generate(&db, &spec).corpus.len();
+        let mut writer = CorpusWriter::new(Full(4096));
+        generate_into(&db, &spec, &mut writer);
+        let routers = writer.routers();
+        assert!(writer.finish().is_err());
+        assert!(
+            (1..whole / 20).contains(&routers),
+            "{routers} of {whole} node records"
+        );
     }
 
     #[test]
